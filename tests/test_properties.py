@@ -1,11 +1,14 @@
 """Property-based checks of the algebraic invariants."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specat import (
     MAT_R,
+    HeytingTable,
     LRelation,
     RelationCategory,
     ScalarMatrix,
@@ -15,12 +18,48 @@ from specat import (
     check_biproduct_axioms,
     copair,
     pair,
+    relations,
     sum_via_biproduct,
 )
 
 from ._oracles import compose_relations_slow, join_relations_slow
 
-ALGEBRAS = (bool_algebra(), b4(), chain(3))
+
+def product_lattice(left, right) -> HeytingTable:
+    """The product lattice, from componentwise meet and join tables."""
+    pairs = [(i, j) for i in range(len(left.elements))
+             for j in range(len(right.elements))]
+    pos = {p: n for n, p in enumerate(pairs)}
+    meet = [[pos[left.meet_of(x[0], y[0]), right.meet_of(x[1], y[1])]
+             for y in pairs] for x in pairs]
+    join = [[pos[left.join_of(x[0], y[0]), right.join_of(x[1], y[1])]
+             for y in pairs] for x in pairs]
+    labels = [f"{left.label(i)},{right.label(j)}" for i, j in pairs]
+    return HeytingTable(labels, meet, join, name="product")
+
+
+def broken_b4() -> HeytingTable:
+    """b4 with meet(a, b) set to the top: not a lattice, kept unvalidated."""
+    meet = np.array(b4().meet, dtype=np.int16).copy()
+    a, b, one = b4().index("a"), b4().index("b"), b4().index("1")
+    meet[a, b] = meet[b, a] = one
+    return HeytingTable(b4().elements, meet, b4().join, name="broken",
+                        validate=False)
+
+
+# Tables without a level-cut representation, so they compose by the loop:
+# broken b4 fails the meet and join checks; in the second table the meet
+# orders nothing, so no element has a join-irreducible below it and the
+# (empty) cuts cannot tell the two elements apart
+UNVALIDATED = (broken_b4(),
+               HeytingTable(("0", "1"), [[0, 1], [0, 1]], [[0, 1], [1, 0]],
+                            name="unordered", validate=False))
+
+
+# chain(1) has no join-irreducible levels, chain(64) has 63, and the product
+# of chain(2) and chain(3) is distributive but neither a chain nor Boolean
+ALGEBRAS = (bool_algebra(), b4(), chain(3), chain(1), chain(64),
+            product_lattice(chain(2), chain(3)))
 
 
 def carriers(prefix: str, max_size: int = 4):
@@ -66,6 +105,45 @@ def parallel_pair(draw):
 def test_relation_composition_matches_loop_oracle(pair_):
     g, f = pair_
     assert g @ f == compose_relations_slow(g, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(composable_pair())
+def test_composition_one_level_at_a_time_matches_loop_oracle(pair_):
+    g, f = pair_
+    with mock.patch.object(relations, "_CUT_CHUNK_BYTES", 1):
+        assert g @ f == compose_relations_slow(g, f)
+
+
+def test_composition_with_one_chain_per_decode_group_matches_loop_oracle():
+    with mock.patch.object(relations, "_DECODE_TABLE_MAX", 1):
+        algebras = [HeytingTable(a.elements, a.meet, a.join)
+                    for a in (b4(), product_lattice(chain(2), chain(3)))]
+    rng = np.random.default_rng(7)
+    for algebra in algebras:
+        assert len(algebra._cuts.tables) == 2
+        k = len(algebra.elements)
+        for _ in range(20):
+            g = LRelation(algebra, range(5), range(4), rng.integers(0, k, (4, 5)))
+            f = LRelation(algebra, range(3), range(5), rng.integers(0, k, (5, 3)))
+            assert g @ f == compose_relations_slow(g, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_composition_over_unvalidated_table_matches_loop_oracle(data):
+    algebra = data.draw(st.sampled_from(UNVALIDATED))
+    src = data.draw(carriers("a"))
+    mid = data.draw(carriers("b"))
+    tgt = data.draw(carriers("c"))
+    f = data.draw(relation_between(algebra, src, mid))
+    g = data.draw(relation_between(algebra, mid, tgt))
+    assert g @ f == compose_relations_slow(g, f)
+
+
+def test_only_unvalidated_tables_lack_level_cuts():
+    assert all(algebra._cuts is not None for algebra in ALGEBRAS)
+    assert all(algebra._cuts is None for algebra in UNVALIDATED)
 
 
 @settings(max_examples=60, deadline=None)
