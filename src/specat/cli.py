@@ -120,7 +120,8 @@ def resolve_hom(spec: str, lattice_spec: str | None):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (passed, checks, payload, dot_text)
+# subcommand handlers: each returns (passed, checks, payload, dot), where dot
+# builds the DOT text on demand, or is None when there is no graph output
 
 
 def cmd_verify(args):
@@ -146,19 +147,19 @@ def cmd_separate(args):
         "decomposition": formats.decomposition_to_dict(dec, cat),
         "zero_tol": zero_tol,
     }
-    dot = formats.partitioned_dot(partition, arrow)
-    return report.passed, report, payload, dot
+    return (report.passed, report, payload,
+            lambda: formats.partitioned_dot(partition, arrow))
 
 
 def cmd_equitable(args):
-    adjacency = formats.load_graph_edges(args.graph)
-    n = adjacency.shape[0]
+    graph = formats.load_graph_edges(args.graph)
     if args.partition:
-        partition = formats.load_partition_json(args.partition, tuple(range(n)))
+        partition = formats.load_partition_json(args.partition,
+                                                tuple(range(graph.n)))
     else:
-        partition = coarsest_equitable_partition(adjacency)
-    quotient = reduced_transition_matrix(adjacency, partition)
-    walk = walk_matrix(adjacency)
+        partition = coarsest_equitable_partition(graph)
+    quotient = reduced_transition_matrix(graph, partition)
+    walk = walk_matrix(graph)
     residual = residual_part(walk, quotient)
     tol = resolve_tolerance(args)
 
@@ -188,8 +189,8 @@ def cmd_equitable(args):
         "walk": walk.values.tolist(),
         "residual": residual.values.tolist(),
     }
-    dot = formats.partitioned_dot(partition, adjacency)
-    return report.passed, report, payload, dot
+    return (report.passed, report, payload,
+            lambda: formats.partitioned_dot(partition, graph))
 
 
 def cmd_laws(args):
@@ -346,7 +347,7 @@ def main(argv=None) -> int:
             if dot is None:
                 raise ParseError(
                     f"{args.subcommand} has no graph output for --format dot")
-            text = dot
+            text = dot()
         elif args.format == "text":
             text = render_text(report)
         else:

@@ -26,7 +26,7 @@ from .relations import (
     decode_label,
     encode_label,
 )
-from .spectral import Block, Partition, SpectralDecomposition
+from .spectral import Block, Partition, SparseGraph, SpectralDecomposition
 
 
 def canonical_json(payload: Any) -> str:
@@ -259,11 +259,16 @@ def save_decomposition_json(dec: SpectralDecomposition,
 # ---------------------------------------------------------------------------
 # graphs and partitions
 
+_MAX_VERTEX = np.iinfo(np.int64).max
 
-def load_graph_edges(path) -> np.ndarray:
-    """Adjacency matrix from a whitespace edge list, one '0-based u v' per line."""
+
+def load_graph_edges(path) -> SparseGraph:
+    """Sparse graph from a whitespace edge list, one '0-based u v' per line.
+
+    Every id from 0 to the largest must have an edge; the check runs on the
+    edges alone, so a huge id costs no memory.
+    """
     edges = []
-    top = -1
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -277,15 +282,14 @@ def load_graph_edges(path) -> np.ndarray:
             raise ParseError(f"{path}: line {lineno} has non-integer vertex") from exc
         if u < 0 or v < 0:
             raise ParseError(f"{path}: line {lineno} has a negative vertex")
+        if max(u, v) > _MAX_VERTEX:
+            raise ParseError(f"{path}: line {lineno} has a vertex id above "
+                             f"{_MAX_VERTEX}")
         edges.append((u, v))
-        top = max(top, u, v)
-    if top < 0:
+    if not edges:
         raise ParseError(f"{path}: no edges found")
-    adj = np.zeros((top + 1, top + 1), dtype=np.int64)
-    for u, v in edges:
-        adj[u, v] = 1
-        adj[v, u] = 1
-    return adj
+    pairs = np.array(edges, dtype=np.int64)
+    return SparseGraph.from_edges(pairs[:, 0], pairs[:, 1])
 
 
 def partition_from_dict(payload: dict, carrier: tuple) -> Partition:
@@ -338,8 +342,9 @@ def _dot_name(label) -> str:
 def partitioned_dot(partition: Partition, arrow) -> str:
     """A directed graph with one cluster per cell and labelled edges.
 
-    ``arrow`` may be a relation (edge label = lattice value) or a square
-    matrix (edge label = entry, zeros omitted).
+    ``arrow`` may be a relation (edge label = lattice value), a square
+    matrix (edge label = entry, zeros omitted) or a sparse graph (edge
+    label 1).  Edges come in row-major order of the arrow's grid.
     """
     lines = ["digraph decomposition {"]
     for i, cell in enumerate(partition.cells):
@@ -349,22 +354,20 @@ def partitioned_dot(partition: Partition, arrow) -> str:
             lines.append(f"    {_dot_name(label)};")
         lines.append("  }")
     if isinstance(arrow, LRelation):
-        bottom = arrow.algebra.bottom
-        for t in range(len(arrow.target)):
-            for s in range(len(arrow.source)):
-                v = int(arrow.values[t, s])
-                if v != bottom:
-                    lines.append(
-                        f"  {_dot_name(arrow.source[s])} -> "
-                        f"{_dot_name(arrow.target[t])} "
-                        f'[label="{arrow.algebra.label(v)}"];')
+        label = arrow.algebra.label
+        targets, sources = np.nonzero(arrow.values != arrow.algebra.bottom)
+        for t, s in zip(targets.tolist(), sources.tolist()):
+            lines.append(
+                f"  {_dot_name(arrow.source[s])} -> "
+                f"{_dot_name(arrow.target[t])} "
+                f'[label="{label(int(arrow.values[t, s]))}"];')
+    elif isinstance(arrow, SparseGraph):
+        for t, s in zip(arrow.rows().tolist(), arrow.indices.tolist()):
+            lines.append(f'  {_dot_name(s)} -> {_dot_name(t)} [label="1"];')
     else:
         values = arrow.values if isinstance(arrow, ScalarMatrix) else np.asarray(arrow)
-        for t in range(values.shape[0]):
-            for s in range(values.shape[1]):
-                v = values[t, s]
-                if v != 0:
-                    lines.append(
-                        f"  {_dot_name(s)} -> {_dot_name(t)} [label=\"{v:g}\"];")
+        for t, s in zip(*(axis.tolist() for axis in np.nonzero(values))):
+            lines.append(
+                f"  {_dot_name(s)} -> {_dot_name(t)} [label=\"{values[t, s]:g}\"];")
     lines.append("}")
     return "\n".join(lines) + "\n"

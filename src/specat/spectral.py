@@ -11,7 +11,6 @@ matrices.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
@@ -260,32 +259,116 @@ def fold_to_binary(cat: SemiadditiveCategory,
 
 
 # ---------------------------------------------------------------------------
-# component separation
+# sparse undirected graphs
 
 
-def _component_cells(sym: np.ndarray) -> list[list[int]]:
-    """Connected components of a symmetric boolean adjacency, by BFS.
+@dataclass(frozen=True, eq=False)
+class SparseGraph:
+    """An undirected graph on vertices ``0..n-1`` in compressed sparse rows.
+
+    ``indices[indptr[v]:indptr[v+1]]`` lists the neighbours of ``v`` in
+    ascending order, each once; the rows are symmetric, and a self-loop
+    appears once in its own row, as a 1 on the diagonal of the adjacency
+    matrix.  Every graph routine in this module runs on this form.
+    """
+
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def from_edges(cls, src: np.ndarray, dst: np.ndarray) -> "SparseGraph":
+        """The graph of an edge list whose ids must cover ``0..max id``.
+
+        Nothing proportional to the largest id is allocated: a missing id
+        is named before the vertex count is fixed.  Edges are symmetrized
+        and de-duplicated.
+        """
+        ids = np.unique(np.concatenate([src, dst]))
+        gaps = np.flatnonzero(ids != np.arange(ids.size))
+        if gaps.size:
+            raise PreconditionError(
+                f"vertex {int(gaps[0])} has no edges; vertex ids must cover "
+                f"0..{int(ids[-1])}")
+        n = int(ids.size)
+        keys = np.unique(np.concatenate([src * n + dst, dst * n + src]))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        return cls(n, indptr, keys % n)
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return self.indptr[1:] - self.indptr[:-1]
+
+    def rows(self) -> np.ndarray:
+        """The source vertex of every entry of ``indices``."""
+        return np.repeat(np.arange(self.n), self.degrees)
+
+    def neighbours(self, vertices: np.ndarray) -> np.ndarray:
+        """The concatenated neighbour lists of ``vertices``."""
+        return self.indices[_ranges(self.indptr[vertices],
+                                    self.indptr[vertices + 1])]
+
+    def dense(self) -> np.ndarray:
+        """The 0/1 int64 adjacency matrix."""
+        adj = np.zeros((self.n, self.n), dtype=np.int64)
+        adj[self.rows(), self.indices] = 1
+        return adj
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(lo[i], hi[i])`` over ``i``."""
+    lengths = hi - lo
+    ends = np.cumsum(lengths)
+    return (np.repeat(lo - ends + lengths, lengths)
+            + np.arange(ends[-1] if ends.size else 0))
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal values begins."""
+    starts = np.empty(values.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
+
+
+def _run_lengths(heads: np.ndarray, total: int) -> np.ndarray:
+    """Lengths of the runs that begin at ``heads`` and end at ``total``."""
+    lengths = np.empty_like(heads)
+    np.subtract(heads[1:], heads[:-1], out=lengths[:-1])
+    lengths[-1:] = total - heads[-1:]
+    return lengths
+
+
+def _support_graph(support: np.ndarray) -> SparseGraph:
+    """The graph of the nonzero entries of a square matrix, symmetrized."""
+    sym = (support != 0) | (support.T != 0)
+    indptr = np.zeros(sym.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(sym, axis=1), out=indptr[1:])
+    return SparseGraph(sym.shape[0], indptr, np.nonzero(sym)[1])
+
+
+def _component_cells(graph: SparseGraph) -> list[list[int]]:
+    """Connected components, by one frontier-at-a-time BFS per component.
 
     Cells come out ordered by smallest member, members ascending.
     """
-    n = sym.shape[0]
-    seen = [False] * n
-    cells: list[list[int]] = []
-    for start in range(n):
-        if seen[start]:
+    label = np.full(graph.n, -1, dtype=np.int64)
+    count = 0
+    for seed in range(graph.n):
+        if label[seed] >= 0:
             continue
-        queue = deque([start])
-        seen[start] = True
-        members = []
-        while queue:
-            v = queue.popleft()
-            members.append(v)
-            for u in np.nonzero(sym[v])[0]:
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append(int(u))
-        cells.append(sorted(members))
-    return cells
+        frontier = np.array([seed])
+        label[seed] = count
+        while frontier.size:
+            reached = graph.neighbours(frontier)
+            reached = np.sort(reached[label[reached] < 0])
+            frontier = reached[_run_starts(reached)]
+            label[frontier] = count
+        count += 1
+    order = np.argsort(label, kind="stable")
+    bounds = np.cumsum(np.bincount(label, minlength=count))[:-1]
+    return [cell.tolist() for cell in np.split(order, bounds)]
 
 
 def separate_components(f: LRelation) -> tuple[Partition, SpectralDecomposition]:
@@ -305,9 +388,7 @@ def separate_components(f: LRelation) -> tuple[Partition, SpectralDecomposition]
         block = Block((), zero, zero, zero)
         return (Partition((), ()),
                 SpectralDecomposition((), (block,), arrow=f))
-    support = f.values != alg.bottom
-    sym = support | support.T
-    cells_idx = _component_cells(sym)
+    cells_idx = _component_cells(_support_graph(f.values != alg.bottom))
     blocks = []
     for cell in cells_idx:
         space = tuple(carrier[i] for i in cell)
@@ -340,9 +421,7 @@ def detect_blocks(f: ScalarMatrix, zero_tol: float | None = None
         block = Block(0, zero, zero, zero)
         return (Partition((), ()),
                 SpectralDecomposition(0, (block,), arrow=f))
-    support = np.abs(f.values) > zero_tol
-    sym = support | support.T
-    cells_idx = _component_cells(sym)
+    cells_idx = _component_cells(_support_graph(np.abs(f.values) > zero_tol))
     n = f.rows
     blocks = []
     for cell in cells_idx:
@@ -360,7 +439,10 @@ def detect_blocks(f: ScalarMatrix, zero_tol: float | None = None
 # equitable partitions of undirected graphs
 
 
-def _as_adjacency(adjacency) -> np.ndarray:
+def _as_graph(adjacency) -> SparseGraph:
+    """The sparse form of a graph given as one, or as a dense 0/1 adjacency."""
+    if isinstance(adjacency, SparseGraph):
+        return adjacency
     values = adjacency.values if isinstance(adjacency, ScalarMatrix) else adjacency
     adj = np.asarray(values)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
@@ -369,47 +451,107 @@ def _as_adjacency(adjacency) -> np.ndarray:
         raise PreconditionError("adjacency must have at least one vertex")
     if not np.array_equal(adj, adj.T):
         raise PreconditionError("adjacency must be symmetric (undirected graph)")
-    adj = adj.astype(np.int64, copy=True)
+    adj = adj.astype(np.int64)
     if not np.all((adj == 0) | (adj == 1)):
         raise PreconditionError("adjacency entries must be 0 or 1")
-    return adj
+    return _support_graph(adj)
 
 
-def _require_connected(adj: np.ndarray) -> None:
-    if len(_component_cells(adj.astype(bool))) != 1:
+def _require_connected(graph: SparseGraph) -> None:
+    loops = np.count_nonzero(graph.indices == graph.rows())
+    if ((graph.indices.size - loops) // 2 < graph.n - 1
+            or len(_component_cells(graph)) != 1):
         raise PreconditionError("graph not connected")
 
 
 def coarsest_equitable_partition(adjacency) -> Partition:
-    """Iteratively refine vertex cells by neighbour counts until stable.
+    """The coarsest partition in which neighbour counts into every cell are
+    constant on each cell.
 
-    Starting from the single-cell partition, vertices whose count-per-cell
-    signatures differ are split apart; new sub-cells are ordered by their
-    sorted signature and the cell list is kept ordered by smallest member,
-    so the output is deterministic.  The fixed point is the coarsest
-    partition in which neighbour counts into every cell are constant on each
-    cell.
+    Worklist refinement from the single-cell partition (Cardon & Crochemore
+    1982): each cell is a contiguous range of a vertex ordering.  Popping a
+    splitter cell counts, for every vertex it touches, the neighbours it has
+    in the splitter, and splits each touched cell by that count.  The
+    largest piece keeps the cell's id and every other piece is queued, so a
+    vertex lies in a splitter O(log n) times and the run takes
+    O((n + m) log n).  The coarsest equitable partition is unique, and
+    :class:`Partition` puts its cells in canonical order.
     """
-    adj = _as_adjacency(adjacency)
-    _require_connected(adj)
-    n = adj.shape[0]
-    cells: list[list[int]] = [list(range(n))]
-    while True:
-        signatures = [
-            tuple(int(adj[v, cell].sum()) for cell in cells) for v in range(n)
-        ]
-        refined: list[list[int]] = []
-        for cell in cells:
-            groups: dict[tuple, list[int]] = {}
-            for v in cell:
-                groups.setdefault(signatures[v], []).append(v)
-            for signature in sorted(groups):
-                refined.append(groups[signature])
-        if len(refined) == len(cells):
-            break
-        refined.sort(key=lambda members: members[0])
-        cells = refined
-    return Partition(tuple(range(n)), tuple(tuple(cell) for cell in cells))
+    graph = _as_graph(adjacency)
+    _require_connected(graph)
+    n = graph.n
+    order = np.arange(n)
+    where = np.arange(n)
+    cell_of = np.zeros(n, dtype=np.int64)
+    start = np.zeros(n, dtype=np.int64)
+    stop = np.zeros(n, dtype=np.int64)
+    stop[0] = n
+    marked = np.zeros(n, dtype=bool)
+    cells = 1
+    queue = [0]
+    while queue:
+        splitter = queue.pop()
+        reached = graph.neighbours(order[start[splitter]:stop[splitter]])
+        if not reached.size:
+            continue
+        reached.sort()
+        first = np.flatnonzero(_run_starts(reached))
+        touched, counts = reached[first], _run_lengths(first, reached.size)
+        # touched vertices grouped by cell, by count within a cell
+        key = cell_of[touched] * (n + 1) + counts
+        rank = np.argsort(key)
+        touched, key = touched[rank], key[rank]
+        cell = key // (n + 1)
+        new_cell = _run_starts(cell)
+        new_count = _run_starts(key)
+        heads = np.flatnonzero(new_cell)
+        hit = _run_lengths(heads, touched.size)
+        whole = stop[cell[heads]] - start[cell[heads]] == hit  # no rest piece
+        split = np.add.reduceat(new_count, heads, dtype=np.int64) > whole
+        if not split.any():
+            continue
+        keep = np.repeat(split, hit)
+        touched, cell, new_count = touched[keep], cell[keep], new_count[keep]
+        hit, whole = hit[split], whole[split]
+        heads = np.cumsum(hit) - hit
+        split_cells = cell[heads]
+        # move the touched members of each split cell, in count order, to the
+        # end of its range; the members they displace take their old slots
+        tail = np.repeat(stop[split_cells] - hit, hit)
+        dest = tail + np.arange(touched.size) - np.repeat(heads, hit)
+        old = where[touched]
+        occupants = order[dest]
+        marked[touched] = True
+        displaced = occupants[~marked[occupants]]
+        marked[touched] = False
+        free = old[old < tail]
+        order[free] = displaced
+        where[displaced] = free
+        order[dest] = touched
+        where[touched] = dest
+        # pieces: the untouched rest of each split cell, then one per count
+        groups = np.flatnonzero(new_count)
+        group_size = _run_lengths(groups, touched.size)
+        rest = split_cells[~whole]
+        piece_cell = np.concatenate([rest, cell[groups]])
+        piece_start = np.concatenate([start[rest], dest[groups]])
+        piece_stop = np.concatenate([stop[rest] - hit[~whole],
+                                     dest[groups] + group_size])
+        size = piece_stop - piece_start
+        rank = np.argsort(piece_cell * (n + 1) + n - size)
+        largest = _run_starts(piece_cell[rank])
+        kept, moved = rank[largest], rank[~largest]
+        start[piece_cell[kept]] = piece_start[kept]
+        stop[piece_cell[kept]] = piece_stop[kept]
+        fresh = np.arange(cells, cells + moved.size)
+        start[fresh] = piece_start[moved]
+        stop[fresh] = piece_stop[moved]
+        cell_of[order[_ranges(piece_start[moved], piece_stop[moved])]] = \
+            np.repeat(fresh, size[moved])
+        cells += moved.size
+        queue.extend(fresh.tolist())
+    return Partition(tuple(range(n)), tuple(
+        tuple(order[start[c]:stop[c]].tolist()) for c in range(cells)))
 
 
 @dataclass(frozen=True)
@@ -439,56 +581,73 @@ class EquitableQuotient:
 
 def walk_matrix(adjacency) -> ScalarMatrix:
     """Transition matrix of the simple random walk: row ``j`` spreads ``1/d_j``."""
-    adj = _as_adjacency(adjacency)
-    degrees = adj.sum(axis=1)
+    graph = _as_graph(adjacency)
+    degrees = graph.degrees
     if np.any(degrees == 0):
         v = int(np.nonzero(degrees == 0)[0][0])
         raise PreconditionError(
             f"vertex {v} has no neighbours; the walk matrix needs positive degree")
-    return ScalarMatrix(adj / degrees[:, None])
+    rows = graph.rows()
+    walk = np.zeros((graph.n, graph.n))
+    walk[rows, graph.indices] = 1.0 / degrees[rows]
+    return ScalarMatrix(walk)
 
 
 def reduced_transition_matrix(adjacency, partition: Partition) -> EquitableQuotient:
     """Quotient walk data for an equitable partition; validates equitability.
 
     Raises a precondition error naming a violating vertex if some vertex's
-    neighbour count into some cell deviates from its cell's constant.
+    neighbour count into some cell deviates from its cell's constant: the
+    first such vertex of the first such pair of cells.
     """
-    adj = _as_adjacency(adjacency)
-    n = adj.shape[0]
+    graph = _as_graph(adjacency)
+    n = graph.n
     if partition.carrier != tuple(range(n)):
         raise PreconditionError(
             "partition carrier must be the vertex range of the adjacency")
     cells = partition.positions()
     num = len(cells)
+    sizes = np.array([len(cell) for cell in cells], dtype=np.int64)
+    members = np.concatenate(cells)
+    cell_of = np.empty(n, dtype=np.int64)
+    cell_of[members] = np.repeat(np.arange(num), sizes)
+    # neighbour counts of each vertex into each cell it has a neighbour in;
+    # a cell's first member sets the count its other members must match
+    pairs, counts = np.unique(graph.rows() * num + cell_of[graph.indices],
+                              return_counts=True)
+    vertex, other = np.divmod(pairs, num)
+    cell = cell_of[vertex]
+    lead = vertex == members[np.cumsum(sizes) - sizes][cell]
     degrees = np.zeros((num, num), dtype=np.int64)
-    for j, cell in enumerate(cells):
-        for k, other in enumerate(cells):
-            counts = adj[np.ix_(cell, other)].sum(axis=1)
-            expected = int(counts[0])
-            bad = np.nonzero(counts != expected)[0]
-            if bad.size:
-                v = cell[int(bad[0])]
-                raise PreconditionError(
-                    f"partition is not equitable: vertex {v} has "
-                    f"{int(counts[bad[0]])} neighbours in cell {k}, "
-                    f"expected {expected}")
-            degrees[j, k] = expected
+    degrees[cell[lead], other[lead]] = counts[lead]
+    bad = counts != degrees[cell, other]
+    present = np.bincount(cell * num + other, minlength=num * num)
+    # a pair of cells is wrong where some member's count differs from the
+    # lead's, or the lead has neighbours there and some member has none
+    wrong = (degrees > 0) & (present.reshape(num, num) < sizes[:, None])
+    wrong[cell[bad], other[bad]] = True
+    if wrong.any():
+        j, k = divmod(int(np.argmax(wrong)), num)
+        found = (cell == j) & (other == k)
+        got = np.zeros(sizes[j], dtype=np.int64)
+        got[np.searchsorted(cells[j], vertex[found])] = counts[found]
+        i = int(np.argmax(got != got[0]))
+        raise PreconditionError(
+            f"partition is not equitable: vertex {cells[j][i]} has "
+            f"{int(got[i])} neighbours in cell {k}, expected {int(got[0])}")
     row_degrees = degrees.sum(axis=1)
     if np.any(row_degrees == 0):
         j = int(np.nonzero(row_degrees == 0)[0][0])
         raise PreconditionError(
             f"cell {j} has degree zero; the walk matrix needs positive degree")
-    sizes = np.array([len(cell) for cell in cells], dtype=np.int64)
     balance = sizes[:, None] * degrees
     if not np.array_equal(balance, balance.T):
         raise SpecatError("edge-count conservation violated between cells")
     reduced = ScalarMatrix(degrees / row_degrees[:, None])
     average_vals = np.zeros((num, n))
+    average_vals[cell_of, np.arange(n)] = 1.0 / sizes[cell_of]
     indicator_vals = np.zeros((n, num))
-    for j, cell in enumerate(cells):
-        average_vals[j, cell] = 1.0 / len(cell)
-        indicator_vals[cell, j] = 1.0
+    indicator_vals[np.arange(n), cell_of] = 1.0
     degrees.flags.writeable = False
     return EquitableQuotient(partition, degrees, reduced,
                              ScalarMatrix(average_vals),

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import functools
 
-from specat import LRelation, ScalarMatrix
+import numpy as np
+
+from specat import LRelation, PreconditionError, ScalarMatrix
 
 
 def compose_relations_slow(g: LRelation, f: LRelation) -> LRelation:
@@ -158,3 +160,62 @@ def refines(fine: tuple[tuple[int, ...], ...],
             coarse: tuple[tuple[int, ...], ...]) -> bool:
     coarse_sets = [set(cell) for cell in coarse]
     return all(any(set(cell) <= other for other in coarse_sets) for cell in fine)
+
+
+def coarsest_equitable_rounds(adj) -> tuple[tuple[int, ...], ...]:
+    """Round-based refinement of a dense 0/1 adjacency from one cell.
+
+    Every round recomputes each vertex's neighbour count into every cell
+    and splits each cell by that signature, until a round splits nothing.
+    Cells are ordered by smallest member, members ascending.
+    """
+    adj = np.asarray(adj, dtype=np.int64)
+    n = adj.shape[0]
+    cells: list[list[int]] = [list(range(n))]
+    while True:
+        signatures = [
+            tuple(int(adj[v, cell].sum()) for cell in cells) for v in range(n)
+        ]
+        refined: list[list[int]] = []
+        for cell in cells:
+            groups: dict[tuple, list[int]] = {}
+            for v in cell:
+                groups.setdefault(signatures[v], []).append(v)
+            for signature in sorted(groups):
+                refined.append(groups[signature])
+        if len(refined) == len(cells):
+            break
+        refined.sort(key=lambda members: members[0])
+        cells = refined
+    return tuple(tuple(cell) for cell in cells)
+
+
+def equitable_degrees_slow(adj, cells) -> np.ndarray:
+    """Cell-to-cell neighbour counts, one dense sum per pair of cells.
+
+    ``cells`` hold vertex indices in canonical order.  Raises the
+    library's precondition errors, with the same text: the first vertex
+    whose count into some cell differs from its cell's first member's, in
+    (cell, other cell, member) order, then the first cell of degree zero.
+    """
+    adj = np.asarray(adj, dtype=np.int64)
+    num = len(cells)
+    degrees = np.zeros((num, num), dtype=np.int64)
+    for j, cell in enumerate(cells):
+        for k, other in enumerate(cells):
+            counts = adj[np.ix_(cell, other)].sum(axis=1)
+            expected = int(counts[0])
+            bad = np.nonzero(counts != expected)[0]
+            if bad.size:
+                v = cell[int(bad[0])]
+                raise PreconditionError(
+                    f"partition is not equitable: vertex {v} has "
+                    f"{int(counts[bad[0]])} neighbours in cell {k}, "
+                    f"expected {expected}")
+            degrees[j, k] = expected
+    row_degrees = degrees.sum(axis=1)
+    if np.any(row_degrees == 0):
+        j = int(np.nonzero(row_degrees == 0)[0][0])
+        raise PreconditionError(
+            f"cell {j} has degree zero; the walk matrix needs positive degree")
+    return degrees

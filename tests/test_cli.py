@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 from specat.cli import main
 
@@ -175,6 +176,31 @@ class TestEquitable:
                       "--graph", str(FIXTURES / "graphs" / "path3.txt"),
                       "--partition", str(part))
         assert code == 3
+
+    def test_huge_vertex_id_exit_3_without_dense_allocation(self, capsys,
+                                                           tmp_path):
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 1\n1000000000000 1000000000001\n")
+        part = tmp_path / "p.json"
+        part.write_text(json.dumps({"cells": [[0, 1]]}))
+        for extra in ((), ("--partition", str(part))):
+            tracemalloc.start()
+            try:
+                code = main(["equitable", "--graph", str(graph), *extra])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            err = capsys.readouterr().err
+            assert code == 3
+            assert "vertex 2 has no edges" in err
+            assert peak < 4 * 2**20
+
+    def test_vertex_id_beyond_int64_exit_2(self, capsys, tmp_path):
+        graph = tmp_path / "g.txt"
+        graph.write_text(f"0 1\n1 {2**64}\n")
+        code = main(["equitable", "--graph", str(graph)])
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
 
     def test_user_partition_accepted_when_equitable(self, capsys, tmp_path):
         part = tmp_path / "p.json"

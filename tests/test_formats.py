@@ -14,6 +14,7 @@ from specat import (
     chain,
 )
 from specat.formats import (
+    _dot_name,
     canonical_json,
     decomposition_from_dict,
     decomposition_to_dict,
@@ -139,8 +140,8 @@ class TestGraphAndPartition:
     def test_edge_list(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("# a triangle\n0 1\n1 2\n2 0\n")
-        adj = load_graph_edges(path)
-        assert adj.tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+        graph = load_graph_edges(path)
+        assert graph.dense().tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -181,6 +182,68 @@ class TestDot:
                               np.array([[0.0, 2.5], [0.0, 0.0]]))
         assert '"1" -> "0" [label="2.5"];' in dot
         assert '"0" -> "0"' not in dot
+
+
+def dot_by_full_scan(partition, arrow) -> str:
+    """The DOT export as it once was: a scan of every cell of the grid."""
+    lines = ["digraph decomposition {"]
+    for i, cell in enumerate(partition.cells):
+        lines.append(f"  subgraph cluster_{i} {{")
+        lines.append(f'    label="cell {i}";')
+        for label in cell:
+            lines.append(f"    {_dot_name(label)};")
+        lines.append("  }")
+    if isinstance(arrow, LRelation):
+        bottom = arrow.algebra.bottom
+        for t in range(len(arrow.target)):
+            for s in range(len(arrow.source)):
+                v = int(arrow.values[t, s])
+                if v != bottom:
+                    lines.append(
+                        f"  {_dot_name(arrow.source[s])} -> "
+                        f"{_dot_name(arrow.target[t])} "
+                        f'[label="{arrow.algebra.label(v)}"];')
+    else:
+        values = arrow.values if isinstance(arrow, ScalarMatrix) else np.asarray(arrow)
+        for t in range(values.shape[0]):
+            for s in range(values.shape[1]):
+                v = values[t, s]
+                if v != 0:
+                    lines.append(
+                        f"  {_dot_name(s)} -> {_dot_name(t)} [label=\"{v:g}\"];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+class TestDotMatchesFullScan:
+    def test_relation(self):
+        rng = np.random.default_rng(3)
+        carrier = ("u", ("v", 1), 'w"', 4)
+        grid = [[B4.label(int(x)) for x in row]
+                for row in rng.integers(0, 4, size=(4, 4))]
+        rel = LRelation.from_labels(B4, carrier, carrier, grid)
+        partition = Partition(carrier, (("u", 4), (("v", 1),), ('w"',)))
+        assert partitioned_dot(partition, rel) == dot_by_full_scan(partition, rel)
+
+    def test_matrix(self):
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(5, 5)) * (rng.random((5, 5)) < 0.5)
+        values[0, 0] = -0.0
+        raw = values.copy()
+        raw[1, 2] = np.nan
+        partition = Partition(tuple(range(5)), ((0, 3), (1, 2, 4)))
+        for arrow in (ScalarMatrix(values), raw,
+                      ScalarMatrix(values + 1j * values.T, MAT_C.domain)):
+            assert partitioned_dot(partition, arrow) == \
+                dot_by_full_scan(partition, arrow)
+
+    def test_graph(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("3 0\n0 1\n2 2\n1 2\n0 3\n1 4\n")
+        graph = load_graph_edges(path)
+        partition = Partition(tuple(range(5)), ((0, 2), (1, 3, 4)))
+        assert partitioned_dot(partition, graph) == \
+            dot_by_full_scan(partition, graph.dense())
 
 
 def test_canonical_json_is_stable():

@@ -10,19 +10,28 @@ from specat import (
     MAT_R,
     HeytingTable,
     LRelation,
+    Partition,
+    PreconditionError,
     RelationCategory,
     ScalarMatrix,
     b4,
     bool_algebra,
     chain,
     check_biproduct_axioms,
+    coarsest_equitable_partition,
     copair,
     pair,
+    reduced_transition_matrix,
     relations,
     sum_via_biproduct,
 )
 
-from ._oracles import compose_relations_slow, join_relations_slow
+from ._oracles import (
+    coarsest_equitable_rounds,
+    compose_relations_slow,
+    equitable_degrees_slow,
+    join_relations_slow,
+)
 
 
 def product_lattice(left, right) -> HeytingTable:
@@ -230,3 +239,52 @@ def test_matrix_sum_via_biproduct_is_exact(data):
     # the canonical witnesses are 0/1 matrices, so the detour adds each pair
     # of entries once and agrees bitwise with the native sum
     assert sum_via_biproduct(MAT_R, f, g) == (f + g)
+
+
+@st.composite
+def connected_graph(draw, max_vertices: int = 40):
+    """A dense 0/1 adjacency: a spanning path, cycle or random tree,
+    relabelled, plus sparse or dense extra edges and sometimes self-loops."""
+    n = draw(st.integers(1, max_vertices))
+    shape = draw(st.sampled_from(("path", "cycle", "tree", "sparse", "dense")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    adj = np.zeros((n, n), dtype=np.int64)
+    for v in range(1, n):
+        parent = v - 1 if shape in ("path", "cycle") else int(rng.integers(v))
+        adj[v, parent] = adj[parent, v] = 1
+    if shape == "cycle" and n > 2:
+        adj[0, n - 1] = adj[n - 1, 0] = 1
+    if shape in ("sparse", "dense"):
+        extra = np.triu(rng.random((n, n)) < (0.1 if shape == "sparse" else 0.7), 1)
+        adj |= extra | extra.T
+    if draw(st.booleans()):
+        adj[np.diag_indices(n)] = rng.random(n) < 0.3
+    perm = rng.permutation(n)
+    return adj[np.ix_(perm, perm)]
+
+
+def degrees_or_error(fn):
+    try:
+        return fn().tolist()
+    except PreconditionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graph(), st.data())
+def test_equitable_refinement_matches_round_based_oracle(adj, data):
+    n = adj.shape[0]
+    partition = coarsest_equitable_partition(adj)
+    assert partition.cells == coarsest_equitable_rounds(adj)
+    assert degrees_or_error(
+        lambda: reduced_transition_matrix(adj, partition).degrees) == \
+        degrees_or_error(lambda: equitable_degrees_slow(adj, partition.cells))
+    # random partitions are mostly not equitable: the first violation named
+    # must be the oracle's
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    other = Partition(tuple(range(n)), tuple(
+        cell for cell in (tuple(v for v in range(n) if labels[v] == c)
+                          for c in range(4)) if cell))
+    assert degrees_or_error(
+        lambda: reduced_transition_matrix(adj, other).degrees) == \
+        degrees_or_error(lambda: equitable_degrees_slow(adj, other.cells))
