@@ -7,7 +7,9 @@ wrong; serializers are deterministic so reports and fixtures diff cleanly.
 
 from __future__ import annotations
 
+import itertools
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -30,7 +32,118 @@ from .spectral import Block, Partition, SparseGraph, SpectralDecomposition
 
 
 def canonical_json(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    With an indent the stdlib encodes in pure Python, one generator step per
+    value.  Here lists and dicts with ``str`` keys are laid out directly, and
+    a flat list of scalars or a rectangular grid of them is spelled in bulk:
+    if its leaves are all ``float``, all ``int`` or all ``str``, each
+    distinct value is spelled once by json's rules and rows are assembled
+    with ``str.join``.  Anything else (tuples, subclasses, other key types,
+    unknown objects) goes to the stdlib encoder at the same depth, so its
+    text and its exceptions are json's own.
+    """
+    out: list[str] = []
+    try:
+        _encode(payload, 0, out)
+    except RecursionError:
+        # too deep or circular: json decides which, with its own exception
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+_INDENT = "  "
+_FALLBACK = json.JSONEncoder(sort_keys=True, indent=2)
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _floatstr(value: float) -> str:
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
+
+
+_SPELL = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _floatstr,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+_BULK = ({float}, {int}, {str})
+
+
+def _encode(obj, level: int, out: list) -> None:
+    spell = _SPELL.get(type(obj))
+    if spell is not None:
+        out.append(spell(obj))
+    elif type(obj) is list and obj:
+        _encode_list(obj, level, out)
+    elif type(obj) is dict and obj and set(map(type, obj)) == {str}:
+        _encode_dict(obj, level, out)
+    else:
+        out.append(_FALLBACK.encode(obj).replace("\n", "\n" + _INDENT * level))
+
+
+def _spell_rows(rows: list, kinds: set) -> list:
+    """Each row's scalars as json text.  With leaves of one bulk kind, each
+    distinct value is spelled once: floats are keyed by bit pattern, so
+    -0.0 and 0.0 stay apart and every NaN reads ``NaN``."""
+    if kinds not in _BULK:
+        return [[_SPELL[type(v)](v) for v in row] for row in rows]
+    (kind,) = kinds
+    if kind is float:
+        bits = np.array(rows, dtype=np.float64).view(np.uint64)
+        # sort and compare neighbours: np.unique took several times longer
+        distinct = np.sort(bits, axis=None)
+        distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+        values = distinct.view(np.float64)
+        spelled = list(map(float.__repr__, values.tolist()))
+        if not np.isfinite(values).all():
+            spelled = [_NONFINITE.get(text, text) for text in spelled]
+        table = np.array(spelled, dtype=object)
+        return table[np.searchsorted(distinct, bits)].tolist()
+    table = dict.fromkeys(itertools.chain.from_iterable(rows))
+    spell = _SPELL[kind]
+    for value in table:
+        table[value] = spell(value)
+    return [map(table.__getitem__, row) for row in rows]
+
+
+def _encode_list(obj: list, level: int, out: list) -> None:
+    outer = "\n" + _INDENT * level
+    inner = outer + _INDENT
+    kinds = set(map(type, obj))
+    if kinds <= _SPELL.keys():
+        out += ("[" + inner, ("," + inner).join(_spell_rows([obj], kinds)[0]),
+                outer + "]")
+        return
+    if kinds == {list} and obj[0] and len(set(map(len, obj))) == 1:
+        leaves = set(map(type, itertools.chain.from_iterable(obj)))
+        if leaves <= _SPELL.keys():
+            # a rectangular grid of scalars
+            row = inner + _INDENT
+            body = (inner + "]," + inner + "[" + row).join(
+                map(("," + row).join, _spell_rows(obj, leaves)))
+            out += ("[" + inner + "[" + row, body, inner + "]" + outer + "]")
+            return
+    sep = "[" + inner
+    for item in obj:
+        out.append(sep)
+        _encode(item, level + 1, out)
+        sep = "," + inner
+    out.append(outer + "]")
+
+
+def _encode_dict(obj: dict, level: int, out: list) -> None:
+    outer = "\n" + _INDENT * level
+    inner = outer + _INDENT
+    sep = "{" + inner
+    for key in sorted(obj):
+        out.append(sep + encode_basestring_ascii(key) + ": ")
+        _encode(obj[key], level + 1, out)
+        sep = "," + inner
+    out.append(outer + "}")
 
 
 def _read_text(path) -> str:
@@ -177,11 +290,21 @@ def save_relation_json(rel: LRelation, path) -> None:
 # decompositions
 
 
+def _matrix_from_payload(payload, domain: ScalarDomain) -> np.ndarray:
+    """JSON numbers convert straight to the domain's dtype; anything else
+    (strings, bools, nulls) is read as text, so bools stay rejected."""
+    if set(map(type, itertools.chain.from_iterable(payload))) <= {int, float}:
+        try:
+            return np.array(payload, dtype=domain.dtype)
+        except OverflowError as exc:
+            raise ParseError(f"{domain.name} entry out of range: {exc}") from exc
+    return np.array([[_parse_scalar(str(v), domain) for v in row] for row in payload],
+                    dtype=domain.dtype)
+
+
 def _arrow_from_payload(cat: SemiadditiveCategory, payload, src, tgt):
     if isinstance(cat, MatrixCategory):
-        arr = np.array(
-            [[_parse_scalar(str(v), cat.domain) for v in row] for row in payload],
-            dtype=cat.domain.dtype)
+        arr = _matrix_from_payload(payload, cat.domain)
         if arr.ndim != 2 or arr.shape != (tgt, src):
             raise ParseError(
                 f"matrix block must be {tgt}x{src}, got {arr.shape}")

@@ -451,10 +451,9 @@ def _as_graph(adjacency) -> SparseGraph:
         raise PreconditionError("adjacency must have at least one vertex")
     if not np.array_equal(adj, adj.T):
         raise PreconditionError("adjacency must be symmetric (undirected graph)")
-    adj = adj.astype(np.int64)
     if not np.all((adj == 0) | (adj == 1)):
         raise PreconditionError("adjacency entries must be 0 or 1")
-    return _support_graph(adj)
+    return _support_graph(adj.astype(np.int64))
 
 
 def _require_connected(graph: SparseGraph) -> None:

@@ -7,6 +7,7 @@ plain Python loops, set-based graph searches, and exhaustive enumeration.
 from __future__ import annotations
 
 import functools
+import json
 
 import numpy as np
 
@@ -219,3 +220,15 @@ def equitable_degrees_slow(adj, cells) -> np.ndarray:
         raise PreconditionError(
             f"cell {j} has degree zero; the walk matrix needs positive degree")
     return degrees
+
+
+def canonical_json_slow(payload) -> str:
+    """Report text straight from the stdlib's indented JSON encoder."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def matrix_from_payload_slow(payload, complex_: bool) -> np.ndarray:
+    """A JSON matrix block read the way text is: each entry through str()."""
+    parse = complex if complex_ else float
+    return np.array([[parse(str(v)) for v in row] for row in payload],
+                    dtype=np.complex128 if complex_ else np.float64)

@@ -46,6 +46,22 @@ class TestVerify:
         failing = [c["law"] for c in report["checks"] if not c["passed"]]
         assert "d" in failing
 
+    def test_non_number_block_entries_exit_2(self, capsys, tmp_path):
+        # a bool, and an int beyond float range, written as JSON numbers
+        for local, message in (("true", "bad real entry"),
+                               ("1" + "0" * 400, "out of range")):
+            text = (FIXTURES / "decomps" / "line3_dec.json").read_text()
+            bad = tmp_path / "bad.json"
+            bad.write_text(text.replace(
+                '"local": [\n        [\n          1.0\n        ]',
+                '"local": [\n        [\n          ' + local + '\n        ]'))
+            assert bad.read_text() != text
+            code = main(["verify", "--instance", "mat-r",
+                         "--arrow", str(FIXTURES / "matrices" / "line3_f.csv"),
+                         "--decomposition", str(bad)])
+            assert code == 2
+            assert message in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, capsys):
         code, _ = run(
             capsys, "verify", "--instance", "mat-r",

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specat import (
     MAT_C,
@@ -15,6 +19,7 @@ from specat import (
 )
 from specat.formats import (
     _dot_name,
+    _matrix_from_payload,
     canonical_json,
     decomposition_from_dict,
     decomposition_to_dict,
@@ -34,6 +39,7 @@ from specat.formats import (
     save_relation_json,
 )
 
+from ._oracles import canonical_json_slow, matrix_from_payload_slow
 from .test_spectral import path3_decomposition
 
 B4 = b4()
@@ -134,6 +140,45 @@ class TestDecompositionJson:
         with pytest.raises(ParseError, match="block 1"):
             decomposition_from_dict(
                 {"carrier": 2, "blocks": [{"space": 1}]}, MAT_R)
+
+    @staticmethod
+    def _one_block(local):
+        return {"carrier": 1, "blocks": [
+            {"space": 1, "project": [[1]], "inject": [[1.0]], "local": local}]}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(-2**80, 2**80),
+        st.sampled_from([2**1024 - 2**971, -2**63 - 1, 10**308]),
+        st.floats(), st.sampled_from([-0.0, 0.0])), min_size=1, max_size=4))
+    def test_numbers_match_their_text_parse(self, row):
+        payload = [row, row[::-1]]
+        for cat in (MAT_R, MAT_C):
+            got = _matrix_from_payload(payload, cat.domain)
+            want = matrix_from_payload_slow(payload, cat is MAT_C)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want, equal_nan=True)
+            number = ~np.isnan(want.real)
+            assert (np.signbit(got.real) == np.signbit(want.real))[number].all()
+
+    @pytest.mark.parametrize("cat", [MAT_R, MAT_C])
+    @pytest.mark.parametrize("entry", [True, False, None, [1.0]])
+    def test_non_numbers_rejected(self, cat, entry):
+        with pytest.raises(ParseError, match="bad (real|complex) entry"):
+            decomposition_from_dict(self._one_block([[entry]]), cat)
+
+    @pytest.mark.parametrize("cat", [MAT_R, MAT_C])
+    @pytest.mark.parametrize("entry", [10**400, -(2**1024), 10**5000],
+                             ids=["1e400", "-2^1024", "1e5000"])
+    def test_int_beyond_float_range_rejected(self, cat, entry):
+        with pytest.raises(ParseError, match="out of range"):
+            decomposition_from_dict(self._one_block([[entry]]), cat)
+
+    def test_number_strings_still_parsed(self):
+        dec = decomposition_from_dict(self._one_block([[" 2.5 "]]), MAT_R)
+        assert dec.blocks[0].local.values.tolist() == [[2.5]]
+        dec = decomposition_from_dict(self._one_block([["(1+2j)"]]), MAT_C)
+        assert dec.blocks[0].local.values.tolist() == [[1 + 2j]]
 
 
 class TestGraphAndPartition:
@@ -249,3 +294,109 @@ class TestDotMatchesFullScan:
 def test_canonical_json_is_stable():
     payload = {"b": 1, "a": [1.5, None, {"z": True, "y": "s"}]}
     assert canonical_json(payload) == canonical_json(dict(reversed(payload.items())))
+
+
+# canonical_json against the stdlib encoder it must reproduce
+
+_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0]),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+                     -5e-324, 1e308, -1e308, 0.1, 1.0, 1e16]),
+    st.floats())
+_INTS = st.one_of(st.sampled_from([2**63, -2**63 - 1, 2**64, -10**40]),
+                  st.integers())
+_TEXT = st.one_of(
+    st.sampled_from(["", "\x00\x1f\x7f", "\u00e9\u20ac\U0001f600", "\ud800",
+                     '"\\/', "\n\t"]),
+    st.text(max_size=6))
+_SCALARS = st.one_of(_FLOATS, _INTS, st.booleans(), st.none(), _TEXT)
+
+
+@st.composite
+def _grids(draw):
+    """Rectangular lists of lists of one leaf strategy, 0x0 up to 4x4."""
+    leaf = draw(st.sampled_from([_FLOATS, _INTS, _TEXT, _SCALARS,
+                                 st.sampled_from([True, 1, 1.0, False, 0])]))
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return [[draw(leaf) for _ in range(cols)] for _ in range(rows)]
+
+
+_PAYLOADS = st.recursive(
+    st.one_of(_SCALARS, _grids(), st.lists(st.lists(_SCALARS, max_size=3),
+                                           max_size=3)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+        st.dictionaries(st.one_of(_INTS, _FLOATS, st.booleans(), st.none(),
+                                  _TEXT), inner, max_size=3)),
+    max_leaves=30)
+
+
+def _outcome(encode, payload):
+    try:
+        return encode(payload)
+    except Exception as exc:  # the exception must match as well
+        return type(exc), str(exc)
+
+
+class TestCanonicalJson:
+    @settings(max_examples=400, deadline=None)
+    @given(_PAYLOADS)
+    def test_matches_stdlib_encoder(self, payload):
+        assert _outcome(canonical_json, payload) == \
+            _outcome(canonical_json_slow, payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_grids())
+    def test_grids_match_stdlib_encoder(self, grid):
+        assert canonical_json(grid) == canonical_json_slow(grid)
+        assert canonical_json({"g": [grid]}) == canonical_json_slow({"g": [grid]})
+
+    @pytest.mark.parametrize("payload", [
+        [[-0.0, 0.0], [math.nan, math.inf], [-math.inf, 5e-324],
+         [1e308, -1e308]],
+        [[2**64, -2**63 - 1], [1, 0]],
+        [[True, 1], [1.0, 0]],
+        [[1.5]], [[], []], [], {}, [[1], [2, 3]],
+        {"a": [[np.float64(0.5)]], "b": (1, 2), "c": {3: "x", 1.5: None}},
+        {"x": [["\u00e9", "\x00"], ["\ud800", '"']]},
+        {"nested": {"grid": [[0.25] * 3] * 2, "cells": [[0, 1], [2]]}},
+    ])
+    def test_edge_payloads(self, payload):
+        assert canonical_json(payload) == canonical_json_slow(payload)
+
+    @pytest.mark.parametrize("payload", [
+        {"a": 1, 2: "b"},
+        [object()],
+        {"grid": [[1.0, np.int64(2)]]},
+        [[10 ** 5000]],
+    ])
+    def test_same_exceptions(self, payload):
+        assert isinstance(_outcome(canonical_json_slow, payload), tuple)
+        assert _outcome(canonical_json, payload) == \
+            _outcome(canonical_json_slow, payload)
+
+    def test_circular_references(self):
+        loop: list = []
+        loop.append(loop)
+        via_dict: dict = {}
+        via_dict["x"] = [via_dict]
+        via_tuple: list = [1]
+        via_tuple.append((via_tuple,))
+        for payload in (loop, via_dict, via_tuple):
+            assert _outcome(canonical_json, payload) == \
+                (ValueError, "Circular reference detected")
+
+    def test_shared_rows_are_not_circular(self):
+        row = [0.5, 1.0]
+        payload = {"grid": [row, row], "again": [[row], [row]]}
+        assert canonical_json(payload) == canonical_json_slow(payload)
+
+    def test_nesting_depth_as_stdlib(self):
+        for depth in (50, 900, 5000):
+            payload: list = [1.0]
+            for _ in range(depth):
+                payload = [payload]
+            assert _outcome(canonical_json, payload) == \
+                _outcome(canonical_json_slow, payload)

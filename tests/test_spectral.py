@@ -478,6 +478,13 @@ class TestEquitablePartition:
         with pytest.raises(PreconditionError, match="symmetric"):
             coarsest_equitable_partition(adj)
 
+    def test_fractional_entries_rejected_before_rounding(self):
+        # 1.7 must not count as an edge, nor 0.5 as no edge
+        with pytest.raises(PreconditionError, match="entries must be 0 or 1"):
+            walk_matrix([[0, 1.7], [1.7, 0]])
+        with pytest.raises(PreconditionError, match="entries must be 0 or 1"):
+            coarsest_equitable_partition([[0, .5], [.5, 0]])
+
 
 class TestReducedTransition:
     def test_star_quotient(self):
