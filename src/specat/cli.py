@@ -194,6 +194,10 @@ def cmd_equitable(args):
 
 
 def cmd_laws(args):
+    if args.trials < 1:
+        raise ParseError(f"--trials must be at least 1, got {args.trials}")
+    if args.max_size is not None and args.max_size < 0:
+        raise ParseError(f"--max-size must be non-negative, got {args.max_size}")
     cat = make_category(args.instance, args.lattice)
     tol = resolve_tolerance(args)
     seed = resolve_seed(args)
@@ -203,7 +207,8 @@ def cmd_laws(args):
         hom = resolve_hom(args.functor, args.lattice)
         functor = induced_functor(hom)
         report = report.merged(check_cmon_functor(
-            functor, trials=args.trials, tol=tol, seed=seed))
+            functor, functor.source.default_sampler(args.max_size),
+            trials=args.trials, tol=tol, seed=seed))
     return report.passed, report, {}, None
 
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, runtime_checkable
+
+import numpy as np
 
 DEFAULT_TOL_ABS = 1e-9
 DEFAULT_TOL_REL = 1e-9
@@ -388,7 +390,7 @@ def fold_biproduct(cat: SemiadditiveCategory, objects) -> tuple[Any, list, list]
 # law suite
 
 
-class _Tally:
+class _Totals:
     __slots__ = ("trials", "failures", "max_residual", "counterexample")
 
     def __init__(self) -> None:
@@ -396,6 +398,79 @@ class _Tally:
         self.failures = 0
         self.max_residual = 0.0
         self.counterexample: dict | None = None
+
+
+class LawTally:
+    """Per-law totals over many checks, reported in the order laws first occur.
+
+    Each law keeps its trial and failure counts, its largest residual and
+    the counterexample of its first failure.  Both sides of a check are
+    compared and described in ``cat``; the inputs that produced them are
+    described in ``input_cat``, which defaults to ``cat``.
+    """
+
+    def __init__(self, cat: SemiadditiveCategory, tol: Tolerance | None = None,
+                 input_cat: SemiadditiveCategory | None = None) -> None:
+        self.cat = cat
+        self.tol = tol
+        self.input_cat = cat if input_cat is None else input_cat
+        self._totals: dict[str, _Totals] = {}
+
+    def _of(self, law: str) -> _Totals:
+        totals = self._totals.get(law)
+        if totals is None:
+            totals = self._totals[law] = _Totals()
+        return totals
+
+    def counterexample(self, inputs: dict, got: Arrow, want: Arrow) -> dict:
+        describe = self.input_cat.describe_arrow
+        return {
+            "inputs": {k: describe(v) for k, v in inputs.items()},
+            "lhs": self.cat.describe_arrow(got),
+            "rhs": self.cat.describe_arrow(want),
+        }
+
+    def check(self, law: str, got: Arrow, want: Arrow, inputs: dict) -> None:
+        """One check of ``got == want``, computed from ``inputs``."""
+        totals = self._of(law)
+        totals.trials += 1
+        ok = self.cat.equal(got, want, self.tol)
+        residual = self.cat.residual(got, want)
+        if residual > totals.max_residual:
+            totals.max_residual = residual
+        if not ok:
+            totals.failures += 1
+            if totals.counterexample is None:
+                totals.counterexample = self.counterexample(inputs, got, want)
+
+    def check_batch(self, law: str, residuals: np.ndarray,
+                    counterexample: Callable[[int], dict]) -> None:
+        """A batch of exact checks, in order, given by their residuals.
+
+        A check fails exactly when its residual is nonzero, as in an exact
+        instance; ``counterexample(i)`` describes the failure of check ``i``
+        and is called only for the first failure of the law.
+        """
+        totals = self._of(law)
+        totals.trials += residuals.size
+        if residuals.size:
+            residual = float(residuals.max())
+            if residual > totals.max_residual:
+                totals.max_residual = residual
+        failed = np.flatnonzero(residuals)
+        if failed.size:
+            totals.failures += failed.size
+            if totals.counterexample is None:
+                totals.counterexample = counterexample(int(failed[0]))
+
+    def report(self) -> LawReport:
+        report = LawReport()
+        for law, totals in self._totals.items():
+            report.record(
+                law, totals.failures == 0, trials=totals.trials,
+                max_residual=totals.max_residual,
+                counterexample=totals.counterexample)
+        return report
 
 
 def run_law_suite(cat: SemiadditiveCategory, sampler: ArrowSampler | None = None,
@@ -414,25 +489,8 @@ def run_law_suite(cat: SemiadditiveCategory, sampler: ArrowSampler | None = None
     rng = random.Random(seed)
     if sampler is None:
         sampler = cat.default_sampler()
-    order: list[str] = []
-    tallies: dict[str, _Tally] = {}
-
-    def check(law: str, got: Arrow, want: Arrow, inputs: dict) -> None:
-        tally = tallies.get(law)
-        if tally is None:
-            tally = tallies[law] = _Tally()
-            order.append(law)
-        tally.trials += 1
-        ok = cat.equal(got, want, tol)
-        tally.max_residual = max(tally.max_residual, cat.residual(got, want))
-        if not ok:
-            tally.failures += 1
-            if tally.counterexample is None:
-                tally.counterexample = {
-                    "inputs": {k: cat.describe_arrow(v) for k, v in inputs.items()},
-                    "lhs": cat.describe_arrow(got),
-                    "rhs": cat.describe_arrow(want),
-                }
+    tally = LawTally(cat, tol)
+    check = tally.check
 
     for _ in range(trials):
         x = sampler.random_object(rng)
@@ -524,10 +582,4 @@ def run_law_suite(cat: SemiadditiveCategory, sampler: ArrowSampler | None = None
         check("sum_via_biproduct", sum_via_biproduct(cat, f, g), cat.add(f, g),
               {"f": f, "g": g})
 
-    report = LawReport()
-    for law in order:
-        tally = tallies[law]
-        report.record(
-            law, tally.failures == 0, trials=tally.trials,
-            max_residual=tally.max_residual, counterexample=tally.counterexample)
-    return report
+    return tally.report()

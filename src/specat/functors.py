@@ -10,7 +10,6 @@ in and put through the same checker.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -24,6 +23,7 @@ from .core import (
     DecompositionError,
     LatticeError,
     LawReport,
+    LawTally,
     SemiadditiveCategory,
     Tolerance,
     oplus,
@@ -150,7 +150,8 @@ def induced_functor(hom: LatticeHom) -> SemiadditiveFunctor:
     def map_arrow(f: LRelation) -> LRelation:
         if f.algebra != hom.source:
             raise ArrowTypeError("arrow lives over a different algebra")
-        return LRelation(hom.target, f.source, f.target, table[f.values])
+        return LRelation._derived(hom.target, f.source, f.target,
+                                  table[f.values])
 
     return SemiadditiveFunctor(
         kind="lattice-hom-induced",
@@ -162,37 +163,12 @@ def induced_functor(hom: LatticeHom) -> SemiadditiveFunctor:
 
 
 class _FunctorChecker:
-    """Accumulates per-law tallies for functor checks."""
+    """Functor laws: both sides compared in the target, inputs from the source."""
 
     def __init__(self, functor: SemiadditiveFunctor, tol: Tolerance | None):
         self.functor = functor
-        self.tol = tol
-        self.order: list[str] = []
-        self.tallies: dict[str, dict] = {}
-
-    def check(self, law: str, got: Arrow, want: Arrow, inputs: dict) -> None:
-        entry = self.tallies.get(law)
-        if entry is None:
-            entry = self.tallies[law] = {
-                "trials": 0, "failures": 0, "max_residual": 0.0,
-                "counterexample": None,
-            }
-            self.order.append(law)
-        tgt = self.functor.target
-        entry["trials"] += 1
-        ok = tgt.equal(got, want, self.tol)
-        entry["max_residual"] = max(entry["max_residual"],
-                                    tgt.residual(got, want))
-        if not ok:
-            entry["failures"] += 1
-            if entry["counterexample"] is None:
-                src = self.functor.source
-                entry["counterexample"] = {
-                    "inputs": {k: src.describe_arrow(v)
-                               for k, v in inputs.items()},
-                    "lhs": tgt.describe_arrow(got),
-                    "rhs": tgt.describe_arrow(want),
-                }
+        self.tally = LawTally(functor.target, tol, input_cat=functor.source)
+        self.check = self.tally.check
 
     def check_zero_object(self) -> None:
         fz = self.functor.apply_object(self.functor.source.zero_object())
@@ -257,22 +233,25 @@ class _FunctorChecker:
                    tgt.compose(block_tgt, gamma), {"a1": a1, "a2": a2})
 
     def report(self) -> LawReport:
-        report = LawReport()
-        for law in self.order:
-            entry = self.tallies[law]
-            report.record(law, entry["failures"] == 0, trials=entry["trials"],
-                          max_residual=entry["max_residual"],
-                          counterexample=entry["counterexample"])
-        return report
+        return self.tally.report()
 
 
-def _enumerate_relation_arrows(algebra, source, target):
+# Sums checked at once by the batched ``additive`` pass: it holds a few
+# arrays of this many pairs times the image's cells.
+_PAIRS_PER_CHUNK = 1 << 14
+
+
+def _homset(algebra: HeytingTable, source, target, place) -> list[LRelation]:
+    """Every relation ``source -> target``, in the order of their codes.
+
+    The cells of relation ``i``, row-major, are the base-k digits of ``i``
+    with place values ``place``, most significant first.
+    """
     k = len(algebra.elements)
-    cells = len(source) * len(target)
-    for assignment in itertools.product(range(k), repeat=cells):
-        grid = np.array(assignment, dtype=np.int16).reshape(len(target),
-                                                            len(source))
-        yield LRelation(algebra, source, target, grid)
+    codes = np.arange(k ** len(place))
+    grids = (codes[:, None] // place % k).astype(np.int16)
+    return [LRelation._derived(algebra, source, target, grid)
+            for grid in grids.reshape(len(codes), len(target), len(source))]
 
 
 def _exhaustive_shapes(max_cells: int):
@@ -282,26 +261,126 @@ def _exhaustive_shapes(max_cells: int):
                 yield rows, cols
 
 
+def _algebra_of(relations: list[LRelation]) -> HeytingTable:
+    """The algebra the relations share; relations over two cannot combine."""
+    algebra = relations[0].algebra
+    if any(r.algebra != algebra for r in relations):
+        raise ArrowTypeError("relations live over different algebras")
+    return algebra
+
+
+def _cells(relations: list[LRelation]) -> np.ndarray:
+    """The grids of same-shaped relations, one flattened grid per row."""
+    return np.stack([r.values for r in relations]).reshape(len(relations), -1)
+
+
+def _compose_all(cat: RelationCategory, lefts: list[LRelation],
+                 rights: list[LRelation]) -> np.ndarray:
+    """Cells of ``g @ f`` for every g in ``lefts`` and f in ``rights``.
+
+    One product computes them all: the left grids stacked on top of each
+    other, after the right grids set side by side, has the pairwise
+    composites as its blocks.  Indexed (g, f, cell).
+    """
+    algebra = _algebra_of(lefts + rights)
+    g = np.stack([r.values for r in lefts])
+    f = np.stack([r.values for r in rights])
+    (ng, rows, mid), (nf, _, cols) = g.shape, f.shape
+    tall = LRelation._derived(algebra, lefts[0].source,
+                              tuple(range(ng * rows)),
+                              g.reshape(ng * rows, mid))
+    wide = LRelation._derived(algebra, tuple(range(nf * cols)),
+                              rights[0].target,
+                              f.transpose(1, 0, 2).reshape(mid, nf * cols))
+    blocks = cat.compose(tall, wide).values.reshape(ng, rows, nf, cols)
+    return blocks.transpose(0, 2, 1, 3).reshape(ng, nf, rows * cols)
+
+
+def _check_sums(checker: _FunctorChecker, arrows: list[LRelation],
+                images: list[LRelation], image_cells: np.ndarray,
+                place: np.ndarray) -> None:
+    """``additive`` on every pair (f, g) of one homset, chunked over f.
+
+    Each sum ``f + g`` lies in the homset, so the image it must equal is
+    looked up by its code instead of being recomputed.
+    """
+    tgt, tally = checker.functor.target, checker.tally
+    join = arrows[0].algebra.join
+    image_join = _algebra_of(images).join
+    digits = _cells(arrows)
+    n = len(arrows)
+    step = max(1, _PAIRS_PER_CHUNK // n)
+    for lo in range(0, n, step):
+        chunk = slice(lo, lo + step)
+        sums = join[digits[chunk, None], digits[None]] @ place
+        got = image_cells[sums]
+        want = image_join[image_cells[chunk, None], image_cells[None]]
+
+        def counterexample(i: int, lo=lo, sums=sums) -> dict:
+            fi, gi = lo + i // n, i % n
+            return tally.counterexample(
+                {"f": arrows[fi], "g": arrows[gi]}, images[sums.flat[i]],
+                tgt.add(images[fi], images[gi]))
+
+        tally.check_batch("additive", np.count_nonzero(got != want, axis=-1),
+                          counterexample)
+
+
+def _check_composites(checker: _FunctorChecker, images: list[LRelation],
+                      image_cells: np.ndarray,
+                      outgoing: list[LRelation], out_images: list[LRelation],
+                      incoming: list[LRelation], in_images: list[LRelation],
+                      place: np.ndarray) -> None:
+    """``composition`` of every outgoing g after every incoming f.
+
+    Each composite ``g @ f`` lies in the homset of ``images``, so the image
+    it must equal is looked up by its code.
+    """
+    functor, tally = checker.functor, checker.tally
+    codes = _compose_all(functor.source, outgoing, incoming) @ place
+    got = image_cells[codes]
+    want = _compose_all(functor.target, out_images, in_images)
+
+    def counterexample(i: int) -> dict:
+        gi, fi = divmod(i, len(incoming))
+        return tally.counterexample(
+            {"f": incoming[fi], "g": outgoing[gi]}, images[codes.flat[i]],
+            functor.target.compose(out_images[gi], in_images[fi]))
+
+    tally.check_batch("composition", np.count_nonzero(got != want, axis=-1),
+                      counterexample)
+
+
 def _run_exhaustive_pass(checker: _FunctorChecker, max_cells: int) -> None:
     """Enumerate every arrow between small carriers and check the laws.
 
     Covers each shape whose grid has at most ``max_cells`` cells:
     additivity over all parallel pairs, composition through a one-element
     middle carrier (which meets every lattice value combination), plus
-    identity, zero, and witness transport once per shape.
+    identity, zero, and witness transport once per shape.  The functor is
+    applied once to each enumerated arrow.  For relation targets the pair
+    laws are checked as array identities over the stacked images; other
+    targets are checked pair by pair.
     """
     functor = checker.functor
     src, tgt = functor.source, functor.target
     algebra = src.algebra
+    k = len(algebra.elements)
+    batched = isinstance(tgt, RelationCategory)
     for rows, cols in _exhaustive_shapes(max_cells):
         source = tuple(f"s{i}" for i in range(cols))
         target = tuple(f"t{i}" for i in range(rows))
-        arrows = list(_enumerate_relation_arrows(algebra, source, target))
+        place = k ** np.arange(rows * cols - 1, -1, -1)
+        arrows = _homset(algebra, source, target, place)
         images = [functor.apply_arrow(f) for f in arrows]
-        for f, f_img in zip(arrows, images):
-            for g, g_img in zip(arrows, images):
-                checker.check("additive", functor.apply_arrow(src.add(f, g)),
-                              tgt.add(f_img, g_img), {"f": f, "g": g})
+        if batched:
+            image_cells = _cells(images)
+            _check_sums(checker, arrows, images, image_cells, place)
+        else:
+            for f, f_img in zip(arrows, images):
+                for g, g_img in zip(arrows, images):
+                    checker.check("additive", functor.apply_arrow(src.add(f, g)),
+                                  tgt.add(f_img, g_img), {"f": f, "g": g})
         checker.check("zero_arrow",
                       functor.apply_arrow(src.zero(source, target)),
                       tgt.zero(functor.apply_object(source),
@@ -309,15 +388,19 @@ def _run_exhaustive_pass(checker: _FunctorChecker, max_cells: int) -> None:
         checker.check("identity", functor.apply_arrow(src.identity(source)),
                       tgt.identity(functor.apply_object(source)), {})
         mid = ("m0",)
-        outgoing = list(_enumerate_relation_arrows(algebra, mid, target))
+        outgoing = _homset(algebra, mid, target, place[-rows:])
         out_images = [functor.apply_arrow(g) for g in outgoing]
-        incoming = list(_enumerate_relation_arrows(algebra, source, mid))
+        incoming = _homset(algebra, source, mid, place[-cols:])
         in_images = [functor.apply_arrow(f) for f in incoming]
-        for g, g_img in zip(outgoing, out_images):
-            for f, f_img in zip(incoming, in_images):
-                checker.check("composition",
-                              functor.apply_arrow(src.compose(g, f)),
-                              tgt.compose(g_img, f_img), {"f": f, "g": g})
+        if batched:
+            _check_composites(checker, images, image_cells, outgoing,
+                              out_images, incoming, in_images, place)
+        else:
+            for g, g_img in zip(outgoing, out_images):
+                for f, f_img in zip(incoming, in_images):
+                    checker.check("composition",
+                                  functor.apply_arrow(src.compose(g, f)),
+                                  tgt.compose(g_img, f_img), {"f": f, "g": g})
         checker.check_witness_transport(source, target)
 
 

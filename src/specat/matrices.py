@@ -46,9 +46,9 @@ class ScalarDomain:
         return self.dtype(1)
 
     def validate(self, values: np.ndarray) -> None:
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ArrowTypeError(f"{self.name} matrix entries must be finite")
-        if self.nonnegative and values.size and np.min(values) < 0:
+        if self.nonnegative and values.size and values.min() < 0:
             raise ArrowTypeError("non-negative domain rejects negative entries")
 
     def close(self, x, y, tol: Tolerance) -> bool:
@@ -95,17 +95,31 @@ class ScalarMatrix:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
+    def _derived(cls, values: np.ndarray, domain: ScalarDomain) -> "ScalarMatrix":
+        """A matrix built by the package itself, skipping the copy and checks.
+
+        ``values`` must be a fresh 2-d array of the domain's dtype whose
+        entries the domain accepts; callers that combine entries arithmetically
+        run ``domain.validate`` first, since finite entries can overflow.
+        """
+        mat = cls.__new__(cls)
+        values.flags.writeable = False
+        mat.values = values
+        mat.domain = domain
+        return mat
+
+    @classmethod
     def zeros(cls, rows: int, cols: int, domain: ScalarDomain = REAL) -> "ScalarMatrix":
-        return cls(np.zeros((rows, cols)), domain)
+        return cls._derived(np.zeros((rows, cols), dtype=domain.dtype), domain)
 
     @classmethod
     def identity(cls, n: int, domain: ScalarDomain = REAL) -> "ScalarMatrix":
-        return cls(np.eye(n), domain)
+        return cls._derived(np.eye(n, dtype=domain.dtype), domain)
 
     # -- algebra ----------------------------------------------------------------
 
     def _check_domain(self, other: "ScalarMatrix") -> None:
-        if self.domain != other.domain:
+        if self.domain is not other.domain and self.domain != other.domain:
             raise ArrowTypeError(
                 f"domain mismatch: {self.domain.name} vs {other.domain.name}")
 
@@ -115,14 +129,14 @@ class ScalarMatrix:
             raise ArrowTypeError(
                 f"cannot compose: left has {self.cols} columns, "
                 f"right has {other.rows} rows")
-        return ScalarMatrix(self.values @ other.values, self.domain)
+        return self._checked(self.values @ other.values)
 
     def __add__(self, other: "ScalarMatrix") -> "ScalarMatrix":
         self._check_domain(other)
         if self.values.shape != other.values.shape:
             raise ArrowTypeError(
                 f"cannot add shapes {self.values.shape} and {other.values.shape}")
-        return ScalarMatrix(self.values + other.values, self.domain)
+        return self._checked(self.values + other.values)
 
     def __sub__(self, other: "ScalarMatrix") -> "ScalarMatrix":
         self._check_domain(other)
@@ -132,10 +146,16 @@ class ScalarMatrix:
         if self.values.shape != other.values.shape:
             raise ArrowTypeError(
                 f"cannot subtract shapes {self.values.shape} and {other.values.shape}")
-        return ScalarMatrix(self.values - other.values, self.domain)
+        return self._checked(self.values - other.values)
+
+    def _checked(self, values: np.ndarray) -> "ScalarMatrix":
+        self.domain.validate(values)
+        return ScalarMatrix._derived(values, self.domain)
 
     def transpose(self) -> "ScalarMatrix":
-        return ScalarMatrix(self.values.T, self.domain)
+        # a copy, not a view: a view's strides can send a later product
+        # down another numpy code path with other rounding
+        return ScalarMatrix._derived(np.array(self.values.T), self.domain)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScalarMatrix):
@@ -201,10 +221,11 @@ class MatrixCategory(SemiadditiveCategory):
     def canonical_biproduct(self, left: int, right: int) -> BiproductWitness:
         if left < 0 or right < 0:
             raise ArrowTypeError("dimensions must be non-negative")
-        pi1 = ScalarMatrix(
-            np.hstack([np.eye(left), np.zeros((left, right))]), self.domain)
-        pi2 = ScalarMatrix(
-            np.hstack([np.zeros((right, left)), np.eye(right)]), self.domain)
+        dtype = self.domain.dtype
+        pi1 = ScalarMatrix._derived(
+            np.eye(left, left + right, dtype=dtype), self.domain)
+        pi2 = ScalarMatrix._derived(
+            np.eye(right, left + right, k=left, dtype=dtype), self.domain)
         return BiproductWitness(left, right, left + right,
                                 pi1, pi2, pi1.transpose(), pi2.transpose())
 
@@ -243,7 +264,7 @@ class MatrixCategory(SemiadditiveCategory):
             return True
         diff = np.abs(f.values - g.values)
         bound = tol.abs + tol.rel * np.maximum(np.abs(f.values), np.abs(g.values))
-        return bool(np.all(diff <= bound))
+        return bool((diff <= bound).all())
 
     def residual(self, f: ScalarMatrix, g: ScalarMatrix) -> float:
         if f.values.size == 0:
@@ -261,7 +282,8 @@ class MatrixCategory(SemiadditiveCategory):
         return int(obj)
 
     def default_sampler(self, max_size: int | None = None) -> "MatrixSampler":
-        return MatrixSampler(self.domain, max_dim=max_size or 5)
+        return MatrixSampler(self.domain,
+                             max_dim=5 if max_size is None else max_size)
 
 
 class MatrixSampler(ArrowSampler):
@@ -274,19 +296,21 @@ class MatrixSampler(ArrowSampler):
     def random_object(self, rng: random.Random) -> int:
         return rng.randrange(self.max_dim + 1)
 
-    def _entry(self, rng: random.Random):
-        if rng.random() < 0.25:
-            return 0.0
-        if self.domain is COMPLEX:
-            return complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-        if self.domain.nonnegative:
-            return rng.uniform(0.0, 2.0)
-        return rng.uniform(-2.0, 2.0)
-
     def random_arrow(self, rng: random.Random, src: int, tgt: int) -> ScalarMatrix:
-        values = [[self._entry(rng) for _ in range(src)] for _ in range(tgt)]
-        arr = np.array(values, dtype=self.domain.dtype).reshape(tgt, src)
-        return ScalarMatrix(arr, self.domain)
+        # cells in row-major order, a quarter of them exact zeros; the others
+        # are drawn as ``rng.uniform(lo, lo + span)`` computes them
+        draw = rng.random
+        lo, span = (0.0, 2.0) if self.domain.nonnegative else (-2.0, 4.0)
+        cells = range(src * tgt)
+        if self.domain is COMPLEX:
+            entries = [0.0 if draw() < 0.25
+                       else complex(lo + span * draw(), lo + span * draw())
+                       for _ in cells]
+        else:
+            entries = [0.0 if draw() < 0.25 else lo + span * draw()
+                       for _ in cells]
+        arr = np.array(entries, dtype=self.domain.dtype).reshape(tgt, src)
+        return ScalarMatrix._derived(arr, self.domain)
 
 
 MAT_R = MatrixCategory(REAL)

@@ -408,10 +408,10 @@ class LRelation:
     @classmethod
     def _derived(cls, algebra: HeytingTable, source: Carrier, target: Carrier,
                  values: np.ndarray) -> "LRelation":
-        """A relation computed from valid ones, skipping the checks.
+        """A relation built by the package itself, skipping the checks.
 
-        The carriers must already be checked and ``values`` must be a fresh
-        int16 grid of in-range elements.
+        The carriers must already be checked and ``values`` must be an int16
+        grid of in-range elements that nothing else writes to.
         """
         rel = cls.__new__(cls)
         rel.algebra, rel.source, rel.target = algebra, source, target
@@ -424,7 +424,7 @@ class LRelation:
         source = as_carrier(source)
         target = as_carrier(target)
         grid = np.full((len(target), len(source)), algebra.bottom, dtype=np.int16)
-        return cls(algebra, source, target, grid)
+        return cls._derived(algebra, source, target, grid)
 
     @classmethod
     def identity(cls, algebra: HeytingTable, carrier) -> "LRelation":
@@ -432,7 +432,7 @@ class LRelation:
         n = len(carrier)
         grid = np.full((n, n), algebra.bottom, dtype=np.int16)
         np.fill_diagonal(grid, algebra.top)
-        return cls(algebra, carrier, carrier, grid)
+        return cls._derived(algebra, carrier, carrier, grid)
 
     @classmethod
     def from_labels(cls, algebra: HeytingTable, source, target, grid) -> "LRelation":
@@ -496,7 +496,8 @@ class LRelation:
                                   self.algebra.join[self.values, other.values])
 
     def converse(self) -> "LRelation":
-        return LRelation(self.algebra, self.target, self.source, self.values.T)
+        return LRelation._derived(self.algebra, self.target, self.source,
+                                  self.values.T)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LRelation):
@@ -563,8 +564,8 @@ class RelationCategory(SemiadditiveCategory):
         p1[np.arange(n1), np.arange(n1)] = alg.top
         p2 = np.full((n2, n1 + n2), alg.bottom, dtype=np.int16)
         p2[np.arange(n2), n1 + np.arange(n2)] = alg.top
-        pi1 = LRelation(alg, carrier, left, p1)
-        pi2 = LRelation(alg, carrier, right, p2)
+        pi1 = LRelation._derived(alg, carrier, left, p1)
+        pi2 = LRelation._derived(alg, carrier, right, p2)
         for iso, obj, name in ((left_iso, left, "left_iso"),
                                (right_iso, right, "right_iso")):
             if iso is not None:
@@ -601,7 +602,8 @@ class RelationCategory(SemiadditiveCategory):
         return [encode_label(l) for l in obj]
 
     def default_sampler(self, max_size: int | None = None) -> "RelationSampler":
-        return RelationSampler(self.algebra, max_carrier=max_size or 6)
+        return RelationSampler(
+            self.algebra, max_carrier=6 if max_size is None else max_size)
 
 
 def encode_label(label: Label):
@@ -630,17 +632,26 @@ class RelationSampler(ArrowSampler):
         size = rng.randrange(self.max_carrier + 1)
         return tuple(f"v{i}" for i in range(size))
 
-    def _cell(self, rng: random.Random) -> int:
-        if self.bottom_bias and rng.random() < self.bottom_bias:
-            return self.algebra.bottom
-        return rng.randrange(len(self.algebra.elements))
-
     def random_arrow(self, rng: random.Random, src, tgt) -> LRelation:
         src = as_carrier(src)
         tgt = as_carrier(tgt)
-        grid = [[self._cell(rng) for _ in range(len(src))] for _ in range(len(tgt))]
-        arr = np.array(grid, dtype=np.int16).reshape(len(tgt), len(src))
-        return LRelation(self.algebra, src, tgt, arr)
+        # cells in row-major order; each is bottom with probability
+        # ``bottom_bias``, else ``rng.randrange(k)`` as CPython draws it:
+        # ``k.bit_length()`` random bits, redrawn until they are below k
+        k = len(self.algebra.elements)
+        bits, draw_bits = k.bit_length(), rng.getrandbits
+        bias, draw, bottom = self.bottom_bias, rng.random, self.algebra.bottom
+        cells = []
+        for _ in range(len(src) * len(tgt)):
+            if bias and draw() < bias:
+                cells.append(bottom)
+                continue
+            cell = draw_bits(bits)
+            while cell >= k:
+                cell = draw_bits(bits)
+            cells.append(cell)
+        arr = np.array(cells, dtype=np.int16).reshape(len(tgt), len(src))
+        return LRelation._derived(self.algebra, src, tgt, arr)
 
 
 REL = RelationCategory(bool_algebra())

@@ -7,11 +7,14 @@ plain Python loops, set-based graph searches, and exhaustive enumeration.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 
 import numpy as np
 
-from specat import LRelation, PreconditionError, ScalarMatrix
+from specat import LawReport, LRelation, PreconditionError, ScalarMatrix
+from specat.functors import _FunctorChecker
+from specat.matrices import COMPLEX
 
 
 def compose_relations_slow(g: LRelation, f: LRelation) -> LRelation:
@@ -232,3 +235,86 @@ def matrix_from_payload_slow(payload, complex_: bool) -> np.ndarray:
     parse = complex if complex_ else float
     return np.array([[parse(str(v)) for v in row] for row in payload],
                     dtype=np.complex128 if complex_ else np.float64)
+
+
+def random_relation_slow(sampler, rng, src, tgt) -> LRelation:
+    """A sampled relation drawn cell by cell with ``rng.randrange``."""
+    algebra = sampler.algebra
+
+    def cell() -> int:
+        if sampler.bottom_bias and rng.random() < sampler.bottom_bias:
+            return algebra.bottom
+        return rng.randrange(len(algebra.elements))
+
+    grid = [[cell() for _ in range(len(src))] for _ in range(len(tgt))]
+    return LRelation(algebra, src, tgt,
+                     np.array(grid, dtype=np.int16).reshape(len(tgt), len(src)))
+
+
+def random_matrix_slow(sampler, rng, src: int, tgt: int) -> ScalarMatrix:
+    """A sampled matrix drawn cell by cell with ``rng.uniform``."""
+    domain = sampler.domain
+
+    def entry():
+        if rng.random() < 0.25:
+            return 0.0
+        if domain is COMPLEX:
+            return complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        if domain.nonnegative:
+            return rng.uniform(0.0, 2.0)
+        return rng.uniform(-2.0, 2.0)
+
+    values = [[entry() for _ in range(src)] for _ in range(tgt)]
+    return ScalarMatrix(np.array(values, dtype=domain.dtype).reshape(tgt, src),
+                        domain)
+
+
+def all_relations(algebra, source, target):
+    """Every relation source -> target, grids in lexicographic order."""
+    cells = len(source) * len(target)
+    for assignment in itertools.product(range(len(algebra.elements)),
+                                        repeat=cells):
+        grid = np.array(assignment, dtype=np.int16)
+        yield LRelation(algebra, source, target,
+                        grid.reshape(len(target), len(source)))
+
+
+def exhaustive_functor_check_slow(functor, max_cells: int,
+                                  tol=None) -> LawReport:
+    """``check_cmon_functor_exhaustive`` with every pair checked on its own.
+
+    The functor is applied to each sum and each composite, and every pair
+    is compared as two arrows of the target; no arrow is looked up.
+    """
+    src, tgt = functor.source, functor.target
+    checker = _FunctorChecker(functor, tol)
+    checker.check_zero_object()
+    shapes = [(rows, cols) for rows in range(1, max_cells + 1)
+              for cols in range(1, max_cells + 1) if rows * cols <= max_cells]
+    for rows, cols in shapes:
+        source = tuple(f"s{i}" for i in range(cols))
+        target = tuple(f"t{i}" for i in range(rows))
+        arrows = list(all_relations(src.algebra, source, target))
+        images = [functor.apply_arrow(f) for f in arrows]
+        for f, f_img in zip(arrows, images):
+            for g, g_img in zip(arrows, images):
+                checker.check("additive", functor.apply_arrow(src.add(f, g)),
+                              tgt.add(f_img, g_img), {"f": f, "g": g})
+        checker.check("zero_arrow",
+                      functor.apply_arrow(src.zero(source, target)),
+                      tgt.zero(functor.apply_object(source),
+                               functor.apply_object(target)), {})
+        checker.check("identity", functor.apply_arrow(src.identity(source)),
+                      tgt.identity(functor.apply_object(source)), {})
+        mid = ("m0",)
+        outgoing = list(all_relations(src.algebra, mid, target))
+        out_images = [functor.apply_arrow(g) for g in outgoing]
+        incoming = list(all_relations(src.algebra, source, mid))
+        in_images = [functor.apply_arrow(f) for f in incoming]
+        for g, g_img in zip(outgoing, out_images):
+            for f, f_img in zip(incoming, in_images):
+                checker.check("composition",
+                              functor.apply_arrow(src.compose(g, f)),
+                              tgt.compose(g_img, f_img), {"f": f, "g": g})
+        checker.check_witness_transport(source, target)
+    return checker.report()

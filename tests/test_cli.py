@@ -1,6 +1,8 @@
 import json
 import tracemalloc
 
+import pytest
+
 from specat.cli import main
 
 from .conftest import FIXTURES
@@ -272,6 +274,40 @@ class TestLaws:
         assert code == 0
         laws = {c["law"] for c in json.loads(out)["checks"]}
         assert "additive" in laws and "sum_via_biproduct" in laws
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--max-size", "-2"), ("--max-size", "-1"),
+        ("--trials", "0"), ("--trials", "-5")])
+    def test_out_of_range_bounds_exit_2_naming_the_flag(self, capsys, flag,
+                                                         value):
+        code = main(["laws", "--instance", "rel", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} must be")
+
+    @pytest.mark.parametrize("max_size", [0, 1, 2])
+    @pytest.mark.parametrize("instance", [
+        ["mat-r"], ["mat-nn"],
+        ["rel-l", "--lattice", "builtin:b4", "--functor", "builtin:upper:a"]])
+    def test_max_size_bounds_every_sampled_object(self, capsys, monkeypatch,
+                                                  instance, max_size):
+        # both the law suite and the --functor check draw through a sampler;
+        # every object either one draws must respect the bound, 0 included
+        from specat import matrices, relations
+
+        sizes = []
+        for sampler in (matrices.MatrixSampler, relations.RelationSampler):
+            def recording(self, rng, _draw=sampler.random_object):
+                obj = _draw(self, rng)
+                sizes.append(obj if isinstance(obj, int) else len(obj))
+                return obj
+            monkeypatch.setattr(sampler, "random_object", recording)
+        code, out = run(capsys, "laws", "--instance", *instance,
+                        "--trials", "20", "--max-size", str(max_size))
+        assert code == 0
+        assert json.loads(out)["job"]["max_size"] == max_size
+        assert sizes and max(sizes) == max_size
 
 
 class TestFunctor:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from specat.core import LawTally
 from specat import (
     MAT_C,
     MAT_NN,
@@ -218,3 +219,33 @@ class TestLawSuite:
         failure = report.failures()[0]
         assert failure.counterexample is not None
         assert "lhs" in failure.counterexample
+
+
+class TestLawTally:
+    def test_batch_folds_like_single_checks(self):
+        # the residuals of a batch are the differing cell counts of exact
+        # checks; totals, order and the first counterexample match checking
+        # the same pairs one at a time
+        x, y = ("x",), ("y0", "y1")
+        arrows = [LRelation(BOOL, x, y, grid)
+                  for grid in ([[0], [0]], [[1], [0]], [[0], [1]], [[1], [1]])]
+        zero = REL.zero(x, y)
+        single = LawTally(REL)
+        for arrow in arrows:
+            single.check("is_zero", arrow, zero, {"f": arrow})
+        single.check("other", zero, zero, {})
+        batched = LawTally(REL)
+        seen = []
+
+        def counterexample(i):
+            seen.append(i)
+            return batched.counterexample({"f": arrows[i]}, arrows[i], zero)
+
+        residuals = np.array([REL.residual(a, zero) for a in arrows])
+        batched.check_batch("is_zero", residuals[:2], counterexample)
+        batched.check_batch("is_zero", residuals[2:], lambda i: {})
+        batched.check("other", zero, zero, {})
+        assert batched.report().to_dict() == single.report().to_dict()
+        assert seen == [1]
+        check = batched.report().checks[0]
+        assert (check.trials, check.max_residual) == (4, 2.0)

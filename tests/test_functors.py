@@ -1,20 +1,27 @@
-import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specat import (
+    MAT_R,
+    ArrowTypeError,
     DecompositionError,
     LatticeError,
     LatticeHom,
     LRelation,
     RelationCategory,
     SemiadditiveFunctor,
+    ScalarMatrix,
     b4,
     bool_algebra,
     chain,
     check_cmon_functor,
+    check_cmon_functor_exhaustive,
+    functors,
     identity_hom,
     induced_functor,
     map_decomposition,
@@ -23,6 +30,8 @@ from specat import (
     verify_decomposition,
 )
 
+from ._oracles import all_relations, exhaustive_functor_check_slow
+from .test_properties import product_lattice
 from .test_spectral import brel, path3_decomposition, loops3_decomposition, C3
 
 B4 = b4()
@@ -57,15 +66,6 @@ class TestLatticeHom:
         hom = LatticeHom.from_labels(chain(3), BOOL,
                                      {"0": "0", "1/2": "0", "1": "1"})
         assert [BOOL.label(v) for v in hom.mapping] == ["0", "0", "1"]
-
-
-def all_relations(algebra, source, target):
-    k = len(algebra.elements)
-    cells = len(source) * len(target)
-    for assignment in itertools.product(range(k), repeat=cells):
-        grid = np.array(assignment, dtype=np.int16).reshape(len(target),
-                                                            len(source))
-        yield LRelation(algebra, source, target, grid)
 
 
 class TestInducedFunctor:
@@ -207,3 +207,175 @@ class TestMapDecomposition:
             _, dec = separate_components(f)
             image, mapped = map_decomposition(functor, f, dec)
             assert verify_decomposition(functor.target, image, mapped).passed
+
+
+# The batched exhaustive pass against the per-pair oracle.  Homsets are kept
+# to at most 64 arrows (4096 pairs) so the oracle stays quick.
+FUNCTOR_ALGEBRAS = (bool_algebra(), b4(), chain(3),
+                    product_lattice(chain(2), chain(3)))
+
+
+def _small_cells(algebra):
+    k = len(algebra.elements)
+    return st.integers(1, 3).filter(lambda cells: k ** cells <= 64)
+
+
+def _assert_matches_oracle(functor, max_cells):
+    got = check_cmon_functor_exhaustive(functor, max_cells=max_cells)
+    want = exhaustive_functor_check_slow(functor, max_cells)
+    assert got.to_dict() == want.to_dict()
+    return got
+
+
+def _entrywise(source, target, table):
+    table = np.array(table, dtype=np.int16)
+
+    def arrow_map(f):
+        return LRelation(target, f.source, f.target, table[f.values])
+
+    return SemiadditiveFunctor("caller-supplied", RelationCategory(source),
+                               RelationCategory(target), lambda obj: obj,
+                               arrow_map)
+
+
+def _induced_homs(algebra):
+    homs = [identity_hom(algebra)]
+    for label in algebra.elements:
+        try:
+            homs.append(principal_filter_hom(algebra, label))
+        except LatticeError:
+            pass
+    return homs
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_exhaustive_pass_matches_per_pair_oracle_on_induced_functors(data):
+    algebra = data.draw(st.sampled_from(FUNCTOR_ALGEBRAS))
+    hom = data.draw(st.sampled_from(_induced_homs(algebra)))
+    report = _assert_matches_oracle(induced_functor(hom),
+                                    data.draw(_small_cells(algebra)))
+    assert report.passed
+
+
+def test_exhaustive_pass_matches_oracle_on_product_lattice_at_three_cells():
+    algebra = product_lattice(chain(2), chain(3))
+    _assert_matches_oracle(induced_functor(identity_hom(algebra)), 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_exhaustive_pass_matches_oracle_on_arbitrary_entrywise_maps(data):
+    # an arbitrary table breaks joins, meets, bottom or top in any mix
+    source = data.draw(st.sampled_from(FUNCTOR_ALGEBRAS))
+    target = data.draw(st.sampled_from(FUNCTOR_ALGEBRAS))
+    table = data.draw(st.lists(st.integers(0, len(target.elements) - 1),
+                               min_size=len(source.elements),
+                               max_size=len(source.elements)))
+    # small chunks split the pairs of one homset into several batches
+    chunk = data.draw(st.sampled_from([1, 7, 64, functors._PAIRS_PER_CHUNK]))
+    with mock.patch.object(functors, "_PAIRS_PER_CHUNK", chunk):
+        _assert_matches_oracle(_entrywise(source, target, table),
+                               data.draw(_small_cells(source)))
+
+
+@pytest.mark.parametrize("chunk", [1, functors._PAIRS_PER_CHUNK])
+@pytest.mark.parametrize("max_cells", [1, 2, 3])
+def test_exhaustive_pass_reports_broken_joins_like_the_oracle(max_cells, chunk,
+                                                              monkeypatch):
+    # top only at top: keeps meets, bottom and top, breaks a v b = 1; the
+    # first failing pair (a, b) lies in the second chunk of one pair each
+    monkeypatch.setattr(functors, "_PAIRS_PER_CHUNK", chunk)
+    top = B4.top
+    table = [BOOL.top if x == top else BOOL.bottom for x in range(4)]
+    report = _assert_matches_oracle(_entrywise(B4, BOOL, table), max_cells)
+    failing = {c.law for c in report.failures()}
+    assert "additive" in failing and "composition" not in failing
+
+
+@pytest.mark.parametrize("max_cells", [1, 2, 3])
+def test_exhaustive_pass_reports_broken_meets_like_the_oracle(max_cells):
+    # everything above bottom to top: keeps joins, breaks a ^ b = 0
+    table = [BOOL.bottom, BOOL.top, BOOL.top, BOOL.top]
+    report = _assert_matches_oracle(_entrywise(B4, BOOL, table), max_cells)
+    failing = {c.law for c in report.failures()}
+    assert "composition" in failing and "additive" not in failing
+
+
+def _padded(algebra, pad_value):
+    """A rel -> rel functor that adds one element to every carrier.
+
+    The image keeps the grid and sets the new corner cell to
+    ``pad_value(f)``, so carriers change and composition in the target runs
+    through a two-element middle.
+    """
+    def object_map(carrier):
+        return tuple(carrier) + ("pad",)
+
+    def arrow_map(f):
+        grid = np.full((len(f.target) + 1, len(f.source) + 1), algebra.bottom,
+                       dtype=np.int16)
+        grid[:-1, :-1] = f.values
+        grid[-1, -1] = pad_value(f)
+        return LRelation(algebra, object_map(f.source), object_map(f.target),
+                         grid)
+
+    cat = RelationCategory(algebra)
+    return SemiadditiveFunctor("caller-supplied", cat, cat, object_map,
+                               arrow_map)
+
+
+@pytest.mark.parametrize("pad", ["bottom", "top", "max"])
+@pytest.mark.parametrize("max_cells", [1, 2, 3])
+def test_exhaustive_pass_matches_oracle_on_carrier_changing_functor(pad,
+                                                                    max_cells):
+    pad_value = {
+        "bottom": lambda f: B4.bottom,
+        "top": lambda f: B4.top,
+        "max": lambda f: int(f.values.max(initial=0)),
+    }[pad]
+    _assert_matches_oracle(_padded(B4, pad_value), max_cells)
+
+
+def test_exhaustive_pass_rejects_images_over_two_algebras_like_the_oracle():
+    def arrow_map(f):
+        target = BOOL if f.values.max(initial=0) == B4.top else B4
+        return LRelation(target, f.source, f.target,
+                         np.zeros(f.values.shape, dtype=np.int16))
+
+    functor = SemiadditiveFunctor("caller-supplied", REL_B4, REL_B4,
+                                  lambda obj: obj, arrow_map)
+    messages = []
+    for check in (check_cmon_functor_exhaustive,
+                  exhaustive_functor_check_slow):
+        with pytest.raises(ArrowTypeError) as info:
+            check(functor, 2)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def _support_matrix(algebra, weights):
+    """A rel -> mat functor: each cell's weight, carriers to their size."""
+    weights = np.array(weights, dtype=np.float64)
+    return SemiadditiveFunctor(
+        "caller-supplied", RelationCategory(algebra), MAT_R, len,
+        lambda f: ScalarMatrix(weights[f.values]))
+
+
+@pytest.mark.parametrize("weights", [[0, 1, 1, 1], [0, 1, 2, 3], [0, 0, 0, 0]])
+@pytest.mark.parametrize("max_cells", [1, 2])
+def test_relation_to_matrix_functor_runs_pair_by_pair(weights, max_cells,
+                                                      monkeypatch):
+    def no_batches(*args):
+        raise AssertionError("a matrix target must not be batched")
+
+    monkeypatch.setattr(functors, "_check_sums", no_batches)
+    monkeypatch.setattr(functors, "_check_composites", no_batches)
+    functor = _support_matrix(B4, weights)
+    report = _assert_matches_oracle(functor, max_cells)
+    additive = next(c for c in report.checks if c.law == "additive")
+    assert additive.trials == sum(
+        16 ** (r * c) for r in range(1, 3) for c in range(1, 3)
+        if r * c <= max_cells)
+    # joins do not become sums and identities do not survive, so it fails
+    assert not report.passed

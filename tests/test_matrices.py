@@ -77,6 +77,26 @@ class TestScalarMatrix:
             assert result.domain is NONNEGATIVE
             assert np.min(result.values) >= 0
 
+    @pytest.mark.parametrize("domain", [MAT_R.domain, COMPLEX, NONNEGATIVE])
+    def test_overflowing_results_raise(self, domain):
+        big = ScalarMatrix([[1e200]], domain)
+        huge = ScalarMatrix([[1.5e308]], domain)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ArrowTypeError, match="must be finite"):
+                big @ big
+            with pytest.raises(ArrowTypeError, match="must be finite"):
+                huge + huge
+
+    def test_nonnegative_results_are_checked(self):
+        # a negative entry smuggled past the constructor surfaces in the
+        # first sum or product computed from it
+        bad = ScalarMatrix._derived(np.array([[-1.0]]), NONNEGATIVE)
+        half = ScalarMatrix([[0.5]], NONNEGATIVE)
+        with pytest.raises(ArrowTypeError, match="negative"):
+            bad + half
+        with pytest.raises(ArrowTypeError, match="negative"):
+            half @ bad
+
     def test_complex_tolerance_on_modulus(self):
         a = ScalarMatrix([[1 + 1j]], COMPLEX)
         b = ScalarMatrix([[1 + 1j + 1e-12j]], COMPLEX)
@@ -107,6 +127,38 @@ class TestCanonicalBiproduct:
         w = MAT_R.canonical_biproduct(3, 2)
         report = check_biproduct_axioms(MAT_R, w, Tolerance(0.0, 0.0))
         assert report.passed and report.max_residual == 0.0
+
+
+@pytest.mark.parametrize("cat", [MAT_R, MAT_C, MAT_NN])
+def test_built_arrows_match_validated_construction(cat):
+    """Zeros, identities, witnesses, products and sums equal what the
+    validating constructor made of the same numpy expressions: values,
+    dtype and memory layout, which decides how BLAS is called."""
+    def validated(values):
+        return np.array(values, dtype=cat.domain.dtype)
+
+    for left, right in [(0, 0), (0, 2), (2, 0), (1, 1), (2, 3)]:
+        w = cat.canonical_biproduct(left, right)
+        pi1 = validated(np.hstack([np.eye(left), np.zeros((left, right))]))
+        pi2 = validated(np.hstack([np.zeros((right, left)), np.eye(right)]))
+        pairs = [
+            (cat.zero(left, right), validated(np.zeros((right, left)))),
+            (cat.identity(right), validated(np.eye(right))),
+            (w.pi1, pi1), (w.pi2, pi2),
+            (w.iota1, validated(pi1.T)), (w.iota2, validated(pi2.T)),
+        ]
+        first = w.iota1 @ w.pi1
+        total = first + w.iota2 @ w.pi2
+        pairs += [
+            (first, validated(validated(pi1.T) @ pi1)),
+            (total, validated(first.values + validated(pi2.T) @ pi2)),
+        ]
+        for got, want in pairs:
+            assert got.values.dtype == want.dtype
+            assert got.values.shape == want.shape
+            assert got.values.strides == want.strides
+            assert np.array_equal(got.values, want)
+            assert not got.values.flags.writeable
 
 
 class TestGeneralizedWitness:

@@ -31,6 +31,8 @@ from ._oracles import (
     compose_relations_slow,
     equitable_degrees_slow,
     join_relations_slow,
+    random_matrix_slow,
+    random_relation_slow,
 )
 
 
@@ -288,3 +290,37 @@ def test_equitable_refinement_matches_round_based_oracle(adj, data):
     assert degrees_or_error(
         lambda: reduced_transition_matrix(adj, other).degrees) == \
         degrees_or_error(lambda: equitable_degrees_slow(adj, other.cells))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_samplers_draw_the_per_cell_stream(data):
+    """Samplers give the arrow and leave the generator in the state that
+    drawing each cell through randrange or uniform would."""
+    import random
+
+    from specat import MAT_C, MAT_NN
+    from specat.matrices import MatrixSampler
+    from specat.relations import RelationSampler
+
+    seed = data.draw(st.integers(0, 2 ** 32))
+    src = data.draw(st.integers(0, 6))
+    tgt = data.draw(st.integers(0, 6))
+    if data.draw(st.booleans()):
+        cat = data.draw(st.sampled_from([MAT_R, MAT_C, MAT_NN]))
+        sampler, slow = MatrixSampler(cat.domain), random_matrix_slow
+        carriers = (src, tgt)
+    else:
+        algebra = data.draw(st.sampled_from(ALGEBRAS))
+        bias = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+        sampler = RelationSampler(algebra, bottom_bias=bias)
+        slow = random_relation_slow
+        carriers = (tuple(range(src)), tuple(range(tgt)))
+    fast_rng, slow_rng = random.Random(seed), random.Random(seed)
+    got = sampler.random_arrow(fast_rng, *carriers)
+    want = slow(sampler, slow_rng, *carriers)
+    assert got == want
+    assert got.values.dtype == want.values.dtype
+    if got.values.size:
+        assert got.values.strides == want.values.strides
+    assert fast_rng.getstate() == slow_rng.getstate()
