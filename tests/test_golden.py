@@ -54,6 +54,10 @@ def _commands() -> dict[str, tuple[str, ...]]:
     jobs["functor-diag2-upper-a"] = (
         "functor", "--lattice", "builtin:b4", "--hom", "builtin:upper:a",
         "--arrow", arrow, "--decomposition", dec)
+    # one mutated local arrow: law d fails, so these pin a counterexample
+    jobs["verify-diag2-bad-local"] = ("verify", *_B4, "--arrow", arrow,
+                                      "--decomposition",
+                                      _DEC + "b4_diag2_dec_bad_local.json")
     jobs["functor-diag2-identity"] = (
         "functor", "--lattice", "builtin:b4", "--hom", "builtin:identity",
         "--arrow", arrow, "--decomposition", dec)
@@ -63,6 +67,9 @@ def _commands() -> dict[str, tuple[str, ...]]:
             "--decomposition", _DEC + "line3_dec.json")
         jobs[f"separate-line3-{instance}"] = (
             "separate", "--instance", instance, *_LINE3)
+    jobs["verify-line3-mat-r-bad-local"] = (
+        "verify", "--instance", "mat-r", *_LINE3,
+        "--decomposition", _DEC + "line3_dec_bad_local.json")
     for graph in ("path3", "star4"):
         jobs[f"equitable-{graph}"] = ("equitable", "--graph",
                                       f"fixtures/graphs/{graph}.txt")
