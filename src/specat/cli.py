@@ -14,8 +14,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import formats
 from .core import (
     DEFAULT_TOL_ABS,
@@ -23,7 +21,6 @@ from .core import (
     ArrowTypeError,
     DecompositionError,
     LatticeError,
-    LawReport,
     ParseError,
     PreconditionError,
     SpecatError,
@@ -47,6 +44,7 @@ from .spectral import (
     residual_part,
     separate_components,
     verify_decomposition,
+    verify_quotient,
     walk_matrix,
 )
 
@@ -161,27 +159,7 @@ def cmd_equitable(args):
     quotient = reduced_transition_matrix(graph, partition)
     walk = walk_matrix(graph)
     residual = residual_part(walk, quotient)
-    tol = resolve_tolerance(args)
-
-    report = LawReport()
-    row_sums = quotient.reduced.values.sum(axis=1)
-    res = float(np.max(np.abs(row_sums - 1.0))) if row_sums.size else 0.0
-    report.record("stochastic_rows", res <= tol.abs + tol.rel, max_residual=res)
-    sizes = np.array(quotient.cell_sizes)
-    balance = sizes[:, None] * quotient.degrees
-    report.record("conservation", bool(np.array_equal(balance, balance.T)))
-    lhs = quotient.average.values @ walk.values
-    rhs = quotient.reduced.values @ quotient.average.values
-    res = float(np.max(np.abs(lhs - rhs)))
-    report.record("intertwine_average", res <= tol.abs + tol.rel, max_residual=res)
-    retract = quotient.average.values @ quotient.indicator.values
-    res = float(np.max(np.abs(retract - np.eye(len(partition.cells)))))
-    report.record("average_retracts_indicator", res <= tol.abs + tol.rel,
-                  max_residual=res)
-    res = float(np.max(np.abs(quotient.average.values @ residual.values)))
-    report.record("residual_annihilated", res <= tol.abs + tol.rel,
-                  max_residual=res)
-
+    report = verify_quotient(quotient, walk, residual, resolve_tolerance(args))
     payload = {
         "cells": [list(cell) for cell in partition.cells],
         "degrees": quotient.degrees.tolist(),

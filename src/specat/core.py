@@ -229,12 +229,32 @@ class SemiadditiveCategory(ABC):
     @abstractmethod
     def describe_object(self, obj: Any) -> Any: ...
 
+    def arrow_to_payload(self, f: Arrow) -> Any:
+        """JSON-safe entries of ``f``, as decoded by :meth:`arrow_from_payload`."""
+        raise ParseError(f"cannot encode arrows for instance {self.name!r}")
+
+    def arrow_from_payload(self, payload: Any, src: Any, tgt: Any) -> Arrow:
+        """The arrow ``src -> tgt`` with the given entries; ParseError if malformed."""
+        raise ParseError(f"cannot decode arrows for instance {self.name!r}")
+
+    def object_from_payload(self, payload: Any) -> Any:
+        """The object that :meth:`describe_object` spells as ``payload``."""
+        raise ParseError(f"cannot decode objects for instance {self.name!r}")
+
     @abstractmethod
     def default_sampler(self, max_size: int | None = None) -> ArrowSampler: ...
 
 
 # ---------------------------------------------------------------------------
 # derived constructions
+
+
+def _sub_grid(values: np.ndarray, rows, cols) -> np.ndarray:
+    """The entries at these row and column positions; ``None`` keeps them all."""
+    if rows is None or cols is None:
+        return values[slice(None) if rows is None else rows,
+                      slice(None) if cols is None else cols]
+    return values[np.ix_(rows, cols)]
 
 
 def _require(cond: bool, message: str) -> None:
@@ -266,25 +286,20 @@ def check_biproduct_axioms(cat: SemiadditiveCategory, w: BiproductWitness,
     (d) pi2.iota1 = 0, (e) iota1.pi1 + iota2.pi2 = id on the carrier.
     """
     w.validate()
-    cases = (
-        ("a", cat.compose(w.pi1, w.iota1), cat.identity(w.left)),
-        ("b", cat.compose(w.pi2, w.iota2), cat.identity(w.right)),
-        ("c", cat.compose(w.pi1, w.iota2), cat.zero(w.right, w.left)),
-        ("d", cat.compose(w.pi2, w.iota1), cat.zero(w.left, w.right)),
-        ("e",
-         cat.add(cat.compose(w.iota1, w.pi1), cat.compose(w.iota2, w.pi2)),
-         cat.identity(w.carrier)),
-    )
-    report = LawReport()
-    for law, got, want in cases:
-        ok = cat.equal(got, want, tol)
-        report.record(
-            law, ok, max_residual=cat.residual(got, want),
-            counterexample=None if ok else {
-                "lhs": cat.describe_arrow(got),
-                "rhs": cat.describe_arrow(want),
-            })
-    return report
+    tally = LawTally(cat, tol)
+    for law, got, want in _biproduct_cases(cat, w):
+        tally.check(law, got, want)
+    return tally.report()
+
+
+def _biproduct_cases(cat: SemiadditiveCategory, w: BiproductWitness):
+    """``(law, got, want)`` for each of the five biproduct equations."""
+    yield "a", cat.compose(w.pi1, w.iota1), cat.identity(w.left)
+    yield "b", cat.compose(w.pi2, w.iota2), cat.identity(w.right)
+    yield "c", cat.compose(w.pi1, w.iota2), cat.zero(w.right, w.left)
+    yield "d", cat.compose(w.pi2, w.iota1), cat.zero(w.left, w.right)
+    yield ("e", cat.add(cat.compose(w.iota1, w.pi1), cat.compose(w.iota2, w.pi2)),
+           cat.identity(w.carrier))
 
 
 def pair(cat: SemiadditiveCategory, f1: Arrow, f2: Arrow,
@@ -405,8 +420,8 @@ class LawTally:
 
     Each law keeps its trial and failure counts, its largest residual and
     the counterexample of its first failure.  Both sides of a check are
-    compared and described in ``cat``; the inputs that produced them are
-    described in ``input_cat``, which defaults to ``cat``.
+    compared and described in ``cat``; the inputs that produced them, when
+    given, are described in ``input_cat``, which defaults to ``cat``.
     """
 
     def __init__(self, cat: SemiadditiveCategory, tol: Tolerance | None = None,
@@ -422,16 +437,17 @@ class LawTally:
             totals = self._totals[law] = _Totals()
         return totals
 
-    def counterexample(self, inputs: dict, got: Arrow, want: Arrow) -> dict:
-        describe = self.input_cat.describe_arrow
-        return {
-            "inputs": {k: describe(v) for k, v in inputs.items()},
-            "lhs": self.cat.describe_arrow(got),
-            "rhs": self.cat.describe_arrow(want),
-        }
+    def counterexample(self, inputs: dict | None, got: Arrow, want: Arrow) -> dict:
+        example = {"lhs": self.cat.describe_arrow(got),
+                   "rhs": self.cat.describe_arrow(want)}
+        if inputs is not None:
+            describe = self.input_cat.describe_arrow
+            example["inputs"] = {k: describe(v) for k, v in inputs.items()}
+        return example
 
-    def check(self, law: str, got: Arrow, want: Arrow, inputs: dict) -> None:
-        """One check of ``got == want``, computed from ``inputs``."""
+    def check(self, law: str, got: Arrow, want: Arrow,
+              inputs: dict | None = None) -> None:
+        """One check of ``got == want``, computed from ``inputs`` if given."""
         totals = self._of(law)
         totals.trials += 1
         ok = self.cat.equal(got, want, self.tol)
@@ -484,8 +500,10 @@ def run_law_suite(cat: SemiadditiveCategory, sampler: ArrowSampler | None = None
     cancellation and uniqueness for pair/copair, the factoring of a copair
     composed with a pair through a block sum, and agreement of
     :func:`sum_via_biproduct` with native addition.  Failures land in the
-    report with a re-checkable counterexample; nothing is raised.
+    report with a re-checkable counterexample; only ``trials`` below 1 raises.
     """
+    if trials < 1:
+        raise PreconditionError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     if sampler is None:
         sampler = cat.default_sampler()
@@ -527,18 +545,8 @@ def run_law_suite(cat: SemiadditiveCategory, sampler: ArrowSampler | None = None
               {"f": f, "g": g, "k": k})
 
         wit = cat.canonical_biproduct(x, y)
-        witness_cases = (
-            ("witness_a", cat.compose(wit.pi1, wit.iota1), cat.identity(x)),
-            ("witness_b", cat.compose(wit.pi2, wit.iota2), cat.identity(y)),
-            ("witness_c", cat.compose(wit.pi1, wit.iota2), cat.zero(y, x)),
-            ("witness_d", cat.compose(wit.pi2, wit.iota1), cat.zero(x, y)),
-            ("witness_e",
-             cat.add(cat.compose(wit.iota1, wit.pi1),
-                     cat.compose(wit.iota2, wit.pi2)),
-             cat.identity(wit.carrier)),
-        )
-        for law, got, want in witness_cases:
-            check(law, got, want, {})
+        for law, got, want in _biproduct_cases(cat, wit):
+            check("witness_" + law, got, want, {})
 
         f1 = sampler.random_arrow(rng, z, x)
         f2 = sampler.random_arrow(rng, z, y)

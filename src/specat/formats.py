@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import ParseError, SemiadditiveCategory
 from .functors import LatticeHom
-from .matrices import COMPLEX, MatrixCategory, ScalarDomain, ScalarMatrix
+from .matrices import ScalarDomain, ScalarMatrix
 from .relations import (
     HeytingTable,
     LRelation,
@@ -25,7 +25,6 @@ from .relations import (
     b4,
     bool_algebra,
     chain,
-    decode_label,
     encode_label,
 )
 from .spectral import Block, Partition, SparseGraph, SpectralDecomposition
@@ -166,24 +165,15 @@ def _read_json(path) -> Any:
 # scalar matrices (CSV)
 
 
-def _parse_scalar(token: str, domain: ScalarDomain):
-    token = token.strip()
-    try:
-        if domain is COMPLEX:
-            return complex(token)
-        return float(token)
-    except ValueError as exc:
-        raise ParseError(f"bad {domain.name} entry {token!r}") from exc
-
-
 def load_matrix_csv(path, domain: ScalarDomain) -> ScalarMatrix:
     rows = []
     width = None
+    parse = domain.parse
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        entries = [_parse_scalar(tok, domain) for tok in line.split(",")]
+        entries = [parse(tok) for tok in line.split(",")]
         if width is None:
             width = len(entries)
         elif len(entries) != width:
@@ -248,34 +238,18 @@ def save_lattice_json(algebra: HeytingTable, path) -> None:
 
 
 def relation_from_dict(payload: dict, algebra: HeytingTable) -> LRelation:
+    cat = RelationCategory(algebra)
     try:
-        source = [decode_label(l) for l in payload["source"]]
-        target = [decode_label(l) for l in payload["target"]]
+        source = cat.object_from_payload(payload["source"])
+        target = cat.object_from_payload(payload["target"])
         values = payload["values"]
     except (KeyError, TypeError) as exc:
         raise ParseError("relation JSON needs source, target, and values") from exc
-    if len(values) != len(target):
-        raise ParseError(
-            f"relation grid has {len(values)} rows, expected {len(target)}")
-    try:
-        grid = [[algebra.index(v) for v in row] for row in values]
-    except KeyError as exc:
-        raise ParseError(f"unknown lattice element {exc.args[0]!r}") from exc
-    for i, row in enumerate(grid):
-        if len(row) != len(source):
-            raise ParseError(
-                f"relation grid row {i} has {len(row)} entries, "
-                f"expected {len(source)}")
-    return LRelation(algebra, source, target, grid)
+    return cat.arrow_from_payload(values, source, target)
 
 
 def relation_to_dict(rel: LRelation) -> dict:
-    label = rel.algebra.label
-    return {
-        "source": [encode_label(l) for l in rel.source],
-        "target": [encode_label(l) for l in rel.target],
-        "values": [[label(v) for v in row] for row in rel.values.tolist()],
-    }
+    return RelationCategory(rel.algebra).describe_arrow(rel)
 
 
 def load_relation_json(path, algebra: HeytingTable) -> LRelation:
@@ -290,62 +264,20 @@ def save_relation_json(rel: LRelation, path) -> None:
 # decompositions
 
 
-def _matrix_from_payload(payload, domain: ScalarDomain) -> np.ndarray:
-    """JSON numbers convert straight to the domain's dtype; anything else
-    (strings, bools, nulls) is read as text, so bools stay rejected."""
-    if set(map(type, itertools.chain.from_iterable(payload))) <= {int, float}:
-        try:
-            return np.array(payload, dtype=domain.dtype)
-        except OverflowError as exc:
-            raise ParseError(f"{domain.name} entry out of range: {exc}") from exc
-    return np.array([[_parse_scalar(str(v), domain) for v in row] for row in payload],
-                    dtype=domain.dtype)
-
-
-def _arrow_from_payload(cat: SemiadditiveCategory, payload, src, tgt):
-    if isinstance(cat, MatrixCategory):
-        arr = _matrix_from_payload(payload, cat.domain)
-        if arr.ndim != 2 or arr.shape != (tgt, src):
-            raise ParseError(
-                f"matrix block must be {tgt}x{src}, got {arr.shape}")
-        return ScalarMatrix(arr, cat.domain)
-    if isinstance(cat, RelationCategory):
-        return relation_from_dict(
-            {"source": [encode_label(l) for l in src],
-             "target": [encode_label(l) for l in tgt],
-             "values": payload},
-            cat.algebra)
-    raise ParseError(f"cannot decode arrows for instance {cat.name!r}")
-
-
-def _arrow_to_payload(cat: SemiadditiveCategory, arrow):
-    if isinstance(cat, MatrixCategory):
-        return cat.describe_arrow(arrow)["entries"]
-    if isinstance(cat, RelationCategory):
-        return relation_to_dict(arrow)["values"]
-    raise ParseError(f"cannot encode arrows for instance {cat.name!r}")
-
-
-def _object_from_payload(cat: SemiadditiveCategory, payload):
-    if isinstance(cat, MatrixCategory):
-        return int(payload)
-    return tuple(decode_label(l) for l in payload)
-
-
 def decomposition_from_dict(payload: dict,
                             cat: SemiadditiveCategory) -> SpectralDecomposition:
     try:
-        carrier = _object_from_payload(cat, payload["carrier"])
+        carrier = cat.object_from_payload(payload["carrier"])
         raw_blocks = payload["blocks"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("decomposition JSON needs carrier and blocks") from exc
     blocks = []
     for i, raw in enumerate(raw_blocks, start=1):
         try:
-            space = _object_from_payload(cat, raw["space"])
-            project = _arrow_from_payload(cat, raw["project"], carrier, space)
-            inject = _arrow_from_payload(cat, raw["inject"], space, carrier)
-            local = _arrow_from_payload(cat, raw["local"], space, space)
+            space = cat.object_from_payload(raw["space"])
+            project = cat.arrow_from_payload(raw["project"], carrier, space)
+            inject = cat.arrow_from_payload(raw["inject"], space, carrier)
+            local = cat.arrow_from_payload(raw["local"], space, space)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"decomposition block {i} is malformed: {exc}") from exc
         blocks.append(Block(space, project, inject, local))
@@ -361,9 +293,9 @@ def decomposition_to_dict(dec: SpectralDecomposition,
         "blocks": [
             {
                 "space": cat.describe_object(b.space),
-                "project": _arrow_to_payload(cat, b.project),
-                "inject": _arrow_to_payload(cat, b.inject),
-                "local": _arrow_to_payload(cat, b.local),
+                "project": cat.arrow_to_payload(b.project),
+                "inject": cat.arrow_to_payload(b.inject),
+                "local": cat.arrow_to_payload(b.local),
             }
             for b in dec.blocks
         ],

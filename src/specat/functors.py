@@ -24,6 +24,7 @@ from .core import (
     LatticeError,
     LawReport,
     LawTally,
+    PreconditionError,
     SemiadditiveCategory,
     Tolerance,
     oplus,
@@ -418,8 +419,10 @@ def check_cmon_functor(functor: SemiadditiveFunctor,
     once.  For relation-instance sources the finite homsets between carriers
     with at most ``exhaustive_cells`` grid cells are additionally enumerated
     in full; scalar homsets are infinite, so those instances stay purely
-    sampling-based.
+    sampling-based.  ``trials`` below 1 raises.
     """
+    if trials < 1:
+        raise PreconditionError(f"trials must be at least 1, got {trials}")
     src = functor.source
     rng = random.Random(seed)
     if sampler is None:

@@ -9,6 +9,7 @@ monomial matrices, read off directly.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Any
@@ -19,9 +20,12 @@ from .core import (
     ArrowSampler,
     ArrowTypeError,
     BiproductWitness,
+    ParseError,
+    PreconditionError,
     SemiadditiveCategory,
     Tolerance,
     UnsupportedDomainError,
+    _sub_grid,
 )
 
 
@@ -53,6 +57,16 @@ class ScalarDomain:
 
     def close(self, x, y, tol: Tolerance) -> bool:
         return abs(x - y) <= tol.abs + tol.rel * max(abs(x), abs(y))
+
+    def parse(self, token: str):
+        """One entry written as text."""
+        token = token.strip()
+        try:
+            if self is COMPLEX:
+                return complex(token)
+            return float(token)
+        except ValueError as exc:
+            raise ParseError(f"bad {self.name} entry {token!r}") from exc
 
 
 REAL = ScalarDomain("real", np.float64)
@@ -193,6 +207,18 @@ def monomial_inverse(m: ScalarMatrix) -> ScalarMatrix:
     return ScalarMatrix(inv, m.domain)
 
 
+def _matrix_from_payload(payload, domain: ScalarDomain) -> np.ndarray:
+    """JSON numbers convert straight to the domain's dtype; anything else
+    (strings, bools, nulls) is read as text, so bools stay rejected."""
+    if set(map(type, itertools.chain.from_iterable(payload))) <= {int, float}:
+        try:
+            return np.array(payload, dtype=domain.dtype)
+        except OverflowError as exc:
+            raise ParseError(f"{domain.name} entry out of range: {exc}") from exc
+    return np.array([[domain.parse(str(v)) for v in row] for row in payload],
+                    dtype=domain.dtype)
+
+
 class MatrixCategory(SemiadditiveCategory):
     """Matrices over one scalar domain, with dimension objects."""
 
@@ -201,7 +227,7 @@ class MatrixCategory(SemiadditiveCategory):
     def __init__(self, domain: ScalarDomain):
         self.domain = domain
         self.name = {"real": "mat-r", "complex": "mat-c",
-                     "nonnegative": "mat-nn"}[domain.name]
+                     "nonnegative": "mat-nn"}.get(domain.name, f"mat-{domain.name}")
 
     def compose(self, g: ScalarMatrix, f: ScalarMatrix) -> ScalarMatrix:
         return g @ f
@@ -214,6 +240,10 @@ class MatrixCategory(SemiadditiveCategory):
 
     def identity(self, obj: int) -> ScalarMatrix:
         return ScalarMatrix.identity(obj, self.domain)
+
+    def restrict(self, f: ScalarMatrix, rows, cols) -> ScalarMatrix:
+        """The sub-matrix on these row and column positions (``None``: all)."""
+        return ScalarMatrix._derived(_sub_grid(f.values, rows, cols), f.domain)
 
     def zero_object(self) -> int:
         return 0
@@ -271,15 +301,28 @@ class MatrixCategory(SemiadditiveCategory):
             return 0.0
         return float(np.max(np.abs(f.values - g.values)))
 
-    def describe_arrow(self, f: ScalarMatrix) -> dict:
+    def arrow_to_payload(self, f: ScalarMatrix) -> list:
         if self.domain is COMPLEX or np.iscomplexobj(f.values):
-            entries = [[str(v) for v in row] for row in f.values.tolist()]
-        else:
-            entries = f.values.tolist()
-        return {"rows": f.rows, "cols": f.cols, "entries": entries}
+            return [[str(v) for v in row] for row in f.values.tolist()]
+        return f.values.tolist()
+
+    def arrow_from_payload(self, payload, src: int, tgt: int) -> ScalarMatrix:
+        arr = _matrix_from_payload(payload, self.domain)
+        if arr.shape == (0,) and tgt == 0:
+            arr = arr.reshape(0, src)  # [] is how a matrix with no rows reads
+        if arr.ndim != 2 or arr.shape != (tgt, src):
+            raise ParseError(
+                f"matrix block must be {tgt}x{src}, got {arr.shape}")
+        return ScalarMatrix(arr, self.domain)
+
+    def describe_arrow(self, f: ScalarMatrix) -> dict:
+        return {"rows": f.rows, "cols": f.cols, "entries": self.arrow_to_payload(f)}
 
     def describe_object(self, obj: int) -> int:
         return int(obj)
+
+    def object_from_payload(self, payload) -> int:
+        return int(payload)
 
     def default_sampler(self, max_size: int | None = None) -> "MatrixSampler":
         return MatrixSampler(self.domain,
@@ -290,6 +333,8 @@ class MatrixSampler(ArrowSampler):
     """Random dimensions up to a bound; entries bounded, with some exact zeros."""
 
     def __init__(self, domain: ScalarDomain, max_dim: int = 5):
+        if max_dim < 0:
+            raise PreconditionError(f"max_dim must be non-negative, got {max_dim}")
         self.domain = domain
         self.max_dim = max_dim
 

@@ -37,8 +37,11 @@ from .core import (
     ArrowTypeError,
     BiproductWitness,
     LatticeError,
+    ParseError,
+    PreconditionError,
     SemiadditiveCategory,
     Tolerance,
+    _sub_grid,
 )
 
 Label = Any
@@ -541,6 +544,14 @@ class RelationCategory(SemiadditiveCategory):
     def identity(self, obj) -> LRelation:
         return LRelation.identity(self.algebra, obj)
 
+    def restrict(self, f: LRelation, rows, cols) -> LRelation:
+        """The sub-relation on the labels at these positions (``None``: all)."""
+        return LRelation._derived(
+            f.algebra,
+            f.source if cols is None else as_carrier(f.source[j] for j in cols),
+            f.target if rows is None else as_carrier(f.target[i] for i in rows),
+            _sub_grid(f.values, rows, cols))
+
     def zero_object(self) -> Carrier:
         return ()
 
@@ -590,16 +601,37 @@ class RelationCategory(SemiadditiveCategory):
     def residual(self, f: LRelation, g: LRelation) -> float:
         return float(np.count_nonzero(f.values != g.values))
 
-    def describe_arrow(self, f: LRelation) -> dict:
+    def arrow_to_payload(self, f: LRelation) -> list:
         label = self.algebra.label
+        return [[label(v) for v in row] for row in f.values.tolist()]
+
+    def arrow_from_payload(self, payload, src, tgt) -> LRelation:
+        if len(payload) != len(tgt):
+            raise ParseError(
+                f"relation grid has {len(payload)} rows, expected {len(tgt)}")
+        try:
+            grid = [[self.algebra.index(v) for v in row] for row in payload]
+        except KeyError as exc:
+            raise ParseError(f"unknown lattice element {exc.args[0]!r}") from exc
+        for i, row in enumerate(grid):
+            if len(row) != len(src):
+                raise ParseError(
+                    f"relation grid row {i} has {len(row)} entries, "
+                    f"expected {len(src)}")
+        return LRelation(self.algebra, src, tgt, grid)
+
+    def describe_arrow(self, f: LRelation) -> dict:
         return {
-            "source": [encode_label(l) for l in f.source],
-            "target": [encode_label(l) for l in f.target],
-            "values": [[label(v) for v in row] for row in f.values.tolist()],
+            "source": self.describe_object(f.source),
+            "target": self.describe_object(f.target),
+            "values": self.arrow_to_payload(f),
         }
 
     def describe_object(self, obj) -> list:
         return [encode_label(l) for l in obj]
+
+    def object_from_payload(self, payload) -> Carrier:
+        return tuple(decode_label(l) for l in payload)
 
     def default_sampler(self, max_size: int | None = None) -> "RelationSampler":
         return RelationSampler(
@@ -624,6 +656,9 @@ class RelationSampler(ArrowSampler):
 
     def __init__(self, algebra: HeytingTable, max_carrier: int = 6,
                  bottom_bias: float = 0.0):
+        if max_carrier < 0:
+            raise PreconditionError(
+                f"max_carrier must be non-negative, got {max_carrier}")
         self.algebra = algebra
         self.max_carrier = max_carrier
         self.bottom_bias = bottom_bias

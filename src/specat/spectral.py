@@ -12,6 +12,7 @@ matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Any
 
 import numpy as np
@@ -22,6 +23,7 @@ from .core import (
     Arrow,
     DecompositionError,
     LawReport,
+    LawTally,
     PreconditionError,
     SemiadditiveCategory,
     SpecatError,
@@ -29,8 +31,8 @@ from .core import (
     UnsupportedDomainError,
     fold_biproduct,
 )
-from .matrices import ScalarMatrix
-from .relations import LRelation
+from .matrices import MatrixCategory, ScalarMatrix
+from .relations import LRelation, RelationCategory
 
 
 @dataclass(frozen=True)
@@ -140,47 +142,35 @@ def verify_decomposition(cat: SemiadditiveCategory, f: Arrow,
         if blk.local.source != blk.space or blk.local.target != blk.space:
             raise ArrowTypeError(f"block {i}: local must be an endo-arrow on its space")
 
-    report = LawReport()
-
-    def record(law: str, got: Arrow, want: Arrow) -> None:
-        ok = cat.equal(got, want, tol)
-        report.record(
-            law, ok, max_residual=cat.residual(got, want),
-            counterexample=None if ok else {
-                "lhs": cat.describe_arrow(got),
-                "rhs": cat.describe_arrow(want),
-            })
-
+    tally = LawTally(cat, tol)
+    check = tally.check
     blocks = dec.blocks
     for i, blk in enumerate(blocks, start=1):
-        record(f"a[{i}]", cat.compose(blk.project, blk.inject),
-               cat.identity(blk.space))
+        check(f"a[{i}]", cat.compose(blk.project, blk.inject),
+              cat.identity(blk.space))
     for i, blk_i in enumerate(blocks, start=1):
         for j, blk_j in enumerate(blocks, start=1):
             if i != j:
-                record(f"b[{i},{j}]", cat.compose(blk_i.project, blk_j.inject),
-                       cat.zero(blk_j.space, blk_i.space))
+                check(f"b[{i},{j}]", cat.compose(blk_i.project, blk_j.inject),
+                      cat.zero(blk_j.space, blk_i.space))
 
-    total = None
-    recon = None
-    for blk in blocks:
-        piece = cat.compose(blk.inject, blk.project)
-        total = piece if total is None else cat.add(total, piece)
-        piece_f = cat.compose(blk.inject, cat.compose(blk.local, blk.project))
-        recon = piece_f if recon is None else cat.add(recon, piece_f)
-    record("c", total, cat.identity(dec.carrier))
-    record("d", recon, f)
+    check("c", reduce(cat.add, (cat.compose(b.inject, b.project) for b in blocks)),
+          cat.identity(dec.carrier))
+    check("d", reduce(cat.add, (cat.compose(b.inject, cat.compose(b.local, b.project))
+                                for b in blocks)), f)
 
     for i, blk in enumerate(blocks, start=1):
-        record(f"intertwine_project[{i}]", cat.compose(blk.project, f),
-               cat.compose(blk.local, blk.project))
-        record(f"intertwine_inject[{i}]", cat.compose(f, blk.inject),
-               cat.compose(blk.inject, blk.local))
-    return report
+        check(f"intertwine_project[{i}]", cat.compose(blk.project, f),
+              cat.compose(blk.local, blk.project))
+        check(f"intertwine_inject[{i}]", cat.compose(f, blk.inject),
+              cat.compose(blk.inject, blk.local))
+    return tally.report()
 
 
-def _matched_blocks(cat: SemiadditiveCategory, first: SpectralDecomposition,
-                    second: SpectralDecomposition) -> None:
+def _combined(cat: SemiadditiveCategory, first: SpectralDecomposition,
+              second: SpectralDecomposition, op) -> SpectralDecomposition:
+    """``first``'s blocks with local arrows ``op(local1, local2)``, and the
+    arrow ``op(first.arrow, second.arrow)`` when both are known."""
     if first.carrier != second.carrier:
         raise DecompositionError(
             f"carriers differ: {first.carrier!r} vs {second.carrier!r}")
@@ -193,6 +183,12 @@ def _matched_blocks(cat: SemiadditiveCategory, first: SpectralDecomposition,
             raise DecompositionError(f"block {i}: eigeninjections differ")
         if not cat.equal(b1.project, b2.project):
             raise DecompositionError(f"block {i}: projections differ")
+    blocks = tuple(Block(b1.space, b1.project, b1.inject, op(b1.local, b2.local))
+                   for b1, b2 in zip(first.blocks, second.blocks))
+    arrow = None
+    if first.arrow is not None and second.arrow is not None:
+        arrow = op(first.arrow, second.arrow)
+    return SpectralDecomposition(first.carrier, blocks, arrow=arrow)
 
 
 def compose_decompositions(cat: SemiadditiveCategory,
@@ -203,28 +199,14 @@ def compose_decompositions(cat: SemiadditiveCategory,
     Both inputs must share carrier, spaces, projections, and
     eigeninjections; the result keeps them and composes the local arrows.
     """
-    _matched_blocks(cat, first, second)
-    blocks = tuple(
-        Block(b1.space, b1.project, b1.inject, cat.compose(b2.local, b1.local))
-        for b1, b2 in zip(first.blocks, second.blocks))
-    arrow = None
-    if first.arrow is not None and second.arrow is not None:
-        arrow = cat.compose(second.arrow, first.arrow)
-    return SpectralDecomposition(first.carrier, blocks, arrow=arrow)
+    return _combined(cat, first, second, lambda f1, f2: cat.compose(f2, f1))
 
 
 def sum_decompositions(cat: SemiadditiveCategory,
                        first: SpectralDecomposition,
                        second: SpectralDecomposition) -> SpectralDecomposition:
     """Decomposition of ``first.arrow + second.arrow`` (same sharing rules)."""
-    _matched_blocks(cat, first, second)
-    blocks = tuple(
-        Block(b1.space, b1.project, b1.inject, cat.add(b1.local, b2.local))
-        for b1, b2 in zip(first.blocks, second.blocks))
-    arrow = None
-    if first.arrow is not None and second.arrow is not None:
-        arrow = cat.add(first.arrow, second.arrow)
-    return SpectralDecomposition(first.carrier, blocks, arrow=arrow)
+    return _combined(cat, first, second, cat.add)
 
 
 def fold_to_binary(cat: SemiadditiveCategory,
@@ -244,16 +226,11 @@ def fold_to_binary(cat: SemiadditiveCategory,
                     cat.identity(z))
         return SpectralDecomposition(dec.carrier, (head, pad), arrow=dec.arrow)
     grouped, pis, iotas = fold_biproduct(cat, [b.space for b in rest])
-    project = None
-    inject = None
-    local = None
-    for blk, pi, iota in zip(rest, pis, iotas):
-        p = cat.compose(iota, blk.project)
-        q = cat.compose(blk.inject, pi)
-        l = cat.compose(iota, cat.compose(blk.local, pi))
-        project = p if project is None else cat.add(project, p)
-        inject = q if inject is None else cat.add(inject, q)
-        local = l if local is None else cat.add(local, l)
+    parts = list(zip(rest, pis, iotas))
+    project = reduce(cat.add, [cat.compose(iota, b.project) for b, _, iota in parts])
+    inject = reduce(cat.add, [cat.compose(b.inject, pi) for b, pi, _ in parts])
+    local = reduce(cat.add, [cat.compose(iota, cat.compose(b.local, pi))
+                             for b, pi, iota in parts])
     tail = Block(grouped, project, inject, local)
     return SpectralDecomposition(dec.carrier, (head, tail), arrow=dec.arrow)
 
@@ -371,6 +348,30 @@ def _component_cells(graph: SparseGraph) -> list[list[int]]:
     return [cell.tolist() for cell in np.split(order, bounds)]
 
 
+def _split_support(cat: SemiadditiveCategory, f: Arrow, support: np.ndarray,
+                   labels: tuple) -> tuple[Partition, SpectralDecomposition]:
+    """Blocks of an endo-arrow along the components of its symmetrized
+    ``support`` mask, whose positions ``labels`` names: selections are
+    sub-arrows of the carrier identity, locals principal sub-arrows of ``f``.
+    An empty carrier gives one block on the zero object."""
+    carrier = f.source
+    if not labels:
+        zero = cat.zero(carrier, carrier)
+        return (Partition((), ()),
+                SpectralDecomposition(carrier, (Block(carrier, zero, zero, zero),),
+                                      arrow=f))
+    cells = _component_cells(_support_graph(support))
+    ident = cat.identity(carrier)
+    blocks = []
+    for cell in cells:
+        project = cat.restrict(ident, cell, None)
+        blocks.append(Block(project.target, project, cat.restrict(ident, None, cell),
+                            cat.restrict(f, cell, cell)))
+    partition = Partition(labels, tuple(tuple(labels[i] for i in cell)
+                                        for cell in cells))
+    return partition, SpectralDecomposition(carrier, tuple(blocks), arrow=f)
+
+
 def separate_components(f: LRelation) -> tuple[Partition, SpectralDecomposition]:
     """Split an endo-relation along the weakly connected components of its support.
 
@@ -380,27 +381,8 @@ def separate_components(f: LRelation) -> tuple[Partition, SpectralDecomposition]
     """
     if f.source != f.target:
         raise ArrowTypeError("component separation needs an endo-relation")
-    alg = f.algebra
-    carrier = f.source
-    if not carrier:
-        # no vertices: empty partition, one block on the zero object
-        zero = LRelation.zero(alg, (), ())
-        block = Block((), zero, zero, zero)
-        return (Partition((), ()),
-                SpectralDecomposition((), (block,), arrow=f))
-    cells_idx = _component_cells(_support_graph(f.values != alg.bottom))
-    blocks = []
-    for cell in cells_idx:
-        space = tuple(carrier[i] for i in cell)
-        grid = np.full((len(cell), len(carrier)), alg.bottom, dtype=np.int16)
-        grid[np.arange(len(cell)), cell] = alg.top
-        project = LRelation(alg, carrier, space, grid)
-        local = LRelation(alg, space, space, f.values[np.ix_(cell, cell)])
-        blocks.append(Block(space, project, project.converse(), local))
-    partition = Partition(carrier,
-                          tuple(tuple(carrier[i] for i in cell)
-                                for cell in cells_idx))
-    return partition, SpectralDecomposition(carrier, tuple(blocks), arrow=f)
+    return _split_support(RelationCategory(f.algebra), f,
+                          f.values != f.algebra.bottom, f.source)
 
 
 def detect_blocks(f: ScalarMatrix, zero_tol: float | None = None
@@ -416,23 +398,8 @@ def detect_blocks(f: ScalarMatrix, zero_tol: float | None = None
         raise ArrowTypeError("block detection needs a square matrix")
     if zero_tol is None:
         zero_tol = DEFAULT_TOL_ABS
-    if f.rows == 0:
-        zero = ScalarMatrix.zeros(0, 0, f.domain)
-        block = Block(0, zero, zero, zero)
-        return (Partition((), ()),
-                SpectralDecomposition(0, (block,), arrow=f))
-    cells_idx = _component_cells(_support_graph(np.abs(f.values) > zero_tol))
-    n = f.rows
-    blocks = []
-    for cell in cells_idx:
-        sel = np.zeros((len(cell), n))
-        sel[np.arange(len(cell)), cell] = 1.0
-        project = ScalarMatrix(sel, f.domain)
-        local = ScalarMatrix(f.values[np.ix_(cell, cell)], f.domain)
-        blocks.append(Block(len(cell), project, project.transpose(), local))
-    partition = Partition(tuple(range(n)),
-                          tuple(tuple(cell) for cell in cells_idx))
-    return partition, SpectralDecomposition(n, tuple(blocks), arrow=f)
+    return _split_support(MatrixCategory(f.domain), f, np.abs(f.values) > zero_tol,
+                          tuple(range(f.rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +618,33 @@ def reduced_transition_matrix(adjacency, partition: Partition) -> EquitableQuoti
     return EquitableQuotient(partition, degrees, reduced,
                              ScalarMatrix(average_vals),
                              ScalarMatrix(indicator_vals))
+
+
+def verify_quotient(quotient: EquitableQuotient, walk: ScalarMatrix,
+                    residual: ScalarMatrix, tol: Tolerance | None = None) -> LawReport:
+    """The laws of an equitable quotient of ``walk``: stochastic reduced rows,
+    edge-count conservation, averaging intertwines ``walk`` with the reduced
+    walk, retracts the indicators and annihilates ``residual`` (see
+    :func:`residual_part`).  A residual passes at most ``tol.abs + tol.rel``."""
+    if tol is None:
+        tol = Tolerance()
+    bound = tol.abs + tol.rel
+    average = quotient.average.values
+    report = LawReport()
+    row_sums = quotient.reduced.values.sum(axis=1)
+    res = float(np.max(np.abs(row_sums - 1.0))) if row_sums.size else 0.0
+    report.record("stochastic_rows", res <= bound, max_residual=res)
+    balance = np.array(quotient.cell_sizes)[:, None] * quotient.degrees
+    report.record("conservation", bool(np.array_equal(balance, balance.T)))
+    res = float(np.max(np.abs(average @ walk.values
+                              - quotient.reduced.values @ average)))
+    report.record("intertwine_average", res <= bound, max_residual=res)
+    retract = average @ quotient.indicator.values
+    res = float(np.max(np.abs(retract - np.eye(len(quotient.partition.cells)))))
+    report.record("average_retracts_indicator", res <= bound, max_residual=res)
+    res = float(np.max(np.abs(average @ residual.values)))
+    report.record("residual_annihilated", res <= bound, max_residual=res)
+    return report
 
 
 def residual_part(f: ScalarMatrix, quotient: EquitableQuotient) -> ScalarMatrix:

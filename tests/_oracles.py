@@ -12,9 +12,20 @@ import json
 
 import numpy as np
 
-from specat import LawReport, LRelation, PreconditionError, ScalarMatrix
+from specat import (
+    ArrowTypeError,
+    Block,
+    LawReport,
+    LRelation,
+    Partition,
+    PreconditionError,
+    ScalarMatrix,
+    SpectralDecomposition,
+)
+from specat.core import DEFAULT_TOL_ABS
 from specat.functors import _FunctorChecker
 from specat.matrices import COMPLEX
+from specat.spectral import _component_cells, _support_graph
 
 
 def compose_relations_slow(g: LRelation, f: LRelation) -> LRelation:
@@ -318,3 +329,57 @@ def exhaustive_functor_check_slow(functor, max_cells: int,
                               tgt.compose(g_img, f_img), {"f": f, "g": g})
         checker.check_witness_transport(source, target)
     return checker.report()
+
+
+def separate_components_slow(f: LRelation):
+    """Component separation with top-valued selections built cell by cell
+    through the validating constructor, and the injection as the converse."""
+    if f.source != f.target:
+        raise ArrowTypeError("component separation needs an endo-relation")
+    alg = f.algebra
+    carrier = f.source
+    if not carrier:
+        # no vertices: empty partition, one block on the zero object
+        zero = LRelation.zero(alg, (), ())
+        block = Block((), zero, zero, zero)
+        return (Partition((), ()),
+                SpectralDecomposition((), (block,), arrow=f))
+    cells_idx = _component_cells(_support_graph(f.values != alg.bottom))
+    blocks = []
+    for cell in cells_idx:
+        space = tuple(carrier[i] for i in cell)
+        grid = np.full((len(cell), len(carrier)), alg.bottom, dtype=np.int16)
+        grid[np.arange(len(cell)), cell] = alg.top
+        project = LRelation(alg, carrier, space, grid)
+        local = LRelation(alg, space, space, f.values[np.ix_(cell, cell)])
+        blocks.append(Block(space, project, project.converse(), local))
+    partition = Partition(carrier,
+                          tuple(tuple(carrier[i] for i in cell)
+                                for cell in cells_idx))
+    return partition, SpectralDecomposition(carrier, tuple(blocks), arrow=f)
+
+
+def detect_blocks_slow(f: ScalarMatrix, zero_tol: float | None = None):
+    """Block detection with 0/1 selections built cell by cell through the
+    validating constructor, and the injection as the transpose."""
+    if f.rows != f.cols:
+        raise ArrowTypeError("block detection needs a square matrix")
+    if zero_tol is None:
+        zero_tol = DEFAULT_TOL_ABS
+    if f.rows == 0:
+        zero = ScalarMatrix.zeros(0, 0, f.domain)
+        block = Block(0, zero, zero, zero)
+        return (Partition((), ()),
+                SpectralDecomposition(0, (block,), arrow=f))
+    cells_idx = _component_cells(_support_graph(np.abs(f.values) > zero_tol))
+    n = f.rows
+    blocks = []
+    for cell in cells_idx:
+        sel = np.zeros((len(cell), n))
+        sel[np.arange(len(cell)), cell] = 1.0
+        project = ScalarMatrix(sel, f.domain)
+        local = ScalarMatrix(f.values[np.ix_(cell, cell)], f.domain)
+        blocks.append(Block(len(cell), project, project.transpose(), local))
+    partition = Partition(tuple(range(n)),
+                          tuple(tuple(cell) for cell in cells_idx))
+    return partition, SpectralDecomposition(n, tuple(blocks), arrow=f)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from specat.core import LawTally
+from specat.matrices import MatrixSampler
+from specat.relations import RelationSampler
 from specat import (
     MAT_C,
     MAT_NN,
@@ -9,6 +11,7 @@ from specat import (
     ArrowTypeError,
     HeytingTable,
     LRelation,
+    PreconditionError,
     RelationCategory,
     ScalarMatrix,
     Tolerance,
@@ -59,6 +62,8 @@ class TestBiproductAxioms:
         # doubling the injection doubles the retract
         a_check = next(c for c in report.checks if c.law == "a")
         assert a_check.counterexample["lhs"]["entries"] == [[2.0, 0.0], [0.0, 2.0]]
+        assert set(a_check.counterexample) == {"lhs", "rhs"}
+        assert [c.law for c in report.checks] == ["a", "b", "c", "d", "e"]
 
     def test_endpoint_mismatch_names_offender(self):
         w = MAT_R.canonical_biproduct(2, 1)
@@ -220,6 +225,23 @@ class TestLawSuite:
         assert failure.counterexample is not None
         assert "lhs" in failure.counterexample
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_raises(self, trials):
+        with pytest.raises(PreconditionError,
+                           match=f"trials must be at least 1, got {trials}"):
+            run_law_suite(MAT_R, trials=trials)
+
+    def test_negative_sampler_bound_raises_when_built(self):
+        with pytest.raises(PreconditionError, match="max_dim .* got -2"):
+            MAT_R.default_sampler(-2)
+        with pytest.raises(PreconditionError, match="max_dim"):
+            MatrixSampler(MAT_C.domain, max_dim=-1)
+        with pytest.raises(PreconditionError, match="max_carrier .* got -1"):
+            REL.default_sampler(-1)
+        with pytest.raises(PreconditionError, match="max_carrier"):
+            RelationSampler(B4, max_carrier=-1)
+        assert MAT_R.default_sampler(0).max_dim == 0
+
 
 class TestLawTally:
     def test_batch_folds_like_single_checks(self):
@@ -249,3 +271,17 @@ class TestLawTally:
         assert seen == [1]
         check = batched.report().checks[0]
         assert (check.trials, check.max_residual) == (4, 2.0)
+
+    def test_counterexample_lists_inputs_only_when_given(self):
+        x, y = ("x",), ("y",)
+        one = LRelation(BOOL, x, y, [[1]])
+        zero = REL.zero(x, y)
+        tally = LawTally(REL)
+        tally.check("bare", one, zero)
+        tally.check("with_inputs", one, zero, {"f": one})
+        tally.check("no_inputs", one, zero, {})
+        bare, with_inputs, no_inputs = (c.counterexample
+                                        for c in tally.report().checks)
+        assert set(bare) == {"lhs", "rhs"}
+        assert with_inputs["inputs"] == {"f": REL.describe_arrow(one)}
+        assert no_inputs == dict(bare, inputs={})

@@ -1,4 +1,6 @@
+import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,8 +9,11 @@ from hypothesis import strategies as st
 
 from specat import (
     MAT_C,
+    MAT_NN,
     MAT_R,
+    REL,
     LRelation,
+    MatrixCategory,
     ParseError,
     Partition,
     RelationCategory,
@@ -19,7 +24,6 @@ from specat import (
 )
 from specat.formats import (
     _dot_name,
-    _matrix_from_payload,
     canonical_json,
     decomposition_from_dict,
     decomposition_to_dict,
@@ -38,6 +42,7 @@ from specat.formats import (
     save_matrix_csv,
     save_relation_json,
 )
+from specat.matrices import _matrix_from_payload
 
 from ._oracles import canonical_json_slow, matrix_from_payload_slow
 from .test_spectral import path3_decomposition
@@ -179,6 +184,61 @@ class TestDecompositionJson:
         assert dec.blocks[0].local.values.tolist() == [[2.5]]
         dec = decomposition_from_dict(self._one_block([["(1+2j)"]]), MAT_C)
         assert dec.blocks[0].local.values.tolist() == [[1 + 2j]]
+
+
+INSTANCES = (MAT_R, MAT_C, MAT_NN, REL, RelationCategory(B4))
+
+
+class TestPayloadCodecs:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(INSTANCES), st.integers(0, 2**32), st.booleans())
+    def test_arrow_round_trip(self, cat, seed, witness):
+        """Entries and objects come back from their JSON text, including
+        empty objects and the tagged labels of biproduct carriers."""
+        rng = random.Random(seed)
+        sampler = cat.default_sampler(3)
+        src, tgt = sampler.random_object(rng), sampler.random_object(rng)
+        if witness:
+            src = cat.canonical_biproduct(src, tgt).carrier
+        f = sampler.random_arrow(rng, src, tgt)
+        text = canonical_json({"entries": cat.arrow_to_payload(f),
+                               "source": cat.describe_object(f.source),
+                               "target": cat.describe_object(f.target)})
+        payload = json.loads(text)
+        source = cat.object_from_payload(payload["source"])
+        target = cat.object_from_payload(payload["target"])
+        assert (source, target) == (f.source, f.target)
+        again = cat.arrow_from_payload(payload["entries"], source, target)
+        assert again == f
+        assert again.values.dtype == f.values.dtype
+        key = "entries" if isinstance(cat, MatrixCategory) else "values"
+        assert cat.describe_arrow(f)[key] == cat.arrow_to_payload(f)
+
+    @pytest.mark.parametrize("cat, payload, src, tgt, message", [
+        (MAT_R, [[1.0, 2.0]], 1, 2, "matrix block must be 2x1, got (1, 2)"),
+        (MAT_R, [], 3, 2, "matrix block must be 2x3, got (0,)"),
+        (MAT_R, [[]], 0, 0, "matrix block must be 0x0, got (1, 0)"),
+        (MAT_R, [[True]], 1, 1, "bad real entry 'True'"),
+        (MAT_C, [[None]], 1, 1, "bad complex entry 'None'"),
+        (MAT_R, [[10**400]], 1, 1,
+         "real entry out of range: int too large to convert to float"),
+        (MAT_C, [[-(2**1024)]], 1, 1,
+         "complex entry out of range: int too large to convert to float"),
+        (RelationCategory(B4), [["a"]], ("x",), ("y", "z"),
+         "relation grid has 1 rows, expected 2"),
+        (RelationCategory(B4), [["c"]], ("x",), ("y",),
+         "unknown lattice element 'c'"),
+        (RelationCategory(B4), [["a", "b"]], ("x",), ("y",),
+         "relation grid row 0 has 2 entries, expected 1"),
+        (REL, [[True]], ("x",), ("y",), "unknown lattice element 'True'"),
+    ])
+    def test_malformed_payload_messages(self, cat, payload, src, tgt, message):
+        with pytest.raises(ParseError) as err:
+            cat.arrow_from_payload(payload, src, tgt)
+        assert str(err.value) == message
+
+    def test_matrix_without_rows_reads_from_empty_list(self):
+        assert MAT_R.arrow_from_payload([], 3, 0) == MAT_R.zero(3, 0)
 
 
 class TestGraphAndPartition:

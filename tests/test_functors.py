@@ -13,6 +13,7 @@ from specat import (
     LatticeError,
     LatticeHom,
     LRelation,
+    PreconditionError,
     RelationCategory,
     SemiadditiveFunctor,
     ScalarMatrix,
@@ -85,6 +86,11 @@ class TestInducedFunctor:
                     identity_hom(B4)):
             report = check_cmon_functor(induced_functor(hom), trials=25, seed=2)
             assert report.passed, [c.law for c in report.failures()]
+
+    def test_trials_below_one_raises(self):
+        functor = induced_functor(identity_hom(B4))
+        with pytest.raises(PreconditionError, match="trials must be at least 1"):
+            check_cmon_functor(functor, trials=0)
 
     def test_exhaustive_checker_over_small_homsets(self):
         from specat import check_cmon_functor_exhaustive

@@ -204,3 +204,19 @@ def test_reduced_action_reproduces_local_block():
     rho1 = mat([[1, 0, 0], [0, 1, 1]])
     kappa1 = mat([[1, 0], [0, 1], [0, 0]])
     assert (rho1 @ f @ kappa1).values.tolist() == [[0, 1], [1, 0]]
+
+
+class TestRestrict:
+    def test_rows_and_columns_in_the_given_order(self):
+        f = mat([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        sub = MAT_R.restrict(f, [2, 0], [1])
+        assert (sub.source, sub.target) == (1, 2)
+        assert sub.values.tolist() == [[8.0], [2.0]]
+        assert sub.values.flags.c_contiguous and not sub.values.flags.writeable
+        assert MAT_R.restrict(f, [], [0, 1]) == MAT_R.zero(2, 0)
+
+    def test_none_keeps_every_row_or_column(self):
+        f = mat([[1, 2, 3], [4, 5, 6]])
+        assert MAT_R.restrict(f, None, [2]).values.tolist() == [[3.0], [6.0]]
+        assert MAT_R.restrict(f, [1], None).values.tolist() == [[4.0, 5.0, 6.0]]
+        assert MAT_R.restrict(f, None, None) == f

@@ -6,7 +6,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from specat import (
+    MAT_C,
+    MAT_NN,
     MAT_R,
     HeytingTable,
     LRelation,
@@ -20,19 +24,24 @@ from specat import (
     check_biproduct_axioms,
     coarsest_equitable_partition,
     copair,
+    detect_blocks,
     pair,
     reduced_transition_matrix,
     relations,
+    separate_components,
     sum_via_biproduct,
+    verify_decomposition,
 )
 
 from ._oracles import (
     coarsest_equitable_rounds,
     compose_relations_slow,
+    detect_blocks_slow,
     equitable_degrees_slow,
     join_relations_slow,
     random_matrix_slow,
     random_relation_slow,
+    separate_components_slow,
 )
 
 
@@ -324,3 +333,91 @@ def test_samplers_draw_the_per_cell_stream(data):
     if got.values.size:
         assert got.values.strides == want.values.strides
     assert fast_rng.getstate() == slow_rng.getstate()
+
+
+# Support splitting: the generic splitter against the per-instance bodies it
+# replaced.  Matrix entries sit on both sides of each threshold drawn, and
+# the default threshold is 1e-9.
+SPLIT_RELATIONS = {"bool": bool_algebra(), "b4": b4(), "chain3": chain(3)}
+SPLIT_MATRICES = {
+    "mat-r": (MAT_R, [0.0, -0.0, 1e-9, -1e-9, 2e-9, 0.5, -0.5, 1.0, -1.0, 3.0]),
+    "mat-nn": (MAT_NN, [0.0, 1e-9, 2e-9, 0.5, 0.75, 1.0, 3.0]),
+    "mat-c": (MAT_C, [0.0, 1e-9j, -2e-9, 0.5j, -0.5, 0.3 + 0.4j, 1.0, -1j,
+                      2 - 1j]),
+}
+SPLIT_KINDS = sorted(SPLIT_RELATIONS) + sorted(SPLIT_MATRICES)
+
+
+def split_both(kind, grid, zero_tol=None):
+    """(category, arrow, new split, oracle split) for a square grid of
+    lattice indices (relations) or entries (matrices)."""
+    n = len(grid)
+    if kind in SPLIT_RELATIONS:
+        algebra = SPLIT_RELATIONS[kind]
+        labels = tuple(f"v{i}" for i in range(n))
+        f = LRelation(algebra, labels, labels,
+                      np.array(grid, dtype=np.int16).reshape(n, n))
+        return (RelationCategory(algebra), f, separate_components(f),
+                separate_components_slow(f))
+    cat, _ = SPLIT_MATRICES[kind]
+    f = ScalarMatrix(np.array(grid, dtype=cat.domain.dtype).reshape(n, n),
+                     cat.domain)
+    return (cat, f, detect_blocks(f, zero_tol), detect_blocks_slow(f, zero_tol))
+
+
+def assert_split_matches(cat, f, got, want):
+    (got_partition, got_dec), (want_partition, want_dec) = got, want
+    assert got_partition == want_partition
+    assert got_dec.carrier == want_dec.carrier and got_dec.arrow is f
+    assert len(got_dec.blocks) == len(want_dec.blocks)
+    for got_block, want_block in zip(got_dec.blocks, want_dec.blocks):
+        assert got_block.space == want_block.space
+        for name in ("project", "inject", "local"):
+            g, w = getattr(got_block, name), getattr(want_block, name)
+            assert g == w
+            assert g.values.dtype == w.values.dtype
+            assert g.values.tobytes() == w.values.tobytes()
+            if isinstance(g, ScalarMatrix):
+                # BLAS rounds alike only on the same memory layout
+                assert g.values.flags.c_contiguous == w.values.flags.c_contiguous
+    assert (verify_decomposition(cat, f, got_dec).to_dict()
+            == verify_decomposition(cat, f, want_dec).to_dict())
+
+
+@st.composite
+def split_case(draw):
+    kind = draw(st.sampled_from(SPLIT_KINDS))
+    n = draw(st.integers(0, 9))
+    # a cell is in the support with probability density/10, so low densities
+    # give several components
+    density = draw(st.integers(0, 5))
+    present = draw(st.lists(st.integers(0, 9), min_size=n * n, max_size=n * n))
+    if kind in SPLIT_RELATIONS:
+        k = len(SPLIT_RELATIONS[kind].elements)
+        bottom = SPLIT_RELATIONS[kind].bottom
+        others = [v for v in range(k) if v != bottom]
+        values = draw(st.lists(st.sampled_from(others), min_size=n * n,
+                               max_size=n * n))
+        zero, zero_tol = bottom, None
+    else:
+        entries = SPLIT_MATRICES[kind][1]
+        values = draw(st.lists(st.sampled_from(entries), min_size=n * n,
+                               max_size=n * n))
+        zero = 0.0
+        zero_tol = draw(st.sampled_from([None, 0.0, 1e-9, 0.5, 1.0]))
+    cells = [v if p < density else zero for v, p in zip(values, present)]
+    return kind, [cells[i * n:(i + 1) * n] for i in range(n)], zero_tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_case())
+def test_support_split_matches_per_instance_oracle(case):
+    kind, grid, zero_tol = case
+    cat, f, got, want = split_both(kind, grid, zero_tol)
+    assert_split_matches(cat, f, got, want)
+
+
+@pytest.mark.parametrize("kind", SPLIT_KINDS)
+def test_support_split_of_empty_carrier_matches_oracle(kind):
+    cat, f, got, want = split_both(kind, [])
+    assert_split_matches(cat, f, got, want)

@@ -201,3 +201,19 @@ class TestRelBiproduct:
                                         [("a1", "a1"), ("a1", "a2")])
         with pytest.raises(ArrowTypeError):
             cat.generalized_biproduct(("a1", "a2"), ("b",), left_iso=collapse)
+
+
+class TestRestrict:
+    def test_chosen_labels_become_the_endpoints(self):
+        f = brel(("a1", "a2"), ("b1", "b2", "b3"),
+                 [["a", "0"], ["b", "1"], ["0", "a"]])
+        sub = RelationCategory(B4).restrict(f, [2, 0], [1])
+        assert (sub.source, sub.target) == (("a2",), ("b3", "b1"))
+        assert sub == brel(("a2",), ("b3", "b1"), [["a"], ["0"]])
+        rows = RelationCategory(B4).restrict(f, None, [1])
+        assert rows == brel(("a2",), ("b1", "b2", "b3"), [["0"], ["1"], ["a"]])
+
+    def test_repeated_position_rejected(self):
+        f = brel(("a",), ("b",), [["1"]])
+        with pytest.raises(ArrowTypeError, match="distinct"):
+            RelationCategory(B4).restrict(f, [0, 0], [0])

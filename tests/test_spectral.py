@@ -13,6 +13,7 @@ from specat import (
     Partition,
     PreconditionError,
     RelationCategory,
+    ScalarDomain,
     ScalarMatrix,
     SpectralDecomposition,
     Tolerance,
@@ -28,6 +29,7 @@ from specat import (
     separate_components,
     sum_decompositions,
     verify_decomposition,
+    verify_quotient,
     walk_matrix,
 )
 
@@ -369,6 +371,14 @@ class TestDetectBlocks:
         assert partition.cells == ((0,), (1,))
         assert verify_decomposition(MAT_NN, f, dec).passed
 
+    def test_domain_outside_the_shipped_three(self):
+        domain = ScalarDomain("float32", np.float32)
+        f = ScalarMatrix([[1, 0], [0, 2]], domain)
+        partition, dec = detect_blocks(f)
+        assert partition.cells == ((0,), (1,))
+        assert dec.blocks[1].local.values.dtype == np.float32
+        assert dec.blocks[1].local.domain is domain
+
     def test_non_square_rejected(self):
         with pytest.raises(ArrowTypeError):
             detect_blocks(ScalarMatrix([[1, 2, 3]]))
@@ -584,3 +594,46 @@ class TestResidual:
                            MAT_R.compose(blk.local, blk.project))
         assert MAT_R.equal(MAT_R.compose(blk.project, blk.inject),
                            MAT_R.identity(2))
+
+
+class TestVerifyQuotient:
+    LAWS = ["stochastic_rows", "conservation", "intertwine_average",
+            "average_retracts_indicator", "residual_annihilated"]
+
+    @staticmethod
+    def quotient_of(adj):
+        quotient = reduced_transition_matrix(
+            adj, coarsest_equitable_partition(adj))
+        walk = walk_matrix(adj)
+        return quotient, walk, residual_part(walk, quotient)
+
+    @pytest.mark.parametrize("adj", [star(3), path(5), cycle(6)],
+                             ids=["star3", "path5", "cycle6"])
+    def test_laws_hold_in_order(self, adj):
+        report = verify_quotient(*self.quotient_of(adj))
+        assert report.passed
+        assert [c.law for c in report.checks] == self.LAWS
+        assert all(c.trials == 1 and c.counterexample is None
+                   for c in report.checks)
+        assert report.checks[1].max_residual == 0.0
+
+    def test_walk_of_another_graph_fails_intertwining(self):
+        # path 0-1-2 and the triangle share the three vertices but not the
+        # walk; averaging over path3's cells does not intertwine the
+        # triangle's walk with path3's reduced walk
+        quotient, _, residual = self.quotient_of(path(3))
+        report = verify_quotient(quotient, walk_matrix(complete(3)), residual)
+        assert [c.law for c in report.failures()] == ["intertwine_average"]
+        check = report.checks[2]
+        assert check.max_residual == pytest.approx(0.5)
+
+    def test_residual_is_judged_against_abs_plus_rel(self):
+        quotient, walk, residual = self.quotient_of(path(3))
+        shifted = ScalarMatrix(residual.values + 0.25)
+        res = float(np.max(np.abs(quotient.average.values @ shifted.values)))
+        # the relative part is added as it stands, not scaled by a magnitude
+        loose = verify_quotient(quotient, walk, shifted, Tolerance(0.0, res))
+        tight = verify_quotient(quotient, walk, shifted,
+                                Tolerance(0.0, float(np.nextafter(res, 0))))
+        assert loose.passed
+        assert [c.law for c in tight.failures()] == ["residual_annihilated"]
