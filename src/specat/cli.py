@@ -2,9 +2,9 @@
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 input or parse
 error, 3 precondition violation (endpoint mismatch, invalid lattice or
-partition, unsupported domain).  With a fixed seed the emitted report is
-byte-identical across runs; wall-clock timing is only included on request
-so determinism survives.
+partition, unsupported domain) or an input too large to hold in memory.
+With a fixed seed the emitted report is byte-identical across runs;
+wall-clock timing is only included on request so determinism survives.
 """
 
 from __future__ import annotations
@@ -349,6 +349,10 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     except SpecatError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except MemoryError as exc:
+        # numpy's message names the shape and dtype it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 
 

@@ -54,8 +54,10 @@ class Tolerance:
     abs: float = DEFAULT_TOL_ABS
     rel: float = DEFAULT_TOL_REL
 
-    def close(self, x: float, y: float) -> bool:
-        return abs(x - y) <= self.abs + self.rel * max(abs(x), abs(y))
+    def close(self, x, y):
+        """Whether ``x`` and ``y`` agree: a bool for scalars, elementwise on arrays."""
+        ok = np.abs(x - y) <= self.abs + self.rel * np.maximum(np.abs(x), np.abs(y))
+        return ok if isinstance(ok, np.ndarray) else bool(ok)
 
 
 #: All-or-nothing comparison, used by the exact (relation) instances.
@@ -244,6 +246,10 @@ class SemiadditiveCategory(ABC):
     @abstractmethod
     def default_sampler(self, max_size: int | None = None) -> ArrowSampler: ...
 
+    def _batches(self) -> "_ListBatches":
+        """This instance's arrow algebra on batches, for the law checkers."""
+        return _ListBatches(self)
+
 
 # ---------------------------------------------------------------------------
 # derived constructions
@@ -402,6 +408,230 @@ def fold_biproduct(cat: SemiadditiveCategory, objects) -> tuple[Any, list, list]
 
 
 # ---------------------------------------------------------------------------
+# batches: the arrow algebra on one arrow per trial of a chunk
+
+
+class _Objects:
+    """One object per trial of a chunk.
+
+    Padded batches record each object's size; every arrow of the batch is
+    padded to ``pad``, the largest of them, at this end.
+    """
+
+    __slots__ = ("items", "sizes", "pad")
+
+    def __init__(self, items: list, sizes: np.ndarray | None = None) -> None:
+        self.items = items
+        self.sizes = sizes
+        self.pad = 0 if sizes is None else int(sizes.max(initial=0))
+
+
+class _Stack:
+    """One arrow per trial of a chunk, all between the same two object batches.
+
+    ``values`` is a list of arrows, or a padded batch's array of grids
+    indexed (trial, target row, source column).
+    """
+
+    __slots__ = ("source", "target", "values")
+
+    def __init__(self, source: _Objects, target: _Objects, values) -> None:
+        self.source = source
+        self.target = target
+        self.values = values
+
+
+# Bytes a drawn arrow holds besides its cells: the arrow, its array header
+# and its share of the trial's objects.
+_ARROW_BYTES = 512
+# A chunk holds as many trials as keep each of its batches within this many
+# bytes, so the law checkers' memory does not grow with the trial count.
+_CHUNK_BYTES = 1 << 15
+
+
+class _ListBatches:
+    """A category's arrow algebra on batches, one arrow per trial of a chunk.
+
+    The methods mirror the category's own, so constructions written against
+    a category (:func:`pair`, :func:`copair`, :func:`oplus`, ...) build
+    batches when handed one of these.  This default keeps lists and maps
+    the category's per-arrow methods over them, so every instance has it;
+    instances override it with padded stacks (:class:`_PaddedBatches`).
+    """
+
+    def __init__(self, cat: SemiadditiveCategory) -> None:
+        self.cat = cat
+
+    def footprint(self, objects) -> int:
+        """Bytes each batch holds for a trial drawn on these objects."""
+        return _ARROW_BYTES
+
+    def carrier(self, left: Any, right: Any) -> Any:
+        """The carrier of the canonical biproduct of two objects."""
+        return self.cat.canonical_biproduct(left, right).carrier
+
+    def objects(self, items: list) -> _Objects:
+        return _Objects(items)
+
+    def arrows(self, arrows: list, src: _Objects, tgt: _Objects) -> _Stack:
+        """The batch of ``arrows``, trial ``i``'s going ``src[i] -> tgt[i]``."""
+        return _Stack(src, tgt, list(arrows))
+
+    def arrow(self, stack: _Stack, i: int) -> Arrow:
+        """Trial ``i``'s arrow of the batch."""
+        return stack.values[i]
+
+    def compose(self, g: _Stack, f: _Stack) -> _Stack:
+        return _Stack(f.source, g.target,
+                      [self.cat.compose(a, b) for a, b in zip(g.values, f.values)])
+
+    def add(self, f: _Stack, g: _Stack) -> _Stack:
+        return _Stack(f.source, f.target,
+                      [self.cat.add(a, b) for a, b in zip(f.values, g.values)])
+
+    def zero(self, src: _Objects, tgt: _Objects) -> _Stack:
+        return _Stack(src, tgt, [self.cat.zero(s, t)
+                                 for s, t in zip(src.items, tgt.items)])
+
+    def identity(self, obj: _Objects) -> _Stack:
+        return _Stack(obj, obj, [self.cat.identity(o) for o in obj.items])
+
+    def canonical_biproduct(self, left: _Objects,
+                            right: _Objects) -> BiproductWitness:
+        """Canonical witnesses, trial by trial, as a witness of batches."""
+        wits = [self.cat.canonical_biproduct(a, b)
+                for a, b in zip(left.items, right.items)]
+        carrier = self.objects([w.carrier for w in wits])
+
+        def stack(name: str, src: _Objects, tgt: _Objects) -> _Stack:
+            return _Stack(src, tgt, [getattr(w, name) for w in wits])
+
+        return BiproductWitness(
+            left, right, carrier, stack("pi1", carrier, left),
+            stack("pi2", carrier, right), stack("iota1", left, carrier),
+            stack("iota2", right, carrier))
+
+    def compare(self, got: _Stack, want: _Stack,
+                tol: Tolerance | None) -> tuple[np.ndarray, np.ndarray]:
+        """Per trial, whether ``got`` equals ``want`` and the residual."""
+        pairs = list(zip(got.values, want.values))
+        return (np.array([self.cat.equal(a, b, tol) for a, b in pairs], dtype=bool),
+                np.array([self.cat.residual(a, b) for a, b in pairs], dtype=float))
+
+
+class _PaddedBatches(_ListBatches):
+    """Batches as arrays of grids padded to the largest object at each end.
+
+    Trial ``i``'s arrow fills the top-left ``target.sizes[i] x
+    source.sizes[i]`` corner of its grid.  The other cells hold ``blank``,
+    the cell of a zero arrow, and every operation leaves them blank, so the
+    padding never reaches a real cell: blank cells add nothing and absorb
+    products (subclasses make sure of that), identities put ``unit`` on
+    the real diagonal only, and the witnesses of a biproduct lay its
+    factors side by side from the corner.
+
+    Subclasses give the dtype, ``blank``, ``unit``, an object's size, the
+    carrier of a biproduct, the arrow holding a grid, and compose, add and
+    compare.
+    """
+
+    def __init__(self, cat: SemiadditiveCategory, dtype, blank, unit) -> None:
+        super().__init__(cat)
+        self.dtype = dtype
+        self.blank = blank
+        self.unit = unit
+        self.itemsize = np.dtype(dtype).itemsize
+
+    def size(self, obj: Any) -> int:
+        raise NotImplementedError
+
+    def make(self, values: np.ndarray, src: Any, tgt: Any) -> Arrow:
+        """The arrow ``src -> tgt`` holding the fresh grid ``values``."""
+        raise NotImplementedError
+
+    def footprint(self, objects) -> int:
+        widest = max(map(self.size, objects), default=0)
+        return _ARROW_BYTES + (2 * widest) ** 2 * self.itemsize
+
+    def objects(self, items: list) -> _Objects:
+        return _Objects(items, np.fromiter(map(self.size, items), np.intp,
+                                           len(items)))
+
+    def _blank(self, src: _Objects, tgt: _Objects) -> np.ndarray:
+        return np.full((len(src.items), tgt.pad, src.pad), self.blank,
+                       dtype=self.dtype)
+
+    def arrows(self, arrows: list, src: _Objects, tgt: _Objects) -> _Stack:
+        values = self._blank(src, tgt)
+        for grid, f in zip(values, arrows):
+            rows, cols = f.values.shape
+            grid[:rows, :cols] = f.values
+        return _Stack(src, tgt, values)
+
+    def arrow(self, stack: _Stack, i: int) -> Arrow:
+        rows, cols = stack.target.sizes[i], stack.source.sizes[i]
+        return self.make(np.array(stack.values[i, :rows, :cols]),
+                         stack.source.items[i], stack.target.items[i])
+
+    def real(self, stack: _Stack) -> np.ndarray:
+        """Which cells of the stack's grids are not padding."""
+        rows = np.arange(stack.target.pad) < stack.target.sizes[:, None]
+        cols = np.arange(stack.source.pad) < stack.source.sizes[:, None]
+        return rows[:, :, None] & cols[:, None, :]
+
+    def zero(self, src: _Objects, tgt: _Objects) -> _Stack:
+        return _Stack(src, tgt, self._blank(src, tgt))
+
+    def _diagonal(self, src: _Objects, tgt: _Objects, sizes: np.ndarray,
+                  row_shift: np.ndarray | None = None,
+                  col_shift: np.ndarray | None = None) -> _Stack:
+        """``unit`` at (row_shift + j, col_shift + j) for j below each size."""
+        values = self._blank(src, tgt)
+        trial = np.repeat(np.arange(len(sizes)), sizes)
+        step = np.arange(trial.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        rows = step if row_shift is None else step + row_shift[trial]
+        cols = step if col_shift is None else step + col_shift[trial]
+        values[trial, rows, cols] = self.unit
+        return _Stack(src, tgt, values)
+
+    def identity(self, obj: _Objects) -> _Stack:
+        return self._diagonal(obj, obj, obj.sizes)
+
+    def canonical_biproduct(self, left: _Objects,
+                            right: _Objects) -> BiproductWitness:
+        carrier = self.objects([self.carrier(a, b)
+                                for a, b in zip(left.items, right.items)])
+        return BiproductWitness(
+            left, right, carrier,
+            self._diagonal(carrier, left, left.sizes),
+            self._diagonal(carrier, right, right.sizes, col_shift=left.sizes),
+            self._diagonal(left, carrier, left.sizes),
+            self._diagonal(right, carrier, right.sizes, row_shift=left.sizes))
+
+
+def _trial_chunks(batches: _ListBatches, trials: int, draw):
+    """``trials`` draws, in order, grouped into chunks within _CHUNK_BYTES.
+
+    ``draw()`` returns a trial and the objects it was drawn on.  A chunk
+    holds at least one trial.  The next chunk's first trial is drawn before
+    the current chunk is checked; checks consume no randomness, so every
+    trial draws what it would draw on its own.
+    """
+    chunk, widest = [], 0
+    for _ in range(trials):
+        trial, objects = draw()
+        size = max(widest, batches.footprint(objects))
+        if chunk and (len(chunk) + 1) * size > _CHUNK_BYTES:
+            yield chunk
+            # checked: its trials are freed before the next chunk is drawn
+            chunk.clear()
+            size = batches.footprint(objects)
+        chunk.append(trial)
+        widest = size
+    yield chunk
+
+
+# ---------------------------------------------------------------------------
 # law suite
 
 
@@ -460,12 +690,14 @@ class LawTally:
                 totals.counterexample = self.counterexample(inputs, got, want)
 
     def check_batch(self, law: str, residuals: np.ndarray,
-                    counterexample: Callable[[int], dict]) -> None:
-        """A batch of exact checks, in order, given by their residuals.
+                    counterexample: Callable[[int], dict],
+                    passed: np.ndarray | None = None) -> None:
+        """A batch of checks, in order, given by their residuals.
 
-        A check fails exactly when its residual is nonzero, as in an exact
-        instance; ``counterexample(i)`` describes the failure of check ``i``
-        and is called only for the first failure of the law.
+        ``passed`` holds each check's verdict; without it a check fails
+        exactly when its residual is nonzero, as in an exact instance.
+        ``counterexample(i)`` describes the failure of check ``i`` and is
+        called only for the first failure of the law.
         """
         totals = self._of(law)
         totals.trials += residuals.size
@@ -473,7 +705,7 @@ class LawTally:
             residual = float(residuals.max())
             if residual > totals.max_residual:
                 totals.max_residual = residual
-        failed = np.flatnonzero(residuals)
+        failed = np.flatnonzero(residuals if passed is None else ~passed)
         if failed.size:
             totals.failures += failed.size
             if totals.counterexample is None:
@@ -501,6 +733,11 @@ def run_law_suite(cat: SemiadditiveCategory, sampler: ArrowSampler | None = None
     composed with a pair through a block sum, and agreement of
     :func:`sum_via_biproduct` with native addition.  Failures land in the
     report with a re-checkable counterexample; only ``trials`` below 1 raises.
+
+    Trials are drawn a chunk at a time, in order, and each law is checked
+    once for the whole chunk on the instance's batches (see
+    :class:`_ListBatches`); the report is the one trial-by-trial checks
+    would give.
     """
     if trials < 1:
         raise PreconditionError(f"trials must be at least 1, got {trials}")
@@ -508,86 +745,116 @@ def run_law_suite(cat: SemiadditiveCategory, sampler: ArrowSampler | None = None
     if sampler is None:
         sampler = cat.default_sampler()
     tally = LawTally(cat, tol)
-    check = tally.check
-
-    for _ in range(trials):
-        x = sampler.random_object(rng)
-        y = sampler.random_object(rng)
-        z = sampler.random_object(rng)
-        w = sampler.random_object(rng)
-
-        f = sampler.random_arrow(rng, x, y)
-        g = sampler.random_arrow(rng, x, y)
-        h = sampler.random_arrow(rng, x, y)
-        check("add_associative", cat.add(cat.add(f, g), h),
-              cat.add(f, cat.add(g, h)), {"f": f, "g": g, "h": h})
-        check("add_commutative", cat.add(f, g), cat.add(g, f), {"f": f, "g": g})
-        check("add_unit", cat.add(f, cat.zero(x, y)), f, {"f": f})
-
-        check("zero_absorbs_left", cat.compose(cat.zero(y, z), f),
-              cat.zero(x, z), {"f": f})
-        check("zero_absorbs_right", cat.compose(f, cat.zero(w, x)),
-              cat.zero(w, y), {"f": f})
-
-        u = sampler.random_arrow(rng, y, z)
-        v = sampler.random_arrow(rng, z, w)
-        check("compose_associative", cat.compose(cat.compose(v, u), f),
-              cat.compose(v, cat.compose(u, f)), {"f": f, "u": u, "v": v})
-        check("identity_left", cat.compose(cat.identity(y), f), f, {"f": f})
-        check("identity_right", cat.compose(f, cat.identity(x)), f, {"f": f})
-
-        check("distributes_left", cat.compose(u, cat.add(f, g)),
-              cat.add(cat.compose(u, f), cat.compose(u, g)),
-              {"u": u, "f": f, "g": g})
-        k = sampler.random_arrow(rng, w, x)
-        check("distributes_right", cat.compose(cat.add(f, g), k),
-              cat.add(cat.compose(f, k), cat.compose(g, k)),
-              {"f": f, "g": g, "k": k})
-
-        wit = cat.canonical_biproduct(x, y)
-        for law, got, want in _biproduct_cases(cat, wit):
-            check("witness_" + law, got, want, {})
-
-        f1 = sampler.random_arrow(rng, z, x)
-        f2 = sampler.random_arrow(rng, z, y)
-        paired = pair(cat, f1, f2, wit)
-        check("pair_project1", cat.compose(wit.pi1, paired), f1,
-              {"f1": f1, "f2": f2})
-        check("pair_project2", cat.compose(wit.pi2, paired), f2,
-              {"f1": f1, "f2": f2})
-        into = sampler.random_arrow(rng, z, wit.carrier)
-        check("pair_unique",
-              pair(cat, cat.compose(wit.pi1, into), cat.compose(wit.pi2, into), wit),
-              into, {"h": into})
-
-        g1 = sampler.random_arrow(rng, x, z)
-        g2 = sampler.random_arrow(rng, y, z)
-        copaired = copair(cat, g1, g2, wit)
-        check("copair_inject1", cat.compose(copaired, wit.iota1), g1,
-              {"g1": g1, "g2": g2})
-        check("copair_inject2", cat.compose(copaired, wit.iota2), g2,
-              {"g1": g1, "g2": g2})
-        outof = sampler.random_arrow(rng, wit.carrier, z)
-        check("copair_unique",
-              copair(cat, cat.compose(outof, wit.iota1),
-                     cat.compose(outof, wit.iota2), wit),
-              outof, {"h": outof})
-
-        # a copair composed with a pair factors through the block sum of the
-        # pointwise composites, bracketed by the diagonal and codiagonal
-        hh = sampler.random_arrow(rng, w, x)
-        kk = sampler.random_arrow(rng, w, y)
-        lhs = cat.compose(copair(cat, g1, g2, wit), pair(cat, hh, kk, wit))
-        w_src = cat.canonical_biproduct(w, w)
-        w_tgt = cat.canonical_biproduct(z, z)
-        block = oplus(cat, cat.compose(g1, hh), cat.compose(g2, kk), w_src, w_tgt)
-        rhs = cat.compose(
-            copair(cat, cat.identity(z), cat.identity(z), w_tgt),
-            cat.compose(block, pair(cat, cat.identity(w), cat.identity(w), w_src)))
-        check("copair_pair_factors", lhs, rhs,
-              {"h": hh, "k": kk, "f": g1, "g": g2})
-
-        check("sum_via_biproduct", sum_via_biproduct(cat, f, g), cat.add(f, g),
-              {"f": f, "g": g})
-
+    batches = cat._batches()
+    for chunk in _trial_chunks(batches, trials,
+                               lambda: _draw_suite_trial(batches, sampler, rng)):
+        _check_suite_chunk(batches, tally, chunk)
     return tally.report()
+
+
+def _draw_suite_trial(batches: "_ListBatches", sampler: ArrowSampler,
+                      rng: random.Random) -> tuple[dict, tuple]:
+    """One trial's objects and arrows, by name, in the order the laws use them."""
+    x, y, z, w = (sampler.random_object(rng) for _ in range(4))
+    carrier = batches.carrier(x, y)
+    trial = {"x": x, "y": y, "z": z, "w": w}
+    for name, src, tgt in (("f", x, y), ("g", x, y), ("h", x, y), ("u", y, z),
+                           ("v", z, w), ("k", w, x), ("f1", z, x), ("f2", z, y),
+                           ("into", z, carrier), ("g1", x, z), ("g2", y, z),
+                           ("outof", carrier, z), ("hh", w, x), ("kk", w, y)):
+        trial[name] = sampler.random_arrow(rng, src, tgt)
+    return trial, (x, y, z, w)
+
+
+def _chunk_checker(batches: "_ListBatches", tally: LawTally, chunk: list[dict]):
+    """``check(law, got, want, inputs)`` for stacks of one chunk.
+
+    ``inputs`` names the trial arrows a counterexample shows, separated by
+    spaces; ``label=name`` shows arrow ``name`` under ``label``.
+    """
+    def check(law: str, got: _Stack, want: _Stack, inputs: str) -> None:
+        passed, residuals = batches.compare(got, want, tally.tol)
+
+        def counterexample(i: int) -> dict:
+            named = {}
+            for entry in inputs.split():
+                label, _, name = entry.partition("=")
+                named[label] = chunk[i][name or label]
+            return tally.counterexample(named, batches.arrow(got, i),
+                                        batches.arrow(want, i))
+
+        tally.check_batch(law, residuals, counterexample, passed)
+
+    return check
+
+
+def _check_suite_chunk(B: "_ListBatches", tally: LawTally,
+                       chunk: list[dict]) -> None:
+    """Every law of :func:`run_law_suite`, each checked once for the chunk.
+
+    ``B`` stands in for the category: the constructions below take it as
+    one and build stacks instead of arrows.
+    """
+    check = _chunk_checker(B, tally, chunk)
+    X, Y, Z, W = (B.objects([t[name] for t in chunk]) for name in "xyzw")
+
+    def stack(name: str, src: _Objects, tgt: _Objects) -> _Stack:
+        return B.arrows([t[name] for t in chunk], src, tgt)
+
+    f, g, h = stack("f", X, Y), stack("g", X, Y), stack("h", X, Y)
+    check("add_associative", B.add(B.add(f, g), h), B.add(f, B.add(g, h)),
+          "f g h")
+    check("add_commutative", B.add(f, g), B.add(g, f), "f g")
+    check("add_unit", B.add(f, B.zero(X, Y)), f, "f")
+
+    check("zero_absorbs_left", B.compose(B.zero(Y, Z), f), B.zero(X, Z), "f")
+    check("zero_absorbs_right", B.compose(f, B.zero(W, X)), B.zero(W, Y), "f")
+
+    u, v = stack("u", Y, Z), stack("v", Z, W)
+    check("compose_associative", B.compose(B.compose(v, u), f),
+          B.compose(v, B.compose(u, f)), "f u v")
+    check("identity_left", B.compose(B.identity(Y), f), f, "f")
+    check("identity_right", B.compose(f, B.identity(X)), f, "f")
+
+    check("distributes_left", B.compose(u, B.add(f, g)),
+          B.add(B.compose(u, f), B.compose(u, g)), "u f g")
+    k = stack("k", W, X)
+    check("distributes_right", B.compose(B.add(f, g), k),
+          B.add(B.compose(f, k), B.compose(g, k)), "f g k")
+
+    wit = B.canonical_biproduct(X, Y)
+    for law, got, want in _biproduct_cases(B, wit):
+        check("witness_" + law, got, want, "")
+
+    f1, f2 = stack("f1", Z, X), stack("f2", Z, Y)
+    paired = pair(B, f1, f2, wit)
+    check("pair_project1", B.compose(wit.pi1, paired), f1, "f1 f2")
+    check("pair_project2", B.compose(wit.pi2, paired), f2, "f1 f2")
+    into = stack("into", Z, wit.carrier)
+    check("pair_unique",
+          pair(B, B.compose(wit.pi1, into), B.compose(wit.pi2, into), wit),
+          into, "h=into")
+
+    g1, g2 = stack("g1", X, Z), stack("g2", Y, Z)
+    copaired = copair(B, g1, g2, wit)
+    check("copair_inject1", B.compose(copaired, wit.iota1), g1, "g1 g2")
+    check("copair_inject2", B.compose(copaired, wit.iota2), g2, "g1 g2")
+    outof = stack("outof", wit.carrier, Z)
+    check("copair_unique",
+          copair(B, B.compose(outof, wit.iota1), B.compose(outof, wit.iota2),
+                 wit),
+          outof, "h=outof")
+
+    # a copair composed with a pair factors through the block sum of the
+    # pointwise composites, bracketed by the diagonal and codiagonal
+    hh, kk = stack("hh", W, X), stack("kk", W, Y)
+    lhs = B.compose(copaired, pair(B, hh, kk, wit))
+    w_src = B.canonical_biproduct(W, W)
+    w_tgt = B.canonical_biproduct(Z, Z)
+    block = oplus(B, B.compose(g1, hh), B.compose(g2, kk), w_src, w_tgt)
+    rhs = B.compose(
+        copair(B, B.identity(Z), B.identity(Z), w_tgt),
+        B.compose(block, pair(B, B.identity(W), B.identity(W), w_src)))
+    check("copair_pair_factors", lhs, rhs, "h=hh k=kk f=g1 g=g2")
+
+    check("sum_via_biproduct", sum_via_biproduct(B, f, g), B.add(f, g), "f g")

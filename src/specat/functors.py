@@ -27,6 +27,8 @@ from .core import (
     PreconditionError,
     SemiadditiveCategory,
     Tolerance,
+    _chunk_checker,
+    _trial_chunks,
     oplus,
 )
 from .relations import HeytingTable, LRelation, RelationCategory, bool_algebra
@@ -176,22 +178,6 @@ class _FunctorChecker:
         self.check("zero_object", self.functor.target.zero(fz, fz),
                    self.functor.target.identity(fz), {})
 
-    def check_laws_on(self, f: Arrow, g: Arrow, u: Arrow) -> None:
-        """Functor laws on a parallel pair f, g and a post-composable u."""
-        functor, src, tgt = self.functor, self.functor.source, self.functor.target
-        fx = functor.apply_object(f.source)
-        fy = functor.apply_object(f.target)
-        self.check("additive", functor.apply_arrow(src.add(f, g)),
-                   tgt.add(functor.apply_arrow(f), functor.apply_arrow(g)),
-                   {"f": f, "g": g})
-        self.check("zero_arrow", functor.apply_arrow(src.zero(f.source, f.target)),
-                   tgt.zero(fx, fy), {})
-        self.check("identity", functor.apply_arrow(src.identity(f.source)),
-                   tgt.identity(fx), {})
-        self.check("composition", functor.apply_arrow(src.compose(u, f)),
-                   tgt.compose(functor.apply_arrow(u), functor.apply_arrow(f)),
-                   {"f": f, "u": u})
-
     def check_witness_transport(self, x: Any, y: Any) -> "tuple[Any, Any, Arrow]":
         """Comparison arrow between the images of canonical witnesses."""
         functor, tgt = self.functor, self.functor.target
@@ -217,21 +203,6 @@ class _FunctorChecker:
         self.check("gamma_invertible_right", tgt.compose(gamma, gamma_inv),
                    tgt.identity(wit_t.carrier), {})
         return wit, wit_t, gamma
-
-    def check_naturality(self, wit, wit_t, gamma, a1: Arrow, a2: Arrow) -> None:
-        functor, src, tgt = self.functor, self.functor.source, self.functor.target
-        wit_d = src.canonical_biproduct(a1.target, a2.target)
-        wit_dt = tgt.canonical_biproduct(functor.apply_object(a1.target),
-                                         functor.apply_object(a2.target))
-        block_src = oplus(src, a1, a2, wit, wit_d)
-        gamma_d = tgt.add(
-            tgt.compose(wit_dt.iota1, functor.apply_arrow(wit_d.pi1)),
-            tgt.compose(wit_dt.iota2, functor.apply_arrow(wit_d.pi2)))
-        block_tgt = oplus(tgt, functor.apply_arrow(a1),
-                          functor.apply_arrow(a2), wit_t, wit_dt)
-        self.check("gamma_natural",
-                   tgt.compose(gamma_d, functor.apply_arrow(block_src)),
-                   tgt.compose(block_tgt, gamma), {"a1": a1, "a2": a2})
 
     def report(self) -> LawReport:
         return self.tally.report()
@@ -405,6 +376,94 @@ def _run_exhaustive_pass(checker: _FunctorChecker, max_cells: int) -> None:
         checker.check_witness_transport(source, target)
 
 
+def _draw_functor_trial(sampler: ArrowSampler,
+                        rng: random.Random) -> tuple[dict, tuple]:
+    """One sampled trial's objects and arrows, by name, in drawing order."""
+    x, y, w = (sampler.random_object(rng) for _ in range(3))
+    trial = {"x": x, "y": y, "w": w, "f": sampler.random_arrow(rng, x, y),
+             "g": sampler.random_arrow(rng, x, y),
+             "u": sampler.random_arrow(rng, y, w)}
+    d1, d2 = sampler.random_object(rng), sampler.random_object(rng)
+    trial.update(d1=d1, d2=d2, a1=sampler.random_arrow(rng, x, d1),
+                 a2=sampler.random_arrow(rng, y, d2))
+    return trial, (x, y, w, d1, d2)
+
+
+def _check_functor_chunk(checker: _FunctorChecker, S, chunk: list[dict]) -> None:
+    """The sampled functor laws, each checked once for the chunk.
+
+    The source side is computed on the source's batches ``S``.  The functor,
+    an arbitrary callable, is applied arrow by arrow to every trial's
+    un-padded arrows, in the order trial-by-trial checks apply it; the
+    images are then compared as the target's batches.  Per trial the laws
+    are: additivity on a parallel pair f, g, preservation of zero arrows,
+    identities and the composite with u; on the object pair (x, y), the
+    comparison arrow gamma built from the image projections commutes with
+    the canonical witnesses on both sides and is invertible; and gamma is
+    natural in the block sum of a1 and a2.
+    """
+    functor = checker.functor
+    T = functor.target._batches()
+    check = _chunk_checker(T, checker.tally, chunk)
+    X, Y, W, D1, D2 = (S.objects([t[name] for t in chunk])
+                       for name in ("x", "y", "w", "d1", "d2"))
+
+    def stack(name: str, src, tgt):
+        return S.arrows([t[name] for t in chunk], src, tgt)
+
+    f, u = stack("f", X, Y), stack("u", Y, W)
+    total, zero, ident = S.add(f, stack("g", X, Y)), S.zero(X, Y), S.identity(X)
+    composite = S.compose(u, f)
+    wit, wit_d = S.canonical_biproduct(X, Y), S.canonical_biproduct(D1, D2)
+    block = oplus(S, stack("a1", X, D1), stack("a2", Y, D2), wit, wit_d)
+
+    rows = []
+    for i, t in enumerate(chunk):
+        arrows = (S.arrow(total, i), t["f"], t["g"], S.arrow(zero, i),
+                  S.arrow(ident, i), S.arrow(composite, i), t["u"], t["f"],
+                  *(S.arrow(s, i) for s in (wit.pi1, wit.pi2, wit.iota1,
+                                            wit.iota2, wit_d.pi1, wit_d.pi2)),
+                  t["a1"], t["a2"], S.arrow(block, i))
+        rows.append([functor.apply_arrow(a) for a in arrows])
+    (i_total, i_f, i_g, i_zero, i_ident, i_composite, i_u, i_f_again, i_pi1,
+     i_pi2, i_iota1, i_iota2, i_pi1_d, i_pi2_d, i_a1, i_a2, i_block) = zip(*rows)
+
+    FX, FY = T.objects([a.source for a in i_f]), T.objects([a.target for a in i_f])
+    FW = T.objects([a.target for a in i_u])
+    FC = T.objects([a.source for a in i_pi1])
+    FD1 = T.objects([a.target for a in i_a1])
+    FD2 = T.objects([a.target for a in i_a2])
+    FCD = T.objects([a.source for a in i_pi1_d])
+
+    check("additive", T.arrows(i_total, FX, FY),
+          T.add(T.arrows(i_f, FX, FY), T.arrows(i_g, FX, FY)), "f g")
+    check("zero_arrow", T.arrows(i_zero, FX, FY), T.zero(FX, FY), "")
+    check("identity", T.arrows(i_ident, FX, FX), T.identity(FX), "")
+    check("composition", T.arrows(i_composite, FX, FW),
+          T.compose(T.arrows(i_u, FY, FW), T.arrows(i_f_again, FX, FY)), "f u")
+
+    wit_t = T.canonical_biproduct(FX, FY)
+    f_pi1, f_pi2 = T.arrows(i_pi1, FC, FX), T.arrows(i_pi2, FC, FY)
+    f_iota1, f_iota2 = T.arrows(i_iota1, FX, FC), T.arrows(i_iota2, FY, FC)
+    gamma = T.add(T.compose(wit_t.iota1, f_pi1), T.compose(wit_t.iota2, f_pi2))
+    check("gamma_pi1", T.compose(wit_t.pi1, gamma), f_pi1, "")
+    check("gamma_pi2", T.compose(wit_t.pi2, gamma), f_pi2, "")
+    check("gamma_iota1", T.compose(gamma, f_iota1), wit_t.iota1, "")
+    check("gamma_iota2", T.compose(gamma, f_iota2), wit_t.iota2, "")
+    gamma_inv = T.add(T.compose(f_iota1, wit_t.pi1), T.compose(f_iota2, wit_t.pi2))
+    check("gamma_invertible_left", T.compose(gamma_inv, gamma), T.identity(FC), "")
+    check("gamma_invertible_right", T.compose(gamma, gamma_inv),
+          T.identity(wit_t.carrier), "")
+
+    wit_dt = T.canonical_biproduct(FD1, FD2)
+    gamma_d = T.add(T.compose(wit_dt.iota1, T.arrows(i_pi1_d, FCD, FD1)),
+                    T.compose(wit_dt.iota2, T.arrows(i_pi2_d, FCD, FD2)))
+    block_tgt = oplus(T, T.arrows(i_a1, FX, FD1), T.arrows(i_a2, FY, FD2),
+                      wit_t, wit_dt)
+    check("gamma_natural", T.compose(gamma_d, T.arrows(i_block, FC, FCD)),
+          T.compose(block_tgt, gamma), "a1 a2")
+
+
 def check_cmon_functor(functor: SemiadditiveFunctor,
                        sampler: ArrowSampler | None = None,
                        trials: int = 100, tol: Tolerance | None = None,
@@ -429,21 +488,10 @@ def check_cmon_functor(functor: SemiadditiveFunctor,
         sampler = src.default_sampler()
     checker = _FunctorChecker(functor, tol)
     checker.check_zero_object()
-
-    for _ in range(trials):
-        x = sampler.random_object(rng)
-        y = sampler.random_object(rng)
-        w = sampler.random_object(rng)
-        f = sampler.random_arrow(rng, x, y)
-        g = sampler.random_arrow(rng, x, y)
-        u = sampler.random_arrow(rng, y, w)
-        checker.check_laws_on(f, g, u)
-        wit, wit_t, gamma = checker.check_witness_transport(x, y)
-        d1 = sampler.random_object(rng)
-        d2 = sampler.random_object(rng)
-        a1 = sampler.random_arrow(rng, x, d1)
-        a2 = sampler.random_arrow(rng, y, d2)
-        checker.check_naturality(wit, wit_t, gamma, a1, a2)
+    batches = src._batches()
+    for chunk in _trial_chunks(batches, trials,
+                               lambda: _draw_functor_trial(sampler, rng)):
+        _check_functor_chunk(checker, batches, chunk)
 
     if exhaustive_cells > 0 and isinstance(src, RelationCategory):
         _run_exhaustive_pass(checker, exhaustive_cells)

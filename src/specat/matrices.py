@@ -25,6 +25,9 @@ from .core import (
     SemiadditiveCategory,
     Tolerance,
     UnsupportedDomainError,
+    _Objects,
+    _PaddedBatches,
+    _Stack,
     _sub_grid,
 )
 
@@ -54,9 +57,6 @@ class ScalarDomain:
             raise ArrowTypeError(f"{self.name} matrix entries must be finite")
         if self.nonnegative and values.size and values.min() < 0:
             raise ArrowTypeError("non-negative domain rejects negative entries")
-
-    def close(self, x, y, tol: Tolerance) -> bool:
-        return abs(x - y) <= tol.abs + tol.rel * max(abs(x), abs(y))
 
     def parse(self, token: str):
         """One entry written as text."""
@@ -290,11 +290,7 @@ class MatrixCategory(SemiadditiveCategory):
             return False
         if tol is None:
             tol = Tolerance()
-        if f.values.size == 0:
-            return True
-        diff = np.abs(f.values - g.values)
-        bound = tol.abs + tol.rel * np.maximum(np.abs(f.values), np.abs(g.values))
-        return bool((diff <= bound).all())
+        return bool(tol.close(f.values, g.values).all())
 
     def residual(self, f: ScalarMatrix, g: ScalarMatrix) -> float:
         if f.values.size == 0:
@@ -327,6 +323,44 @@ class MatrixCategory(SemiadditiveCategory):
     def default_sampler(self, max_size: int | None = None) -> "MatrixSampler":
         return MatrixSampler(self.domain,
                              max_dim=5 if max_size is None else max_size)
+
+    def _batches(self) -> "_MatrixBatches":
+        return _MatrixBatches(self)
+
+
+class _MatrixBatches(_PaddedBatches):
+    """Stacks of matrices padded with zeros, multiplied as one stack."""
+
+    def __init__(self, cat: MatrixCategory):
+        super().__init__(cat, cat.domain.dtype, 0, 1)
+        self.domain = cat.domain
+
+    def size(self, obj: int) -> int:
+        return obj
+
+    def carrier(self, left: int, right: int) -> int:
+        return left + right
+
+    def make(self, values: np.ndarray, src: int, tgt: int) -> ScalarMatrix:
+        return ScalarMatrix._derived(values, self.domain)
+
+    def _checked(self, src: _Objects, tgt: _Objects, values: np.ndarray) -> _Stack:
+        self.domain.validate(values)
+        return _Stack(src, tgt, values)
+
+    def compose(self, g: _Stack, f: _Stack) -> _Stack:
+        return self._checked(f.source, g.target, np.matmul(g.values, f.values))
+
+    def add(self, f: _Stack, g: _Stack) -> _Stack:
+        return self._checked(f.source, f.target, f.values + g.values)
+
+    def compare(self, got: _Stack, want: _Stack,
+                tol: Tolerance | None) -> tuple[np.ndarray, np.ndarray]:
+        if tol is None:
+            tol = Tolerance()
+        axes = (1, 2)
+        return (tol.close(got.values, want.values).all(axis=axes),
+                np.abs(got.values - want.values).max(axis=axes, initial=0.0))
 
 
 class MatrixSampler(ArrowSampler):

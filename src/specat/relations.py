@@ -26,6 +26,7 @@ with a loop over the middle carrier instead.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
@@ -41,6 +42,8 @@ from .core import (
     PreconditionError,
     SemiadditiveCategory,
     Tolerance,
+    _PaddedBatches,
+    _Stack,
     _sub_grid,
 )
 
@@ -301,8 +304,7 @@ class _LevelCuts:
     def __init__(self, digits, place, tables, join):
         longest = int(digits.max(initial=0))
         self.digits = digits
-        self.thresholds = np.arange(1, longest + 1,
-                                    dtype=np.int16)[:, None, None, None]
+        self.thresholds = np.arange(1, longest + 1, dtype=np.int16)
         self.weights = np.tile(place, longest)
         self.tables = tables
         self.join = join
@@ -361,23 +363,47 @@ class _LevelCuts:
         return out
 
     def compose(self, g: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """Values of the composite for index grids ``g`` and ``f``."""
-        (n, mid), m = g.shape, f.shape[1]
+        """Values of ``g`` after ``f`` for index grids (..., n, mid) and
+        (..., mid, m) with the same leading batch axes, if any."""
+        *batch, n, mid = g.shape
+        m = f.shape[-1]
+        count = math.prod(batch)
         chains = len(self.digits)
-        size = 4 * chains * max(n * mid, mid * m, n * m)
+        size = 4 * chains * count * max(n * mid, mid * m, n * m)
         step = max(1, _CUT_CHUNK_BYTES // max(size, 1))
         dg = np.take(self.digits, g, axis=1)
         df = np.take(self.digits, f, axis=1)
-        codes = np.zeros((len(self.tables), n * m), dtype=np.float32)
-        for s in range(0, len(self.thresholds), step):
-            cut = self.thresholds[s:s + step]
+        # one level per entry of a new leading axis
+        thresholds = self.thresholds.reshape((-1,) + (1,) * dg.ndim)
+        codes = np.zeros((len(self.tables), count * n * m), dtype=np.float32)
+        for s in range(0, len(thresholds), step):
+            cut = thresholds[s:s + step]
             hits = np.matmul((dg >= cut).astype(np.float32),
                              (df >= cut).astype(np.float32))
             np.minimum(hits, 1, out=hits)
             # the place values repeat for every threshold
             codes += (self.weights[:, :len(cut) * chains]
-                      @ hits.reshape(len(cut) * chains, n * m))
-        return self._decode(codes).reshape(n, m)
+                      @ hits.reshape(len(cut) * chains, count * n * m))
+        return self._decode(codes).reshape(*batch, n, m)
+
+
+def _compose_loop(algebra: "HeytingTable", g: np.ndarray, f: np.ndarray,
+                  real: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Values of ``g`` after ``f``, shaped as :meth:`_LevelCuts.compose`
+    takes them, joining the meets one middle index at a time.
+
+    This serves tables without level cuts.  ``real``, boolean masks shaped
+    like ``g`` and ``f``, marks the cells that are not padding: a meet is
+    joined in only where both its cells are real, so padded cells of the
+    result stay bottom even where bottom does not absorb meets.
+    """
+    out = np.full(g.shape[:-1] + f.shape[-1:], algebra.bottom, dtype=np.int16)
+    for b in range(g.shape[-1]):
+        joined = algebra.join[out, algebra.meet[g[..., :, b, None],
+                                                f[..., None, b, :]]]
+        out = joined if real is None else np.where(
+            real[0][..., :, b, None] & real[1][..., None, b, :], joined, out)
+    return out
 
 
 class LRelation:
@@ -482,12 +508,7 @@ class LRelation:
         if alg._cuts is not None:
             out = alg._cuts.compose(self.values, other.values)
         else:
-            out = np.full((len(self.target), len(other.source)), alg.bottom,
-                          dtype=np.int16)
-            for b in range(len(self.source)):
-                term = alg.meet[self.values[:, b][:, None],
-                                other.values[b, :][None, :]]
-                out = alg.join[out, term]
+            out = _compose_loop(alg, self.values, other.values)
         return LRelation._derived(alg, other.source, self.target, out)
 
     def __or__(self, other: "LRelation") -> "LRelation":
@@ -636,6 +657,44 @@ class RelationCategory(SemiadditiveCategory):
     def default_sampler(self, max_size: int | None = None) -> "RelationSampler":
         return RelationSampler(
             self.algebra, max_carrier=6 if max_size is None else max_size)
+
+    def _batches(self) -> "_RelationBatches":
+        return _RelationBatches(self)
+
+
+class _RelationBatches(_PaddedBatches):
+    """Stacks of relation grids padded with bottom, composed as one stack."""
+
+    def __init__(self, cat: RelationCategory):
+        super().__init__(cat, np.int16, cat.algebra.bottom, cat.algebra.top)
+        self.algebra = cat.algebra
+
+    def size(self, obj: Carrier) -> int:
+        return len(obj)
+
+    def carrier(self, left: Carrier, right: Carrier) -> Carrier:
+        return tagged_union(left, right)
+
+    def make(self, values: np.ndarray, src: Carrier, tgt: Carrier) -> LRelation:
+        return LRelation._derived(self.algebra, src, tgt, values)
+
+    def compose(self, g: _Stack, f: _Stack) -> _Stack:
+        alg = self.algebra
+        if alg._cuts is not None:
+            values = alg._cuts.compose(g.values, f.values)
+        else:
+            values = _compose_loop(alg, g.values, f.values,
+                                   (self.real(g), self.real(f)))
+        return _Stack(f.source, g.target, values)
+
+    def add(self, f: _Stack, g: _Stack) -> _Stack:
+        return _Stack(f.source, f.target, self.algebra.join[f.values, g.values])
+
+    def compare(self, got: _Stack, want: _Stack,
+                tol: Tolerance | None) -> tuple[np.ndarray, np.ndarray]:
+        residual = np.count_nonzero(got.values != want.values,
+                                    axis=(1, 2)).astype(float)
+        return residual == 0, residual
 
 
 def encode_label(label: Label):

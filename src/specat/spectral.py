@@ -620,12 +620,22 @@ def reduced_transition_matrix(adjacency, partition: Partition) -> EquitableQuoti
                              ScalarMatrix(indicator_vals))
 
 
+def _require_endo(name: str, f: ScalarMatrix, n: int) -> None:
+    if f.rows != n or f.cols != n:
+        raise ArrowTypeError(
+            f"{name} must be an endo-matrix on {n} vertices, "
+            f"got {f.rows}x{f.cols}")
+
+
 def verify_quotient(quotient: EquitableQuotient, walk: ScalarMatrix,
                     residual: ScalarMatrix, tol: Tolerance | None = None) -> LawReport:
     """The laws of an equitable quotient of ``walk``: stochastic reduced rows,
     edge-count conservation, averaging intertwines ``walk`` with the reduced
     walk, retracts the indicators and annihilates ``residual`` (see
     :func:`residual_part`).  A residual passes at most ``tol.abs + tol.rel``."""
+    n = len(quotient.partition.carrier)
+    _require_endo("walk", walk, n)
+    _require_endo("residual", residual, n)
     if tol is None:
         tol = Tolerance()
     bound = tol.abs + tol.rel
@@ -657,11 +667,7 @@ def residual_part(f: ScalarMatrix, quotient: EquitableQuotient) -> ScalarMatrix:
     if not f.domain.has_negation:
         raise UnsupportedDomainError(
             "residual needs subtraction; the non-negative domain has none")
-    n = len(quotient.partition.carrier)
-    if f.rows != n or f.cols != n:
-        raise ArrowTypeError(
-            f"arrow must be an endo-matrix on {n} vertices, "
-            f"got {f.rows}x{f.cols}")
+    _require_endo("arrow", f, len(quotient.partition.carrier))
     removed = (quotient.indicator.values
                @ quotient.reduced.values
                @ quotient.average.values)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import random
 
 import numpy as np
 
@@ -19,11 +20,20 @@ from specat import (
     LRelation,
     Partition,
     PreconditionError,
+    RelationCategory,
     ScalarMatrix,
     SpectralDecomposition,
 )
-from specat.core import DEFAULT_TOL_ABS
-from specat.functors import _FunctorChecker
+from specat.core import (
+    DEFAULT_TOL_ABS,
+    LawTally,
+    _biproduct_cases,
+    copair,
+    oplus,
+    pair,
+    sum_via_biproduct,
+)
+from specat.functors import _FunctorChecker, _run_exhaustive_pass
 from specat.matrices import COMPLEX
 from specat.spectral import _component_cells, _support_graph
 
@@ -383,3 +393,163 @@ def detect_blocks_slow(f: ScalarMatrix, zero_tol: float | None = None):
     partition = Partition(tuple(range(n)),
                           tuple(tuple(cell) for cell in cells_idx))
     return partition, SpectralDecomposition(n, tuple(blocks), arrow=f)
+
+
+def run_law_suite_slow(cat, sampler=None, trials: int = 100, tol=None,
+                       seed: int = 0) -> LawReport:
+    """``run_law_suite`` one trial at a time, every law on single arrows."""
+    if trials < 1:
+        raise PreconditionError(f"trials must be at least 1, got {trials}")
+    rng = random.Random(seed)
+    if sampler is None:
+        sampler = cat.default_sampler()
+    tally = LawTally(cat, tol)
+    check = tally.check
+
+    for _ in range(trials):
+        x = sampler.random_object(rng)
+        y = sampler.random_object(rng)
+        z = sampler.random_object(rng)
+        w = sampler.random_object(rng)
+
+        f = sampler.random_arrow(rng, x, y)
+        g = sampler.random_arrow(rng, x, y)
+        h = sampler.random_arrow(rng, x, y)
+        check("add_associative", cat.add(cat.add(f, g), h),
+              cat.add(f, cat.add(g, h)), {"f": f, "g": g, "h": h})
+        check("add_commutative", cat.add(f, g), cat.add(g, f), {"f": f, "g": g})
+        check("add_unit", cat.add(f, cat.zero(x, y)), f, {"f": f})
+
+        check("zero_absorbs_left", cat.compose(cat.zero(y, z), f),
+              cat.zero(x, z), {"f": f})
+        check("zero_absorbs_right", cat.compose(f, cat.zero(w, x)),
+              cat.zero(w, y), {"f": f})
+
+        u = sampler.random_arrow(rng, y, z)
+        v = sampler.random_arrow(rng, z, w)
+        check("compose_associative", cat.compose(cat.compose(v, u), f),
+              cat.compose(v, cat.compose(u, f)), {"f": f, "u": u, "v": v})
+        check("identity_left", cat.compose(cat.identity(y), f), f, {"f": f})
+        check("identity_right", cat.compose(f, cat.identity(x)), f, {"f": f})
+
+        check("distributes_left", cat.compose(u, cat.add(f, g)),
+              cat.add(cat.compose(u, f), cat.compose(u, g)),
+              {"u": u, "f": f, "g": g})
+        k = sampler.random_arrow(rng, w, x)
+        check("distributes_right", cat.compose(cat.add(f, g), k),
+              cat.add(cat.compose(f, k), cat.compose(g, k)),
+              {"f": f, "g": g, "k": k})
+
+        wit = cat.canonical_biproduct(x, y)
+        for law, got, want in _biproduct_cases(cat, wit):
+            check("witness_" + law, got, want, {})
+
+        f1 = sampler.random_arrow(rng, z, x)
+        f2 = sampler.random_arrow(rng, z, y)
+        paired = pair(cat, f1, f2, wit)
+        check("pair_project1", cat.compose(wit.pi1, paired), f1,
+              {"f1": f1, "f2": f2})
+        check("pair_project2", cat.compose(wit.pi2, paired), f2,
+              {"f1": f1, "f2": f2})
+        into = sampler.random_arrow(rng, z, wit.carrier)
+        check("pair_unique",
+              pair(cat, cat.compose(wit.pi1, into), cat.compose(wit.pi2, into), wit),
+              into, {"h": into})
+
+        g1 = sampler.random_arrow(rng, x, z)
+        g2 = sampler.random_arrow(rng, y, z)
+        copaired = copair(cat, g1, g2, wit)
+        check("copair_inject1", cat.compose(copaired, wit.iota1), g1,
+              {"g1": g1, "g2": g2})
+        check("copair_inject2", cat.compose(copaired, wit.iota2), g2,
+              {"g1": g1, "g2": g2})
+        outof = sampler.random_arrow(rng, wit.carrier, z)
+        check("copair_unique",
+              copair(cat, cat.compose(outof, wit.iota1),
+                     cat.compose(outof, wit.iota2), wit),
+              outof, {"h": outof})
+
+        hh = sampler.random_arrow(rng, w, x)
+        kk = sampler.random_arrow(rng, w, y)
+        lhs = cat.compose(copair(cat, g1, g2, wit), pair(cat, hh, kk, wit))
+        w_src = cat.canonical_biproduct(w, w)
+        w_tgt = cat.canonical_biproduct(z, z)
+        block = oplus(cat, cat.compose(g1, hh), cat.compose(g2, kk), w_src, w_tgt)
+        rhs = cat.compose(
+            copair(cat, cat.identity(z), cat.identity(z), w_tgt),
+            cat.compose(block, pair(cat, cat.identity(w), cat.identity(w), w_src)))
+        check("copair_pair_factors", lhs, rhs,
+              {"h": hh, "k": kk, "f": g1, "g": g2})
+
+        check("sum_via_biproduct", sum_via_biproduct(cat, f, g), cat.add(f, g),
+              {"f": f, "g": g})
+
+    return tally.report()
+
+
+def _functor_laws_on(checker, f, g, u) -> None:
+    """Functor laws on a parallel pair f, g and a post-composable u."""
+    functor, src, tgt = checker.functor, checker.functor.source, checker.functor.target
+    fx = functor.apply_object(f.source)
+    fy = functor.apply_object(f.target)
+    checker.check("additive", functor.apply_arrow(src.add(f, g)),
+                  tgt.add(functor.apply_arrow(f), functor.apply_arrow(g)),
+                  {"f": f, "g": g})
+    checker.check("zero_arrow",
+                  functor.apply_arrow(src.zero(f.source, f.target)),
+                  tgt.zero(fx, fy), {})
+    checker.check("identity", functor.apply_arrow(src.identity(f.source)),
+                  tgt.identity(fx), {})
+    checker.check("composition", functor.apply_arrow(src.compose(u, f)),
+                  tgt.compose(functor.apply_arrow(u), functor.apply_arrow(f)),
+                  {"f": f, "u": u})
+
+
+def _functor_naturality(checker, wit, wit_t, gamma, a1, a2) -> None:
+    functor, src, tgt = checker.functor, checker.functor.source, checker.functor.target
+    wit_d = src.canonical_biproduct(a1.target, a2.target)
+    wit_dt = tgt.canonical_biproduct(functor.apply_object(a1.target),
+                                     functor.apply_object(a2.target))
+    block_src = oplus(src, a1, a2, wit, wit_d)
+    gamma_d = tgt.add(
+        tgt.compose(wit_dt.iota1, functor.apply_arrow(wit_d.pi1)),
+        tgt.compose(wit_dt.iota2, functor.apply_arrow(wit_d.pi2)))
+    block_tgt = oplus(tgt, functor.apply_arrow(a1),
+                      functor.apply_arrow(a2), wit_t, wit_dt)
+    checker.check("gamma_natural",
+                  tgt.compose(gamma_d, functor.apply_arrow(block_src)),
+                  tgt.compose(block_tgt, gamma), {"a1": a1, "a2": a2})
+
+
+def check_cmon_functor_sampled_slow(functor, sampler=None, trials: int = 100,
+                                    tol=None, seed: int = 0,
+                                    exhaustive_cells: int = 2) -> LawReport:
+    """``check_cmon_functor`` with its sampled trials checked one at a time;
+    the exhaustive pass is the library's."""
+    if trials < 1:
+        raise PreconditionError(f"trials must be at least 1, got {trials}")
+    src = functor.source
+    rng = random.Random(seed)
+    if sampler is None:
+        sampler = src.default_sampler()
+    checker = _FunctorChecker(functor, tol)
+    checker.check_zero_object()
+
+    for _ in range(trials):
+        x = sampler.random_object(rng)
+        y = sampler.random_object(rng)
+        w = sampler.random_object(rng)
+        f = sampler.random_arrow(rng, x, y)
+        g = sampler.random_arrow(rng, x, y)
+        u = sampler.random_arrow(rng, y, w)
+        _functor_laws_on(checker, f, g, u)
+        wit, wit_t, gamma = checker.check_witness_transport(x, y)
+        d1 = sampler.random_object(rng)
+        d2 = sampler.random_object(rng)
+        a1 = sampler.random_arrow(rng, x, d1)
+        a2 = sampler.random_arrow(rng, y, d2)
+        _functor_naturality(checker, wit, wit_t, gamma, a1, a2)
+
+    if exhaustive_cells > 0 and isinstance(src, RelationCategory):
+        _run_exhaustive_pass(checker, exhaustive_cells)
+    return checker.report()

@@ -310,6 +310,32 @@ class TestLaws:
         assert sizes and max(sizes) == max_size
 
 
+class TestOutOfMemory:
+    MESSAGE = ("Unable to allocate 233. GiB for an array with shape "
+               "(5000, 5000, 5000) and data type int16")
+
+    @pytest.mark.parametrize("handler,argv", [
+        ("cmd_laws", ["laws", "--instance", "rel-l",
+                      "--lattice", "builtin:chain:5000"]),
+        ("cmd_equitable", ["equitable", "--graph", "any.txt"]),
+    ])
+    def test_memory_error_exits_3_with_numpys_message(self, capsys, monkeypatch,
+                                                      handler, argv):
+        # a handler that runs out of memory stands in for a real allocation
+        # of that size; exit 1 would claim that a law failed
+        from specat import cli
+
+        def exhausted(args):
+            raise MemoryError(self.MESSAGE)
+
+        monkeypatch.setattr(cli, handler, exhausted)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"error: out of memory: {self.MESSAGE}\n"
+
+
 class TestFunctor:
     def test_threshold_maps_fixture(self, capsys, tmp_path):
         # sum of the two three-carrier fixtures, decomposed with shared

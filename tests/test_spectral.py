@@ -627,6 +627,18 @@ class TestVerifyQuotient:
         check = report.checks[2]
         assert check.max_residual == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("which", ["walk", "residual"])
+    def test_arrows_on_other_vertex_counts_are_rejected(self, which):
+        # the walk of a 4-vertex graph cannot be checked against path3's
+        # quotient; the shape is named instead of failing inside numpy
+        quotient, walk, residual = self.quotient_of(path(3))
+        arrows = {"walk": walk, "residual": residual}
+        arrows[which] = walk_matrix(path(4))
+        with pytest.raises(ArrowTypeError,
+                           match=f"{which} must be an endo-matrix on 3 "
+                                 f"vertices, got 4x4"):
+            verify_quotient(quotient, arrows["walk"], arrows["residual"])
+
     def test_residual_is_judged_against_abs_plus_rel(self):
         quotient, walk, residual = self.quotient_of(path(3))
         shifted = ScalarMatrix(residual.values + 0.25)
