@@ -473,6 +473,10 @@ class _ListBatches:
     def objects(self, items: list) -> _Objects:
         return _Objects(items)
 
+    def repeat(self, obj: Any, count: int) -> _Objects:
+        """The batch holding ``obj`` in each of ``count`` trials."""
+        return _Objects([obj] * count)
+
     def arrows(self, arrows: list, src: _Objects, tgt: _Objects) -> _Stack:
         """The batch of ``arrows``, trial ``i``'s going ``src[i] -> tgt[i]``."""
         return _Stack(src, tgt, list(arrows))
@@ -480,6 +484,12 @@ class _ListBatches:
     def arrow(self, stack: _Stack, i: int) -> Arrow:
         """Trial ``i``'s arrow of the batch."""
         return stack.values[i]
+
+    def take(self, stack: _Stack, trials: np.ndarray, src: _Objects,
+             tgt: _Objects) -> _Stack:
+        """The batch of ``stack``'s arrows at ``trials``, in that order,
+        going ``src -> tgt`` (padded batches: with the pads of ``stack``)."""
+        return _Stack(src, tgt, [stack.values[i] for i in trials])
 
     def compose(self, g: _Stack, f: _Stack) -> _Stack:
         return _Stack(f.source, g.target,
@@ -531,8 +541,8 @@ class _PaddedBatches(_ListBatches):
     factors side by side from the corner.
 
     Subclasses give the dtype, ``blank``, ``unit``, an object's size, the
-    carrier of a biproduct, the arrow holding a grid, and compose, add and
-    compare.
+    carrier of a biproduct, the arrow holding a grid, the check that an
+    arrow belongs to the instance, and compose, add and compare.
     """
 
     def __init__(self, cat: SemiadditiveCategory, dtype, blank, unit) -> None:
@@ -561,9 +571,18 @@ class _PaddedBatches(_ListBatches):
         return np.full((len(src.items), tgt.pad, src.pad), self.blank,
                        dtype=self.dtype)
 
+    def admit(self, f: Arrow) -> None:
+        """Raise the per-arrow operations' ArrowTypeError unless ``f`` is an
+        arrow of this instance, whose grid may be stacked with the others."""
+        raise NotImplementedError
+
+    def repeat(self, obj: Any, count: int) -> _Objects:
+        return _Objects([obj] * count, np.full(count, self.size(obj), np.intp))
+
     def arrows(self, arrows: list, src: _Objects, tgt: _Objects) -> _Stack:
         values = self._blank(src, tgt)
         for grid, f in zip(values, arrows):
+            self.admit(f)
             rows, cols = f.values.shape
             grid[:rows, :cols] = f.values
         return _Stack(src, tgt, values)
@@ -572,6 +591,10 @@ class _PaddedBatches(_ListBatches):
         rows, cols = stack.target.sizes[i], stack.source.sizes[i]
         return self.make(np.array(stack.values[i, :rows, :cols]),
                          stack.source.items[i], stack.target.items[i])
+
+    def take(self, stack: _Stack, trials: np.ndarray, src: _Objects,
+             tgt: _Objects) -> _Stack:
+        return _Stack(src, tgt, np.take(stack.values, trials, axis=0))
 
     def real(self, stack: _Stack) -> np.ndarray:
         """Which cells of the stack's grids are not padding."""
@@ -691,11 +714,9 @@ class LawTally:
 
     def check_batch(self, law: str, residuals: np.ndarray,
                     counterexample: Callable[[int], dict],
-                    passed: np.ndarray | None = None) -> None:
-        """A batch of checks, in order, given by their residuals.
+                    passed: np.ndarray) -> None:
+        """A batch of checks, in order, given by their residuals and verdicts.
 
-        ``passed`` holds each check's verdict; without it a check fails
-        exactly when its residual is nonzero, as in an exact instance.
         ``counterexample(i)`` describes the failure of check ``i`` and is
         called only for the first failure of the law.
         """
@@ -705,7 +726,7 @@ class LawTally:
             residual = float(residuals.max())
             if residual > totals.max_residual:
                 totals.max_residual = residual
-        failed = np.flatnonzero(residuals if passed is None else ~passed)
+        failed = np.flatnonzero(~passed)
         if failed.size:
             totals.failures += failed.size
             if totals.counterexample is None:
@@ -766,20 +787,22 @@ def _draw_suite_trial(batches: "_ListBatches", sampler: ArrowSampler,
     return trial, (x, y, z, w)
 
 
-def _chunk_checker(batches: "_ListBatches", tally: LawTally, chunk: list[dict]):
+def _chunk_checker(batches: "_ListBatches", tally: LawTally,
+                   trial: Callable[[int], dict]):
     """``check(law, got, want, inputs)`` for stacks of one chunk.
 
-    ``inputs`` names the trial arrows a counterexample shows, separated by
-    spaces; ``label=name`` shows arrow ``name`` under ``label``.
+    ``trial(i)`` gives trial ``i``'s arrows by name.  ``inputs`` names the
+    ones a counterexample shows, separated by spaces; ``label=name`` shows
+    arrow ``name`` under ``label``.
     """
     def check(law: str, got: _Stack, want: _Stack, inputs: str) -> None:
         passed, residuals = batches.compare(got, want, tally.tol)
 
         def counterexample(i: int) -> dict:
-            named = {}
+            arrows, named = trial(i), {}
             for entry in inputs.split():
                 label, _, name = entry.partition("=")
-                named[label] = chunk[i][name or label]
+                named[label] = arrows[name or label]
             return tally.counterexample(named, batches.arrow(got, i),
                                         batches.arrow(want, i))
 
@@ -795,7 +818,7 @@ def _check_suite_chunk(B: "_ListBatches", tally: LawTally,
     ``B`` stands in for the category: the constructions below take it as
     one and build stacks instead of arrows.
     """
-    check = _chunk_checker(B, tally, chunk)
+    check = _chunk_checker(B, tally, chunk.__getitem__)
     X, Y, Z, W = (B.objects([t[name] for t in chunk]) for name in "xyzw")
 
     def stack(name: str, src: _Objects, tgt: _Objects) -> _Stack:

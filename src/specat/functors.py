@@ -31,7 +31,13 @@ from .core import (
     _trial_chunks,
     oplus,
 )
-from .relations import HeytingTable, LRelation, RelationCategory, bool_algebra
+from .relations import (
+    HeytingTable,
+    LRelation,
+    RelationCategory,
+    _lookup,
+    bool_algebra,
+)
 from .spectral import Block, SpectralDecomposition, verify_decomposition
 
 
@@ -165,215 +171,161 @@ def induced_functor(hom: LatticeHom) -> SemiadditiveFunctor:
     )
 
 
-class _FunctorChecker:
-    """Functor laws: both sides compared in the target, inputs from the source."""
-
-    def __init__(self, functor: SemiadditiveFunctor, tol: Tolerance | None):
-        self.functor = functor
-        self.tally = LawTally(functor.target, tol, input_cat=functor.source)
-        self.check = self.tally.check
-
-    def check_zero_object(self) -> None:
-        fz = self.functor.apply_object(self.functor.source.zero_object())
-        self.check("zero_object", self.functor.target.zero(fz, fz),
-                   self.functor.target.identity(fz), {})
-
-    def check_witness_transport(self, x: Any, y: Any) -> "tuple[Any, Any, Arrow]":
-        """Comparison arrow between the images of canonical witnesses."""
-        functor, tgt = self.functor, self.functor.target
-        src = self.functor.source
-        wit = src.canonical_biproduct(x, y)
-        wit_t = tgt.canonical_biproduct(functor.apply_object(x),
-                                        functor.apply_object(y))
-        f_pi1 = functor.apply_arrow(wit.pi1)
-        f_pi2 = functor.apply_arrow(wit.pi2)
-        f_iota1 = functor.apply_arrow(wit.iota1)
-        f_iota2 = functor.apply_arrow(wit.iota2)
-        gamma = tgt.add(tgt.compose(wit_t.iota1, f_pi1),
-                        tgt.compose(wit_t.iota2, f_pi2))
-        self.check("gamma_pi1", tgt.compose(wit_t.pi1, gamma), f_pi1, {})
-        self.check("gamma_pi2", tgt.compose(wit_t.pi2, gamma), f_pi2, {})
-        self.check("gamma_iota1", tgt.compose(gamma, f_iota1), wit_t.iota1, {})
-        self.check("gamma_iota2", tgt.compose(gamma, f_iota2), wit_t.iota2, {})
-        gamma_inv = tgt.add(tgt.compose(f_iota1, wit_t.pi1),
-                            tgt.compose(f_iota2, wit_t.pi2))
-        fcarrier = functor.apply_object(wit.carrier)
-        self.check("gamma_invertible_left", tgt.compose(gamma_inv, gamma),
-                   tgt.identity(fcarrier), {})
-        self.check("gamma_invertible_right", tgt.compose(gamma, gamma_inv),
-                   tgt.identity(wit_t.carrier), {})
-        return wit, wit_t, gamma
-
-    def report(self) -> LawReport:
-        return self.tally.report()
+def _functor_tally(functor: SemiadditiveFunctor,
+                   tol: Tolerance | None) -> LawTally:
+    """A tally comparing in the target and describing inputs in the source,
+    with the zero object's image checked."""
+    tally = LawTally(functor.target, tol, input_cat=functor.source)
+    fz = functor.apply_object(functor.source.zero_object())
+    tally.check("zero_object", functor.target.zero(fz, fz),
+                functor.target.identity(fz), {})
+    return tally
 
 
-# Sums checked at once by the batched ``additive`` pass: it holds a few
-# arrays of this many pairs times the image's cells.
+def _check_transport(T, check, FX, FY, FC, f_pi1, f_pi2, f_iota1, f_iota2):
+    """Transport of the canonical witness on (x, y), per trial.
+
+    ``FX``, ``FY`` and ``FC`` are the images of x, y and the witness's
+    carrier, ``f_pi1`` ... ``f_iota2`` those of its four arrows.  The
+    comparison arrow gamma built from the image projections must commute
+    with the target's witness on (Fx, Fy) on both sides and be invertible.
+    Returns that witness and gamma.
+    """
+    wit_t = T.canonical_biproduct(FX, FY)
+    gamma = T.add(T.compose(wit_t.iota1, f_pi1), T.compose(wit_t.iota2, f_pi2))
+    check("gamma_pi1", T.compose(wit_t.pi1, gamma), f_pi1, "")
+    check("gamma_pi2", T.compose(wit_t.pi2, gamma), f_pi2, "")
+    check("gamma_iota1", T.compose(gamma, f_iota1), wit_t.iota1, "")
+    check("gamma_iota2", T.compose(gamma, f_iota2), wit_t.iota2, "")
+    gamma_inv = T.add(T.compose(f_iota1, wit_t.pi1), T.compose(f_iota2, wit_t.pi2))
+    check("gamma_invertible_left", T.compose(gamma_inv, gamma), T.identity(FC), "")
+    check("gamma_invertible_right", T.compose(gamma, gamma_inv),
+          T.identity(wit_t.carrier), "")
+    return wit_t, gamma
+
+
+# Pairs checked at once by the exhaustive pass: it holds a few stacks of
+# this many arrows.
 _PAIRS_PER_CHUNK = 1 << 14
 
 
-def _homset(algebra: HeytingTable, source, target, place) -> list[LRelation]:
-    """Every relation ``source -> target``, in the order of their codes.
+class _Homset:
+    """Every relation ``source -> target``, in the order of their codes, and
+    their images on the target's batches ``T``.
 
     The cells of relation ``i``, row-major, are the base-k digits of ``i``
-    with place values ``place``, most significant first.
+    with place values ``place``, most significant first.  The functor is
+    applied once to each relation, in that order.
     """
-    k = len(algebra.elements)
-    codes = np.arange(k ** len(place))
-    grids = (codes[:, None] // place % k).astype(np.int16)
-    return [LRelation._derived(algebra, source, target, grid)
-            for grid in grids.reshape(len(codes), len(target), len(source))]
+
+    def __init__(self, functor: SemiadditiveFunctor, T, source, target,
+                 place: np.ndarray) -> None:
+        algebra = functor.source.algebra
+        k = len(algebra.elements)
+        codes = np.arange(k ** len(place))
+        self.place = place
+        self.digits = (codes[:, None] // place % k).reshape(
+            len(codes), len(target), len(source))
+        self.arrows = [LRelation._derived(algebra, source, target, grid)
+                       for grid in self.digits.astype(np.int16)]
+        self.ends = functor.apply_object(source), functor.apply_object(target)
+        self._repeats: dict[int, tuple] = {}
+        self.images = T.arrows([functor.apply_arrow(f) for f in self.arrows],
+                               *self._ends(T, len(codes)))
+
+    def _ends(self, T, count: int) -> tuple:
+        """The images of the endpoints, each repeated ``count`` times."""
+        if count not in self._repeats:
+            self._repeats[count] = tuple(T.repeat(end, count)
+                                         for end in self.ends)
+        return self._repeats[count]
+
+    def take(self, T, codes: np.ndarray):
+        """The images of the relations with these codes, as a batch."""
+        return T.take(self.images, codes, *self._ends(T, len(codes)))
 
 
-def _exhaustive_shapes(max_cells: int):
-    for rows in range(1, max_cells + 1):
-        for cols in range(1, max_cells + 1):
-            if rows * cols <= max_cells:
-                yield rows, cols
+def _check_pairs(T, tally: LawTally, law: str, lefts: _Homset,
+                 rights: _Homset, product: _Homset, cells, combine,
+                 inputs: str) -> None:
+    """``law`` on every pair of a relation of ``lefts`` and one of ``rights``.
 
-
-def _algebra_of(relations: list[LRelation]) -> HeytingTable:
-    """The algebra the relations share; relations over two cannot combine."""
-    algebra = relations[0].algebra
-    if any(r.algebra != algebra for r in relations):
-        raise ArrowTypeError("relations live over different algebras")
-    return algebra
-
-
-def _cells(relations: list[LRelation]) -> np.ndarray:
-    """The grids of same-shaped relations, one flattened grid per row."""
-    return np.stack([r.values for r in relations]).reshape(len(relations), -1)
-
-
-def _compose_all(cat: RelationCategory, lefts: list[LRelation],
-                 rights: list[LRelation]) -> np.ndarray:
-    """Cells of ``g @ f`` for every g in ``lefts`` and f in ``rights``.
-
-    One product computes them all: the left grids stacked on top of each
-    other, after the right grids set side by side, has the pairwise
-    composites as its blocks.  Indexed (g, f, cell).
+    Pairs run left-major, _PAIRS_PER_CHUNK at a time.  ``cells`` combines
+    stacks of their digits in the source, into digits of ``product``; the
+    image of each result, looked up by its code, must equal ``combine`` of
+    the pair's images in the target.  ``inputs`` names a counterexample's
+    relations ``left`` and ``right`` as :func:`core._chunk_checker` does.
     """
-    algebra = _algebra_of(lefts + rights)
-    g = np.stack([r.values for r in lefts])
-    f = np.stack([r.values for r in rights])
-    (ng, rows, mid), (nf, _, cols) = g.shape, f.shape
-    tall = LRelation._derived(algebra, lefts[0].source,
-                              tuple(range(ng * rows)),
-                              g.reshape(ng * rows, mid))
-    wide = LRelation._derived(algebra, tuple(range(nf * cols)),
-                              rights[0].target,
-                              f.transpose(1, 0, 2).reshape(mid, nf * cols))
-    blocks = cat.compose(tall, wide).values.reshape(ng, rows, nf, cols)
-    return blocks.transpose(0, 2, 1, 3).reshape(ng, nf, rows * cols)
+    count = len(rights.arrows)
+    pairs = len(lefts.arrows) * count
+    for lo in range(0, pairs, _PAIRS_PER_CHUNK):
+        i, j = np.divmod(np.arange(lo, min(lo + _PAIRS_PER_CHUNK, pairs)), count)
+        digits = cells(np.take(lefts.digits, i, axis=0),
+                       np.take(rights.digits, j, axis=0))
+        codes = digits.reshape(len(i), -1) @ product.place
+        check = _chunk_checker(T, tally, lambda p, i=i, j=j: {
+            "left": lefts.arrows[i[p]], "right": rights.arrows[j[p]]})
+        check(law, product.take(T, codes),
+              combine(lefts.take(T, i), rights.take(T, j)), inputs)
 
 
-def _check_sums(checker: _FunctorChecker, arrows: list[LRelation],
-                images: list[LRelation], image_cells: np.ndarray,
-                place: np.ndarray) -> None:
-    """``additive`` on every pair (f, g) of one homset, chunked over f.
-
-    Each sum ``f + g`` lies in the homset, so the image it must equal is
-    looked up by its code instead of being recomputed.
-    """
-    tgt, tally = checker.functor.target, checker.tally
-    join = arrows[0].algebra.join
-    image_join = _algebra_of(images).join
-    digits = _cells(arrows)
-    n = len(arrows)
-    step = max(1, _PAIRS_PER_CHUNK // n)
-    for lo in range(0, n, step):
-        chunk = slice(lo, lo + step)
-        sums = join[digits[chunk, None], digits[None]] @ place
-        got = image_cells[sums]
-        want = image_join[image_cells[chunk, None], image_cells[None]]
-
-        def counterexample(i: int, lo=lo, sums=sums) -> dict:
-            fi, gi = lo + i // n, i % n
-            return tally.counterexample(
-                {"f": arrows[fi], "g": arrows[gi]}, images[sums.flat[i]],
-                tgt.add(images[fi], images[gi]))
-
-        tally.check_batch("additive", np.count_nonzero(got != want, axis=-1),
-                          counterexample)
-
-
-def _check_composites(checker: _FunctorChecker, images: list[LRelation],
-                      image_cells: np.ndarray,
-                      outgoing: list[LRelation], out_images: list[LRelation],
-                      incoming: list[LRelation], in_images: list[LRelation],
-                      place: np.ndarray) -> None:
-    """``composition`` of every outgoing g after every incoming f.
-
-    Each composite ``g @ f`` lies in the homset of ``images``, so the image
-    it must equal is looked up by its code.
-    """
-    functor, tally = checker.functor, checker.tally
-    codes = _compose_all(functor.source, outgoing, incoming) @ place
-    got = image_cells[codes]
-    want = _compose_all(functor.target, out_images, in_images)
-
-    def counterexample(i: int) -> dict:
-        gi, fi = divmod(i, len(incoming))
-        return tally.counterexample(
-            {"f": incoming[fi], "g": outgoing[gi]}, images[codes.flat[i]],
-            functor.target.compose(out_images[gi], in_images[fi]))
-
-    tally.check_batch("composition", np.count_nonzero(got != want, axis=-1),
-                      counterexample)
-
-
-def _run_exhaustive_pass(checker: _FunctorChecker, max_cells: int) -> None:
+def _run_exhaustive_pass(functor: SemiadditiveFunctor, tally: LawTally,
+                         max_cells: int) -> None:
     """Enumerate every arrow between small carriers and check the laws.
 
     Covers each shape whose grid has at most ``max_cells`` cells:
     additivity over all parallel pairs, composition through a one-element
     middle carrier (which meets every lattice value combination), plus
     identity, zero, and witness transport once per shape.  The functor is
-    applied once to each enumerated arrow.  For relation targets the pair
-    laws are checked as array identities over the stacked images; other
-    targets are checked pair by pair.
+    applied once to each enumerated arrow, shape by shape; then the laws
+    are checked on the target's batches, in the order the sampled trials
+    first meet them: the pair laws a chunk of pairs at a time, looking up
+    the image of each sum or composite by its code, and the once-per-shape
+    laws as one batch with a trial per shape.
     """
-    functor = checker.functor
-    src, tgt = functor.source, functor.target
+    src = functor.source
+    T = functor.target._batches()
     algebra = src.algebra
     k = len(algebra.elements)
-    batched = isinstance(tgt, RelationCategory)
-    for rows, cols in _exhaustive_shapes(max_cells):
+    mid = ("m0",)
+    homsets, once = [], []
+    for rows, cols in ((rows, cols) for rows in range(1, max_cells + 1)
+                       for cols in range(1, max_cells // rows + 1)):
         source = tuple(f"s{i}" for i in range(cols))
         target = tuple(f"t{i}" for i in range(rows))
         place = k ** np.arange(rows * cols - 1, -1, -1)
-        arrows = _homset(algebra, source, target, place)
-        images = [functor.apply_arrow(f) for f in arrows]
-        if batched:
-            image_cells = _cells(images)
-            _check_sums(checker, arrows, images, image_cells, place)
-        else:
-            for f, f_img in zip(arrows, images):
-                for g, g_img in zip(arrows, images):
-                    checker.check("additive", functor.apply_arrow(src.add(f, g)),
-                                  tgt.add(f_img, g_img), {"f": f, "g": g})
-        checker.check("zero_arrow",
-                      functor.apply_arrow(src.zero(source, target)),
-                      tgt.zero(functor.apply_object(source),
-                               functor.apply_object(target)), {})
-        checker.check("identity", functor.apply_arrow(src.identity(source)),
-                      tgt.identity(functor.apply_object(source)), {})
-        mid = ("m0",)
-        outgoing = _homset(algebra, mid, target, place[-rows:])
-        out_images = [functor.apply_arrow(g) for g in outgoing]
-        incoming = _homset(algebra, source, mid, place[-cols:])
-        in_images = [functor.apply_arrow(f) for f in incoming]
-        if batched:
-            _check_composites(checker, images, image_cells, outgoing,
-                              out_images, incoming, in_images, place)
-        else:
-            for g, g_img in zip(outgoing, out_images):
-                for f, f_img in zip(incoming, in_images):
-                    checker.check("composition",
-                                  functor.apply_arrow(src.compose(g, f)),
-                                  tgt.compose(g_img, f_img), {"f": f, "g": g})
-        checker.check_witness_transport(source, target)
+        homset = _Homset(functor, T, source, target, place)
+        zero = functor.apply_arrow(src.zero(source, target))
+        ident = functor.apply_arrow(src.identity(source))
+        outgoing = _Homset(functor, T, mid, target, place[-rows:])
+        incoming = _Homset(functor, T, source, mid, place[-cols:])
+        wit = src.canonical_biproduct(source, target)
+        once.append((*homset.ends, functor.apply_object(wit.carrier), zero,
+                     ident, *map(functor.apply_arrow,
+                                 (wit.pi1, wit.pi2, wit.iota1, wit.iota2))))
+        homsets.append((homset, outgoing, incoming))
+    if not homsets:
+        return
+
+    for homset, _, _ in homsets:
+        _check_pairs(T, tally, "additive", homset, homset, homset,
+                     lambda f, g: _lookup(algebra.join, f, g), T.add,
+                     "f=left g=right")
+    fx, fy, fc, zeros, idents, pi1s, pi2s, iota1s, iota2s = zip(*once)
+    FX, FY, FC = T.objects(fx), T.objects(fy), T.objects(fc)
+    check = _chunk_checker(T, tally, lambda i: {})
+    check("zero_arrow", T.arrows(zeros, FX, FY), T.zero(FX, FY), "")
+    check("identity", T.arrows(idents, FX, FX), T.identity(FX), "")
+    # through a one-element middle, cell (r, c) of a composite joins the
+    # meet of g's row r and f's column c to bottom
+    join_bottom = algebra.join[algebra.bottom]
+    for homset, outgoing, incoming in homsets:
+        _check_pairs(T, tally, "composition", outgoing, incoming, homset,
+                     lambda g, f: join_bottom[_lookup(algebra.meet, g, f)],
+                     T.compose, "f=right g=left")
+    _check_transport(T, check, FX, FY, FC, T.arrows(pi1s, FC, FX),
+                     T.arrows(pi2s, FC, FY), T.arrows(iota1s, FX, FC),
+                     T.arrows(iota2s, FY, FC))
 
 
 def _draw_functor_trial(sampler: ArrowSampler,
@@ -389,7 +341,8 @@ def _draw_functor_trial(sampler: ArrowSampler,
     return trial, (x, y, w, d1, d2)
 
 
-def _check_functor_chunk(checker: _FunctorChecker, S, chunk: list[dict]) -> None:
+def _check_functor_chunk(functor: SemiadditiveFunctor, tally: LawTally, S,
+                         chunk: list[dict]) -> None:
     """The sampled functor laws, each checked once for the chunk.
 
     The source side is computed on the source's batches ``S``.  The functor,
@@ -397,14 +350,12 @@ def _check_functor_chunk(checker: _FunctorChecker, S, chunk: list[dict]) -> None
     un-padded arrows, in the order trial-by-trial checks apply it; the
     images are then compared as the target's batches.  Per trial the laws
     are: additivity on a parallel pair f, g, preservation of zero arrows,
-    identities and the composite with u; on the object pair (x, y), the
-    comparison arrow gamma built from the image projections commutes with
-    the canonical witnesses on both sides and is invertible; and gamma is
-    natural in the block sum of a1 and a2.
+    identities and the composite with u; witness transport on the object
+    pair (x, y) (:func:`_check_transport`); and gamma is natural in the
+    block sum of a1 and a2.
     """
-    functor = checker.functor
     T = functor.target._batches()
-    check = _chunk_checker(T, checker.tally, chunk)
+    check = _chunk_checker(T, tally, chunk.__getitem__)
     X, Y, W, D1, D2 = (S.objects([t[name] for t in chunk])
                        for name in ("x", "y", "w", "d1", "d2"))
 
@@ -442,18 +393,9 @@ def _check_functor_chunk(checker: _FunctorChecker, S, chunk: list[dict]) -> None
     check("composition", T.arrows(i_composite, FX, FW),
           T.compose(T.arrows(i_u, FY, FW), T.arrows(i_f_again, FX, FY)), "f u")
 
-    wit_t = T.canonical_biproduct(FX, FY)
-    f_pi1, f_pi2 = T.arrows(i_pi1, FC, FX), T.arrows(i_pi2, FC, FY)
-    f_iota1, f_iota2 = T.arrows(i_iota1, FX, FC), T.arrows(i_iota2, FY, FC)
-    gamma = T.add(T.compose(wit_t.iota1, f_pi1), T.compose(wit_t.iota2, f_pi2))
-    check("gamma_pi1", T.compose(wit_t.pi1, gamma), f_pi1, "")
-    check("gamma_pi2", T.compose(wit_t.pi2, gamma), f_pi2, "")
-    check("gamma_iota1", T.compose(gamma, f_iota1), wit_t.iota1, "")
-    check("gamma_iota2", T.compose(gamma, f_iota2), wit_t.iota2, "")
-    gamma_inv = T.add(T.compose(f_iota1, wit_t.pi1), T.compose(f_iota2, wit_t.pi2))
-    check("gamma_invertible_left", T.compose(gamma_inv, gamma), T.identity(FC), "")
-    check("gamma_invertible_right", T.compose(gamma, gamma_inv),
-          T.identity(wit_t.carrier), "")
+    wit_t, gamma = _check_transport(
+        T, check, FX, FY, FC, T.arrows(i_pi1, FC, FX), T.arrows(i_pi2, FC, FY),
+        T.arrows(i_iota1, FX, FC), T.arrows(i_iota2, FY, FC))
 
     wit_dt = T.canonical_biproduct(FD1, FD2)
     gamma_d = T.add(T.compose(wit_dt.iota1, T.arrows(i_pi1_d, FCD, FD1)),
@@ -486,16 +428,15 @@ def check_cmon_functor(functor: SemiadditiveFunctor,
     rng = random.Random(seed)
     if sampler is None:
         sampler = src.default_sampler()
-    checker = _FunctorChecker(functor, tol)
-    checker.check_zero_object()
+    tally = _functor_tally(functor, tol)
     batches = src._batches()
     for chunk in _trial_chunks(batches, trials,
                                lambda: _draw_functor_trial(sampler, rng)):
-        _check_functor_chunk(checker, batches, chunk)
+        _check_functor_chunk(functor, tally, batches, chunk)
 
     if exhaustive_cells > 0 and isinstance(src, RelationCategory):
-        _run_exhaustive_pass(checker, exhaustive_cells)
-    return checker.report()
+        _run_exhaustive_pass(functor, tally, exhaustive_cells)
+    return tally.report()
 
 
 def check_cmon_functor_exhaustive(functor: SemiadditiveFunctor,
@@ -512,10 +453,9 @@ def check_cmon_functor_exhaustive(functor: SemiadditiveFunctor,
         raise ArrowTypeError(
             "exhaustive functor checking needs finite homsets "
             "(a relation-instance source)")
-    checker = _FunctorChecker(functor, tol)
-    checker.check_zero_object()
-    _run_exhaustive_pass(checker, max_cells)
-    return checker.report()
+    tally = _functor_tally(functor, tol)
+    _run_exhaustive_pass(functor, tally, max_cells)
+    return tally.report()
 
 
 def map_decomposition(functor: SemiadditiveFunctor, f: Arrow,

@@ -74,6 +74,11 @@ COMPLEX = ScalarDomain("complex", np.complex128)
 NONNEGATIVE = ScalarDomain("nonnegative", np.float64, nonnegative=True)
 
 
+def _check_domains(a: ScalarDomain, b: ScalarDomain) -> None:
+    if a is not b and a != b:
+        raise ArrowTypeError(f"domain mismatch: {a.name} vs {b.name}")
+
+
 class ScalarMatrix:
     """Immutable dense matrix; as an arrow it maps its columns to its rows."""
 
@@ -132,13 +137,8 @@ class ScalarMatrix:
 
     # -- algebra ----------------------------------------------------------------
 
-    def _check_domain(self, other: "ScalarMatrix") -> None:
-        if self.domain is not other.domain and self.domain != other.domain:
-            raise ArrowTypeError(
-                f"domain mismatch: {self.domain.name} vs {other.domain.name}")
-
     def __matmul__(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        self._check_domain(other)
+        _check_domains(self.domain, other.domain)
         if self.cols != other.rows:
             raise ArrowTypeError(
                 f"cannot compose: left has {self.cols} columns, "
@@ -146,14 +146,14 @@ class ScalarMatrix:
         return self._checked(self.values @ other.values)
 
     def __add__(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        self._check_domain(other)
+        _check_domains(self.domain, other.domain)
         if self.values.shape != other.values.shape:
             raise ArrowTypeError(
                 f"cannot add shapes {self.values.shape} and {other.values.shape}")
         return self._checked(self.values + other.values)
 
     def __sub__(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        self._check_domain(other)
+        _check_domains(self.domain, other.domain)
         if not self.domain.has_negation:
             raise UnsupportedDomainError(
                 "subtraction is unavailable in the non-negative domain")
@@ -343,6 +343,9 @@ class _MatrixBatches(_PaddedBatches):
 
     def make(self, values: np.ndarray, src: int, tgt: int) -> ScalarMatrix:
         return ScalarMatrix._derived(values, self.domain)
+
+    def admit(self, f: ScalarMatrix) -> None:
+        _check_domains(self.domain, f.domain)
 
     def _checked(self, src: _Objects, tgt: _Objects, values: np.ndarray) -> _Stack:
         self.domain.validate(values)

@@ -33,7 +33,6 @@ from specat.core import (
     pair,
     sum_via_biproduct,
 )
-from specat.functors import _FunctorChecker, _run_exhaustive_pass
 from specat.matrices import COMPLEX
 from specat.spectral import _component_cells, _support_graph
 
@@ -300,16 +299,49 @@ def all_relations(algebra, source, target):
                         grid.reshape(len(target), len(source)))
 
 
-def exhaustive_functor_check_slow(functor, max_cells: int,
-                                  tol=None) -> LawReport:
-    """``check_cmon_functor_exhaustive`` with every pair checked on its own.
+def _functor_tally_slow(functor, tol) -> LawTally:
+    """A tally comparing in the target, with the zero object's image checked."""
+    tgt = functor.target
+    tally = LawTally(tgt, tol, input_cat=functor.source)
+    fz = functor.apply_object(functor.source.zero_object())
+    tally.check("zero_object", tgt.zero(fz, fz), tgt.identity(fz), {})
+    return tally
+
+
+def _witness_transport_slow(functor, tally, x, y):
+    """The comparison arrow between the images of the canonical witnesses
+    on (x, y), checked against both witnesses and for invertibility."""
+    src, tgt = functor.source, functor.target
+    wit = src.canonical_biproduct(x, y)
+    wit_t = tgt.canonical_biproduct(functor.apply_object(x),
+                                    functor.apply_object(y))
+    f_pi1 = functor.apply_arrow(wit.pi1)
+    f_pi2 = functor.apply_arrow(wit.pi2)
+    f_iota1 = functor.apply_arrow(wit.iota1)
+    f_iota2 = functor.apply_arrow(wit.iota2)
+    gamma = tgt.add(tgt.compose(wit_t.iota1, f_pi1),
+                    tgt.compose(wit_t.iota2, f_pi2))
+    tally.check("gamma_pi1", tgt.compose(wit_t.pi1, gamma), f_pi1, {})
+    tally.check("gamma_pi2", tgt.compose(wit_t.pi2, gamma), f_pi2, {})
+    tally.check("gamma_iota1", tgt.compose(gamma, f_iota1), wit_t.iota1, {})
+    tally.check("gamma_iota2", tgt.compose(gamma, f_iota2), wit_t.iota2, {})
+    gamma_inv = tgt.add(tgt.compose(f_iota1, wit_t.pi1),
+                        tgt.compose(f_iota2, wit_t.pi2))
+    fcarrier = functor.apply_object(wit.carrier)
+    tally.check("gamma_invertible_left", tgt.compose(gamma_inv, gamma),
+                tgt.identity(fcarrier), {})
+    tally.check("gamma_invertible_right", tgt.compose(gamma, gamma_inv),
+                tgt.identity(wit_t.carrier), {})
+    return wit, wit_t, gamma
+
+
+def _exhaustive_functor_laws_slow(functor, tally, max_cells: int) -> None:
+    """Every pair of each small homset checked on its own.
 
     The functor is applied to each sum and each composite, and every pair
     is compared as two arrows of the target; no arrow is looked up.
     """
     src, tgt = functor.source, functor.target
-    checker = _FunctorChecker(functor, tol)
-    checker.check_zero_object()
     shapes = [(rows, cols) for rows in range(1, max_cells + 1)
               for cols in range(1, max_cells + 1) if rows * cols <= max_cells]
     for rows, cols in shapes:
@@ -319,14 +351,13 @@ def exhaustive_functor_check_slow(functor, max_cells: int,
         images = [functor.apply_arrow(f) for f in arrows]
         for f, f_img in zip(arrows, images):
             for g, g_img in zip(arrows, images):
-                checker.check("additive", functor.apply_arrow(src.add(f, g)),
-                              tgt.add(f_img, g_img), {"f": f, "g": g})
-        checker.check("zero_arrow",
-                      functor.apply_arrow(src.zero(source, target)),
-                      tgt.zero(functor.apply_object(source),
-                               functor.apply_object(target)), {})
-        checker.check("identity", functor.apply_arrow(src.identity(source)),
-                      tgt.identity(functor.apply_object(source)), {})
+                tally.check("additive", functor.apply_arrow(src.add(f, g)),
+                            tgt.add(f_img, g_img), {"f": f, "g": g})
+        tally.check("zero_arrow", functor.apply_arrow(src.zero(source, target)),
+                    tgt.zero(functor.apply_object(source),
+                             functor.apply_object(target)), {})
+        tally.check("identity", functor.apply_arrow(src.identity(source)),
+                    tgt.identity(functor.apply_object(source)), {})
         mid = ("m0",)
         outgoing = list(all_relations(src.algebra, mid, target))
         out_images = [functor.apply_arrow(g) for g in outgoing]
@@ -334,11 +365,18 @@ def exhaustive_functor_check_slow(functor, max_cells: int,
         in_images = [functor.apply_arrow(f) for f in incoming]
         for g, g_img in zip(outgoing, out_images):
             for f, f_img in zip(incoming, in_images):
-                checker.check("composition",
-                              functor.apply_arrow(src.compose(g, f)),
-                              tgt.compose(g_img, f_img), {"f": f, "g": g})
-        checker.check_witness_transport(source, target)
-    return checker.report()
+                tally.check("composition",
+                            functor.apply_arrow(src.compose(g, f)),
+                            tgt.compose(g_img, f_img), {"f": f, "g": g})
+        _witness_transport_slow(functor, tally, source, target)
+
+
+def exhaustive_functor_check_slow(functor, max_cells: int,
+                                  tol=None) -> LawReport:
+    """``check_cmon_functor_exhaustive`` with every pair checked on its own."""
+    tally = _functor_tally_slow(functor, tol)
+    _exhaustive_functor_laws_slow(functor, tally, max_cells)
+    return tally.report()
 
 
 def separate_components_slow(f: LRelation):
@@ -487,26 +525,26 @@ def run_law_suite_slow(cat, sampler=None, trials: int = 100, tol=None,
     return tally.report()
 
 
-def _functor_laws_on(checker, f, g, u) -> None:
+def _functor_laws_on(functor, tally, f, g, u) -> None:
     """Functor laws on a parallel pair f, g and a post-composable u."""
-    functor, src, tgt = checker.functor, checker.functor.source, checker.functor.target
+    src, tgt = functor.source, functor.target
     fx = functor.apply_object(f.source)
     fy = functor.apply_object(f.target)
-    checker.check("additive", functor.apply_arrow(src.add(f, g)),
-                  tgt.add(functor.apply_arrow(f), functor.apply_arrow(g)),
-                  {"f": f, "g": g})
-    checker.check("zero_arrow",
-                  functor.apply_arrow(src.zero(f.source, f.target)),
-                  tgt.zero(fx, fy), {})
-    checker.check("identity", functor.apply_arrow(src.identity(f.source)),
-                  tgt.identity(fx), {})
-    checker.check("composition", functor.apply_arrow(src.compose(u, f)),
-                  tgt.compose(functor.apply_arrow(u), functor.apply_arrow(f)),
-                  {"f": f, "u": u})
+    tally.check("additive", functor.apply_arrow(src.add(f, g)),
+                tgt.add(functor.apply_arrow(f), functor.apply_arrow(g)),
+                {"f": f, "g": g})
+    tally.check("zero_arrow",
+                functor.apply_arrow(src.zero(f.source, f.target)),
+                tgt.zero(fx, fy), {})
+    tally.check("identity", functor.apply_arrow(src.identity(f.source)),
+                tgt.identity(fx), {})
+    tally.check("composition", functor.apply_arrow(src.compose(u, f)),
+                tgt.compose(functor.apply_arrow(u), functor.apply_arrow(f)),
+                {"f": f, "u": u})
 
 
-def _functor_naturality(checker, wit, wit_t, gamma, a1, a2) -> None:
-    functor, src, tgt = checker.functor, checker.functor.source, checker.functor.target
+def _functor_naturality(functor, tally, wit, wit_t, gamma, a1, a2) -> None:
+    src, tgt = functor.source, functor.target
     wit_d = src.canonical_biproduct(a1.target, a2.target)
     wit_dt = tgt.canonical_biproduct(functor.apply_object(a1.target),
                                      functor.apply_object(a2.target))
@@ -516,24 +554,24 @@ def _functor_naturality(checker, wit, wit_t, gamma, a1, a2) -> None:
         tgt.compose(wit_dt.iota2, functor.apply_arrow(wit_d.pi2)))
     block_tgt = oplus(tgt, functor.apply_arrow(a1),
                       functor.apply_arrow(a2), wit_t, wit_dt)
-    checker.check("gamma_natural",
-                  tgt.compose(gamma_d, functor.apply_arrow(block_src)),
-                  tgt.compose(block_tgt, gamma), {"a1": a1, "a2": a2})
+    tally.check("gamma_natural",
+                tgt.compose(gamma_d, functor.apply_arrow(block_src)),
+                tgt.compose(block_tgt, gamma), {"a1": a1, "a2": a2})
 
 
 def check_cmon_functor_sampled_slow(functor, sampler=None, trials: int = 100,
                                     tol=None, seed: int = 0,
                                     exhaustive_cells: int = 2) -> LawReport:
-    """``check_cmon_functor`` with its sampled trials checked one at a time;
-    the exhaustive pass is the library's."""
+    """``check_cmon_functor`` with its sampled trials checked one at a time
+    and its exhaustive pass pair by pair, as in
+    :func:`exhaustive_functor_check_slow`."""
     if trials < 1:
         raise PreconditionError(f"trials must be at least 1, got {trials}")
     src = functor.source
     rng = random.Random(seed)
     if sampler is None:
         sampler = src.default_sampler()
-    checker = _FunctorChecker(functor, tol)
-    checker.check_zero_object()
+    tally = _functor_tally_slow(functor, tol)
 
     for _ in range(trials):
         x = sampler.random_object(rng)
@@ -542,14 +580,14 @@ def check_cmon_functor_sampled_slow(functor, sampler=None, trials: int = 100,
         f = sampler.random_arrow(rng, x, y)
         g = sampler.random_arrow(rng, x, y)
         u = sampler.random_arrow(rng, y, w)
-        _functor_laws_on(checker, f, g, u)
-        wit, wit_t, gamma = checker.check_witness_transport(x, y)
+        _functor_laws_on(functor, tally, f, g, u)
+        wit, wit_t, gamma = _witness_transport_slow(functor, tally, x, y)
         d1 = sampler.random_object(rng)
         d2 = sampler.random_object(rng)
         a1 = sampler.random_arrow(rng, x, d1)
         a2 = sampler.random_arrow(rng, y, d2)
-        _functor_naturality(checker, wit, wit_t, gamma, a1, a2)
+        _functor_naturality(functor, tally, wit, wit_t, gamma, a1, a2)
 
     if exhaustive_cells > 0 and isinstance(src, RelationCategory):
-        _run_exhaustive_pass(checker, exhaustive_cells)
-    return checker.report()
+        _exhaustive_functor_laws_slow(functor, tally, exhaustive_cells)
+    return tally.report()

@@ -33,6 +33,7 @@ from specat import (
 )
 from specat import core, relations
 from specat.core import _ListBatches
+from specat.matrices import COMPLEX
 from specat.relations import RelationSampler, _compose_loop
 
 from ._oracles import check_cmon_functor_sampled_slow, run_law_suite_slow
@@ -342,6 +343,37 @@ def test_counting_functor_fails_where_the_oracle_does():
     failed = {c.law for c in report.failures()}
     assert {"additive", "composition"} <= failed
     assert "gamma_pi1" not in failed
+
+
+def test_padded_relation_batches_reject_images_over_another_algebra():
+    # a rel-b4 -> rel-b4 functor whose images live over chain(3): stacked
+    # as they are, chain(3) indices would be read as b4 elements
+    c3, table = chain(3), np.array([0, 1, 1, 2], dtype=np.int16)
+    foreign = SemiadditiveFunctor(
+        "caller-supplied", RelationCategory(b4()), RelationCategory(b4()),
+        lambda obj: obj,
+        lambda f: LRelation(c3, f.source, f.target, table[f.values]))
+    with pytest.raises(relations.ArrowTypeError) as want:
+        check_cmon_functor_sampled_slow(foreign, trials=30, seed=3,
+                                        exhaustive_cells=0)
+    with pytest.raises(relations.ArrowTypeError) as got:
+        check_cmon_functor(foreign, trials=30, seed=3, exhaustive_cells=0)
+    assert str(got.value) == str(want.value) == \
+        "relations live over different algebras"
+
+
+def test_padded_matrix_batches_reject_images_over_another_domain():
+    # complex images in a real stack would lose their imaginary parts
+    foreign = SemiadditiveFunctor(
+        "caller-supplied", RelationCategory(b4()), MAT_R, len,
+        lambda f: ScalarMatrix(f.values * (1 + 1j), COMPLEX))
+    with pytest.raises(relations.ArrowTypeError) as want:
+        check_cmon_functor_sampled_slow(foreign, trials=30, seed=3,
+                                        exhaustive_cells=0)
+    with pytest.raises(relations.ArrowTypeError) as got:
+        check_cmon_functor(foreign, trials=30, seed=3, exhaustive_cells=0)
+    assert str(got.value) == str(want.value) == \
+        "domain mismatch: real vs complex"
 
 
 class Refusal(Exception):

@@ -264,8 +264,10 @@ class TestLawTally:
             return batched.counterexample({"f": arrows[i]}, arrows[i], zero)
 
         residuals = np.array([REL.residual(a, zero) for a in arrows])
-        batched.check_batch("is_zero", residuals[:2], counterexample)
-        batched.check_batch("is_zero", residuals[2:], lambda i: {})
+        batched.check_batch("is_zero", residuals[:2], counterexample,
+                            residuals[:2] == 0)
+        batched.check_batch("is_zero", residuals[2:], lambda i: {},
+                            residuals[2:] == 0)
         batched.check("other", zero, zero, {})
         assert batched.report().to_dict() == single.report().to_dict()
         assert seen == [1]

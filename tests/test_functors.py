@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from unittest import mock
 
@@ -22,6 +23,7 @@ from specat import (
     chain,
     check_cmon_functor,
     check_cmon_functor_exhaustive,
+    core,
     functors,
     identity_hom,
     induced_functor,
@@ -370,13 +372,7 @@ def _support_matrix(algebra, weights):
 
 @pytest.mark.parametrize("weights", [[0, 1, 1, 1], [0, 1, 2, 3], [0, 0, 0, 0]])
 @pytest.mark.parametrize("max_cells", [1, 2])
-def test_relation_to_matrix_functor_runs_pair_by_pair(weights, max_cells,
-                                                      monkeypatch):
-    def no_batches(*args):
-        raise AssertionError("a matrix target must not be batched")
-
-    monkeypatch.setattr(functors, "_check_sums", no_batches)
-    monkeypatch.setattr(functors, "_check_composites", no_batches)
+def test_relation_to_matrix_functor_matches_the_oracle(weights, max_cells):
     functor = _support_matrix(B4, weights)
     report = _assert_matches_oracle(functor, max_cells)
     additive = next(c for c in report.checks if c.law == "additive")
@@ -385,3 +381,47 @@ def test_relation_to_matrix_functor_runs_pair_by_pair(weights, max_cells,
         if r * c <= max_cells)
     # joins do not become sums and identities do not survive, so it fails
     assert not report.passed
+
+
+class ListRelationCategory(RelationCategory):
+    """Relations whose batches are the list default of the batch layer."""
+
+    def _batches(self):
+        return core._ListBatches(self)
+
+
+# top only at top breaks joins; everything above bottom to top breaks meets
+BROKEN_JOINS = [BOOL.bottom, BOOL.bottom, BOOL.bottom, BOOL.top]
+BROKEN_MEETS = [BOOL.bottom, BOOL.top, BOOL.top, BOOL.top]
+
+
+@pytest.mark.parametrize("max_cells", [1, 2, 3])
+@pytest.mark.parametrize("target", ["list", "mat"])
+def test_exhaustive_pass_on_any_target_batches_matches_the_oracle(target,
+                                                                  max_cells):
+    # the pair laws of every target run on its batches: a relation instance
+    # keeping the list default, and the padded matrix stacks
+    if target == "list":
+        functors_ = [dataclasses.replace(_entrywise(B4, BOOL, table),
+                                         target=ListRelationCategory(BOOL))
+                     for table in ([0, 1, 0, 1], BROKEN_JOINS, BROKEN_MEETS)]
+    else:
+        functors_ = [_support_matrix(B4, [0, 1, 2, 3])]
+    for functor in functors_:
+        _assert_matches_oracle(functor, max_cells)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("table", [BROKEN_JOINS, BROKEN_MEETS],
+                         ids=["joins", "meets"])
+def test_first_pair_counterexample_is_the_oracles_in_small_chunks(table, chunk,
+                                                                  monkeypatch):
+    monkeypatch.setattr(functors, "_PAIRS_PER_CHUNK", chunk)
+    functor = _entrywise(B4, BOOL, table)
+    got = check_cmon_functor_exhaustive(functor, max_cells=2)
+    want = exhaustive_functor_check_slow(functor, 2)
+    laws = ("additive", "composition")
+    got_pairs = [c for c in got.checks if c.law in laws]
+    assert [c.to_dict() for c in got_pairs] == \
+        [c.to_dict() for c in want.checks if c.law in laws]
+    assert any(c.counterexample is not None for c in got_pairs)
