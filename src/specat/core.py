@@ -536,9 +536,10 @@ class _PaddedBatches(_ListBatches):
     source.sizes[i]`` corner of its grid.  The other cells hold ``blank``,
     the cell of a zero arrow, and every operation leaves them blank, so the
     padding never reaches a real cell: blank cells add nothing and absorb
-    products (subclasses make sure of that), identities put ``unit`` on
-    the real diagonal only, and the witnesses of a biproduct lay its
-    factors side by side from the corner.
+    products (0 for matrices; bottom for relations, which absorbs meets in
+    every lattice), identities put ``unit`` on the real diagonal only, and
+    the witnesses of a biproduct lay its factors side by side from the
+    corner.
 
     Subclasses give the dtype, ``blank``, ``unit``, an object's size, the
     carrier of a biproduct, the arrow holding a grid, the check that an
@@ -595,12 +596,6 @@ class _PaddedBatches(_ListBatches):
     def take(self, stack: _Stack, trials: np.ndarray, src: _Objects,
              tgt: _Objects) -> _Stack:
         return _Stack(src, tgt, np.take(stack.values, trials, axis=0))
-
-    def real(self, stack: _Stack) -> np.ndarray:
-        """Which cells of the stack's grids are not padding."""
-        rows = np.arange(stack.target.pad) < stack.target.sizes[:, None]
-        cols = np.arange(stack.source.pad) < stack.source.sizes[:, None]
-        return rows[:, :, None] & cols[:, None, :]
 
     def zero(self, src: _Objects, tgt: _Objects) -> _Stack:
         return _Stack(src, tgt, self._blank(src, tgt))

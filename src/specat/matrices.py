@@ -286,6 +286,8 @@ class MatrixCategory(SemiadditiveCategory):
 
     def equal(self, f: ScalarMatrix, g: ScalarMatrix,
               tol: Tolerance | None = None) -> bool:
+        _check_domains(self.domain, f.domain)
+        _check_domains(self.domain, g.domain)
         if f.source != g.source or f.target != g.target:
             return False
         if tol is None:
@@ -293,6 +295,8 @@ class MatrixCategory(SemiadditiveCategory):
         return bool(tol.close(f.values, g.values).all())
 
     def residual(self, f: ScalarMatrix, g: ScalarMatrix) -> float:
+        _check_domains(self.domain, f.domain)
+        _check_domains(self.domain, g.domain)
         if f.values.size == 0:
             return 0.0
         return float(np.max(np.abs(f.values - g.values)))

@@ -19,8 +19,7 @@ product per level, computed on BLAS; the per-level results are decoded back
 to elements afterwards.  The cost is proportional to the number of levels:
 1 for ``bool``, 2 for ``b4``, ``k - 1`` for ``chain(k)``, and in general the
 number of chains covering the join-irreducibles times the longest of them.
-Tables built with ``validate=False`` that lack this representation compose
-with a loop over the middle carrier instead.
+Every table has this representation.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ class HeytingTable:
                  "bottom", "top", "_index", "_cuts")
 
     def __init__(self, elements: Sequence[str], meet, join, *,
-                 name: str = "custom", validate: bool = True):
+                 name: str = "custom"):
         self.name = name
         self.elements = tuple(str(e) for e in elements)
         if len(set(self.elements)) != len(self.elements):
@@ -83,14 +82,12 @@ class HeytingTable:
         self.meet = self._table(meet, k, "meet")
         self.join = self._table(join, k, "join")
         self._index = {label: i for i, label in enumerate(self.elements)}
-        if validate:
-            self._check_lattice_laws()
+        self._check_lattice_laws()
         self.bottom = self._find_unit(self.join, "join")
         self.top = self._find_unit(self.meet, "meet")
         leq = self.meet == np.arange(k)[:, None]
         self.implication = self._derive_implication(leq)
-        if validate:
-            self._check_residuation(leq)
+        self._check_residuation(leq)
         self._cuts = _LevelCuts.of(self, leq)
 
     @staticmethod
@@ -164,13 +161,15 @@ class HeytingTable:
             if not np.array_equal(np.diagonal(table), idx):
                 x = int(np.nonzero(np.diagonal(table) != idx)[0][0])
                 raise self._violation(f"{which} idempotency", (self.label(x),))
-            left = table[table[:, :, None], idx[None, None, :]]   # (x?y)?z
-            right = table[idx[:, None, None], table[None, :, :]]  # x?(y?z)
-            if not np.array_equal(left, right):
-                x, y, z = np.argwhere(left != right)[0]
-                raise self._violation(
-                    f"{which} associativity",
-                    (self.label(x), self.label(y), self.label(z)))
+            # one x at a time over the whole (y, z) grid, so memory stays
+            # quadratic in k and the first violation is in (x, y, z) order
+            for x in range(k):
+                bad = table[table[x]] != table[x][table]  # (x?y)?z vs x?(y?z)
+                if bad.any():
+                    y, z = np.argwhere(bad)[0]
+                    raise self._violation(
+                        f"{which} associativity",
+                        (self.label(x), self.label(y), self.label(z)))
         absorb1 = self.join[idx[:, None], self.meet]
         if not np.array_equal(absorb1, np.broadcast_to(idx[:, None], (k, k))):
             x, y = np.argwhere(absorb1 != idx[:, None])[0]
@@ -194,8 +193,7 @@ class HeytingTable:
     # leq[meet[x]][a, b] says (x ^ a) <= b; memory stays quadratic in k.
 
     def _derive_implication(self, leq: np.ndarray) -> np.ndarray:
-        # a => b joins, in index order, every x with (x ^ a) <= b; the order
-        # matters only for unvalidated tables
+        # a => b joins every x with (x ^ a) <= b
         imp = np.full(self.meet.shape, self.bottom, dtype=np.int16)
         for x in range(len(self.elements)):
             imp = np.where(leq[self.meet[x]], self.join[imp, x], imp)
@@ -310,11 +308,12 @@ class _LevelCuts:
         self.join = join
 
     @classmethod
-    def of(cls, table: HeytingTable, leq: np.ndarray) -> "_LevelCuts | None":
-        """The kernel for ``table``, or None when its cuts do not represent it.
+    def of(cls, table: HeytingTable, leq: np.ndarray) -> "_LevelCuts":
+        """The kernel for ``table``, whose order ``leq[x, y]`` says ``x <= y``.
 
-        ``leq[x, y]`` says ``x <= y``.  Every valid table is distributive and
-        so has a representation; only ``validate=False`` can yield None.
+        A table that passed its lattice and residuation checks is
+        distributive and so has a representation; the checks below raise
+        LatticeError naming the table if the chain cover fails to give one.
         """
         k = len(table.elements)
         below = leq & ~np.eye(k, dtype=bool)
@@ -346,13 +345,13 @@ class _LevelCuts:
                                           np.minimum.outer(digit, digit))
                     or not np.array_equal(digit[table.join],
                                           np.maximum.outer(digit, digit))):
-                return None
+                raise _no_representation(table)
             place[-1, i] = radix
             tops = np.array([table.bottom] + members, dtype=np.int16)
             tables[-1] = table.join[tables[-1][None, :], tops[:, None]].ravel()
         kernel = cls(digits, place, tables, table.join)
         if not np.array_equal(kernel._decode(place @ digits), np.arange(k)):
-            return None
+            raise _no_representation(table)
         return kernel
 
     def _decode(self, codes: np.ndarray) -> np.ndarray:
@@ -387,28 +386,14 @@ class _LevelCuts:
         return self._decode(codes).reshape(*batch, n, m)
 
 
+def _no_representation(table: HeytingTable) -> LatticeError:
+    return LatticeError(
+        f"level cuts do not represent the lattice {table.name!r}")
+
+
 def _lookup(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``table[a, b]`` for index arrays that broadcast, as one flat lookup."""
     return table.take(np.multiply(a, len(table), dtype=np.intp) + b)
-
-
-def _compose_loop(algebra: "HeytingTable", g: np.ndarray, f: np.ndarray,
-                  real: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Values of ``g`` after ``f``, shaped as :meth:`_LevelCuts.compose`
-    takes them, joining the meets one middle index at a time.
-
-    This serves tables without level cuts.  ``real``, boolean masks shaped
-    like ``g`` and ``f``, marks the cells that are not padding: a meet is
-    joined in only where both its cells are real, so padded cells of the
-    result stay bottom even where bottom does not absorb meets.
-    """
-    out = np.full(g.shape[:-1] + f.shape[-1:], algebra.bottom, dtype=np.int16)
-    for b in range(g.shape[-1]):
-        joined = algebra.join[out, algebra.meet[g[..., :, b, None],
-                                                f[..., None, b, :]]]
-        out = joined if real is None else np.where(
-            real[0][..., :, b, None] & real[1][..., None, b, :], joined, out)
-    return out
 
 
 def _check_algebras(a: HeytingTable, b: HeytingTable) -> None:
@@ -510,12 +495,9 @@ class LRelation:
             raise ArrowTypeError(
                 f"cannot compose: middle carriers differ "
                 f"({self.source!r} vs {other.target!r})")
-        alg = self.algebra
-        if alg._cuts is not None:
-            out = alg._cuts.compose(self.values, other.values)
-        else:
-            out = _compose_loop(alg, self.values, other.values)
-        return LRelation._derived(alg, other.source, self.target, out)
+        return LRelation._derived(
+            self.algebra, other.source, self.target,
+            self.algebra._cuts.compose(self.values, other.values))
 
     def __or__(self, other: "LRelation") -> "LRelation":
         """Pointwise join of parallel relations."""
@@ -622,10 +604,14 @@ class RelationCategory(SemiadditiveCategory):
 
     def equal(self, f: LRelation, g: LRelation,
               tol: Tolerance | None = None) -> bool:
+        _check_algebras(self.algebra, f.algebra)
+        _check_algebras(self.algebra, g.algebra)
         return (f.source == g.source and f.target == g.target
                 and np.array_equal(f.values, g.values))
 
     def residual(self, f: LRelation, g: LRelation) -> float:
+        _check_algebras(self.algebra, f.algebra)
+        _check_algebras(self.algebra, g.algebra)
         return float(np.count_nonzero(f.values != g.values))
 
     def arrow_to_payload(self, f: LRelation) -> list:
@@ -688,13 +674,8 @@ class _RelationBatches(_PaddedBatches):
         _check_algebras(self.algebra, f.algebra)
 
     def compose(self, g: _Stack, f: _Stack) -> _Stack:
-        alg = self.algebra
-        if alg._cuts is not None:
-            values = alg._cuts.compose(g.values, f.values)
-        else:
-            values = _compose_loop(alg, g.values, f.values,
-                                   (self.real(g), self.real(f)))
-        return _Stack(f.source, g.target, values)
+        return _Stack(f.source, g.target,
+                      self.algebra._cuts.compose(g.values, f.values))
 
     def add(self, f: _Stack, g: _Stack) -> _Stack:
         return _Stack(f.source, f.target,

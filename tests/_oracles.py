@@ -53,6 +53,40 @@ def compose_relations_slow(g: LRelation, f: LRelation) -> LRelation:
     return LRelation(alg, f.source, g.target, rows)
 
 
+def lattice_law_violation_slow(elements, meet, join) -> str | None:
+    """The first lattice-law violation of index tables ``meet`` and ``join``
+    over ``elements``, as HeytingTable words it, or None.
+
+    Laws in the library's order: for meet and then join, commutativity,
+    idempotency and associativity, then the two absorptions.  Associativity
+    is checked on the whole (x, y, z) cube at once.
+    """
+    k = len(elements)
+    idx = np.arange(k)
+
+    def violation(what, *cells):
+        return f"{what} fails at ({', '.join(repr(elements[c]) for c in cells)})"
+
+    for which, table in (("meet", np.asarray(meet)), ("join", np.asarray(join))):
+        if not np.array_equal(table, table.T):
+            return violation(f"{which} commutativity",
+                             *np.argwhere(table != table.T)[0])
+        if not np.array_equal(np.diagonal(table), idx):
+            return violation(f"{which} idempotency",
+                             np.nonzero(np.diagonal(table) != idx)[0][0])
+        left = table[table[:, :, None], idx[None, None, :]]   # (x?y)?z
+        right = table[idx[:, None, None], table[None, :, :]]  # x?(y?z)
+        if not np.array_equal(left, right):
+            return violation(f"{which} associativity",
+                             *np.argwhere(left != right)[0])
+    meet, join = np.asarray(meet), np.asarray(join)
+    for what, absorbed in (("absorption x v (x ^ y) = x", join[idx[:, None], meet]),
+                           ("absorption x ^ (x v y) = x", meet[idx[:, None], join])):
+        if not np.array_equal(absorbed, np.broadcast_to(idx[:, None], (k, k))):
+            return violation(what, *np.argwhere(absorbed != idx[:, None])[0])
+    return None
+
+
 def join_relations_slow(f: LRelation, g: LRelation) -> LRelation:
     alg = f.algebra
     rows = [[alg.join_of(int(f.values[t, s]), int(g.values[t, s]))

@@ -18,6 +18,7 @@ from specat import (
     MAT_C,
     MAT_NN,
     MAT_R,
+    ArrowTypeError,
     LRelation,
     RelationCategory,
     ScalarMatrix,
@@ -34,17 +35,17 @@ from specat import (
 from specat import core, relations
 from specat.core import _ListBatches
 from specat.matrices import COMPLEX
-from specat.relations import RelationSampler, _compose_loop
+from specat.relations import RelationSampler, _lookup, _RelationBatches
 
 from ._oracles import check_cmon_functor_sampled_slow, run_law_suite_slow
-from .test_properties import UNVALIDATED, broken_b4, product_lattice
+from .test_properties import product_lattice
 
 EXACT_CASES = (
     RelationCategory(bool_algebra()),
     RelationCategory(b4()),
     RelationCategory(chain(3)),
     RelationCategory(product_lattice(chain(2), chain(3))),
-) + tuple(RelationCategory(table) for table in UNVALIDATED)
+)
 MATRIX_CASES = (MAT_R, MAT_C, MAT_NN)
 
 
@@ -100,17 +101,6 @@ def test_level_cuts_chunk_a_stack_by_its_whole_size(monkeypatch):
     assert np.array_equal(algebra._cuts.compose(g, f), whole)
 
 
-@pytest.mark.parametrize("table", UNVALIDATED, ids=["broken", "unordered"])
-def test_loop_composes_a_stack_as_each_grid(table):
-    rng = np.random.default_rng(5)
-    k = len(table.elements)
-    g = rng.integers(0, k, size=(6, 3, 4)).astype(np.int16)
-    f = rng.integers(0, k, size=(6, 4, 5)).astype(np.int16)
-    stacked = _compose_loop(table, g, f)
-    for i in range(6):
-        assert np.array_equal(stacked[i], _compose_loop(table, g[i], f[i]))
-
-
 # ---------------------------------------------------------------------------
 # padded batches: blank padding, and agreement with the list default
 
@@ -129,7 +119,9 @@ def random_arrows(cat, sources, targets, rng):
 
 
 def assert_blank_padding(batches, stack):
-    real = batches.real(stack)
+    rows = np.arange(stack.target.pad) < stack.target.sizes[:, None]
+    cols = np.arange(stack.source.pad) < stack.source.sizes[:, None]
+    real = rows[:, :, None] & cols[:, None, :]
     assert np.all(stack.values[~real] == batches.blank)
 
 
@@ -186,20 +178,6 @@ def test_padded_batches_keep_padding_blank_and_match_the_list_default(cat):
     assert np.allclose(residual, want_residual, rtol=0, atol=1e-12)
 
 
-def test_loop_leaves_padding_bottom_where_bottom_does_not_absorb_meets():
-    # in "unordered" the bottom meets 1 to 1, so an unmasked padded row
-    # would pick up real values from the other factor
-    table = UNVALIDATED[1]
-    assert table.meet_of(table.bottom, 1) != table.bottom
-    cat = RelationCategory(table)
-    batches = cat._batches()
-    X, Y = (batches.objects(objects_for(cat, s)) for s in ([1, 3], [3, 1]))
-    ones = batches.arrows([LRelation(table, x, y, np.ones((len(y), len(x))))
-                           for x, y in zip(X.items, Y.items)], X, Y)
-    composite = batches.compose(batches.identity(Y), ones)
-    assert_blank_padding(batches, composite)
-
-
 # ---------------------------------------------------------------------------
 # the law suite against its per-trial oracle
 
@@ -238,10 +216,28 @@ class FullSizeSampler(RelationSampler):
         return tuple(f"v{i}" for i in range(self.max_carrier))
 
 
+class MeetAddCategory(RelationCategory):
+    """Relations over b4 "added" by meets, per arrow and on batches: a
+    failing instance whose padding stays bottom."""
+
+    def add(self, f, g):
+        return LRelation._derived(f.algebra, f.source, f.target,
+                                  f.algebra.meet[f.values, g.values])
+
+    def _batches(self):
+        return MeetAddBatches(self)
+
+
+class MeetAddBatches(_RelationBatches):
+    def add(self, f, g):
+        return core._Stack(f.source, f.target,
+                           _lookup(self.algebra.meet, f.values, g.values))
+
+
 @pytest.mark.parametrize("per_chunk", [1, 7])
 def test_chunks_of_one_and_seven_keep_the_first_counterexample(
         monkeypatch, per_chunk):
-    cat = RelationCategory(broken_b4())
+    cat = MeetAddCategory(b4())
     sampler = FullSizeSampler(cat.algebra, max_carrier=2)
     chunk_sizes = []
     draw_chunks = core._trial_chunks
@@ -374,6 +370,38 @@ def test_padded_matrix_batches_reject_images_over_another_domain():
         check_cmon_functor(foreign, trials=30, seed=3, exhaustive_cells=0)
     assert str(got.value) == str(want.value) == \
         "domain mismatch: real vs complex"
+
+
+FOREIGN_ARROWS = (
+    (RelationCategory(b4()), LRelation(chain(3), ("x",), ("y",), [[1]]),
+     LRelation(b4(), ("x",), ("y",), [[1]]),
+     "relations live over different algebras"),
+    (MAT_R, ScalarMatrix([[1.0]], COMPLEX), ScalarMatrix([[1.0]]),
+     "domain mismatch: real vs complex"),
+)
+
+
+@pytest.mark.parametrize("cat, foreign, own, message", FOREIGN_ARROWS,
+                         ids=["rel", "mat"])
+def test_equal_and_residual_reject_a_foreign_arrow(cat, foreign, own, message):
+    for f, g in ((foreign, own), (own, foreign)):
+        with pytest.raises(ArrowTypeError, match=message):
+            cat.equal(f, g)
+        with pytest.raises(ArrowTypeError, match=message):
+            cat.residual(f, g)
+
+
+@pytest.mark.parametrize("cat, foreign, own, message", FOREIGN_ARROWS,
+                         ids=["rel", "mat"])
+def test_list_and_padded_compare_reject_a_foreign_stack(cat, foreign, own,
+                                                        message):
+    # the list default stacks the foreign arrow and compare refuses it;
+    # padded batches refuse it already when stacking it
+    for batches in (_ListBatches(cat), cat._batches()):
+        src, tgt = batches.objects([own.source]), batches.objects([own.target])
+        with pytest.raises(ArrowTypeError, match=message):
+            batches.compare(batches.arrows([foreign], src, tgt),
+                            batches.arrows([own], src, tgt), None)
 
 
 class Refusal(Exception):

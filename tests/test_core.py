@@ -10,6 +10,7 @@ from specat import (
     MAT_R,
     ArrowTypeError,
     HeytingTable,
+    LatticeError,
     LRelation,
     PreconditionError,
     RelationCategory,
@@ -207,23 +208,15 @@ class TestLawSuite:
         assert report.passed, [c.law for c in report.failures()]
         assert report.max_residual == 0.0
 
-    def test_corrupted_meet_table_breaks_distributivity(self):
-        # set meet(a, b) to the top: the meet is no longer associative and no
-        # longer distributes over joins, which composition over the algebra
-        # exposes while the unit rows stay intact
+    def test_corrupted_meet_table_is_rejected_when_built(self):
+        # set meet(a, b) to the top: the unit rows stay intact, but the meet
+        # is no longer associative, so no relation category over it exists
         meet = np.array(B4.meet, dtype=np.int16).copy()
         a, b, one = B4.index("a"), B4.index("b"), B4.index("1")
         meet[a, b] = meet[b, a] = one
-        broken = HeytingTable(B4.elements, meet, B4.join, name="broken",
-                              validate=False)
-        report = run_law_suite(RelationCategory(broken), trials=60, seed=3)
-        assert not report.passed
-        failed = {c.law for c in report.failures()}
-        assert failed & {"distributes_left", "distributes_right"}
-        # counterexamples are populated and re-checkable
-        failure = report.failures()[0]
-        assert failure.counterexample is not None
-        assert "lhs" in failure.counterexample
+        with pytest.raises(LatticeError) as err:
+            HeytingTable(B4.elements, meet, B4.join, name="broken")
+        assert str(err.value) == "meet associativity fails at ('a', 'a', 'b')"
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trials_below_one_raises(self, trials):

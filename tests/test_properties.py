@@ -13,6 +13,7 @@ from specat import (
     MAT_NN,
     MAT_R,
     HeytingTable,
+    LatticeError,
     LRelation,
     Partition,
     PreconditionError,
@@ -39,6 +40,7 @@ from ._oracles import (
     detect_blocks_slow,
     equitable_degrees_slow,
     join_relations_slow,
+    lattice_law_violation_slow,
     random_matrix_slow,
     random_relation_slow,
     separate_components_slow,
@@ -56,24 +58,6 @@ def product_lattice(left, right) -> HeytingTable:
              for y in pairs] for x in pairs]
     labels = [f"{left.label(i)},{right.label(j)}" for i, j in pairs]
     return HeytingTable(labels, meet, join, name="product")
-
-
-def broken_b4() -> HeytingTable:
-    """b4 with meet(a, b) set to the top: not a lattice, kept unvalidated."""
-    meet = np.array(b4().meet, dtype=np.int16).copy()
-    a, b, one = b4().index("a"), b4().index("b"), b4().index("1")
-    meet[a, b] = meet[b, a] = one
-    return HeytingTable(b4().elements, meet, b4().join, name="broken",
-                        validate=False)
-
-
-# Tables without a level-cut representation, so they compose by the loop:
-# broken b4 fails the meet and join checks; in the second table the meet
-# orders nothing, so no element has a join-irreducible below it and the
-# (empty) cuts cannot tell the two elements apart
-UNVALIDATED = (broken_b4(),
-               HeytingTable(("0", "1"), [[0, 1], [0, 1]], [[0, 1], [1, 0]],
-                            name="unordered", validate=False))
 
 
 # chain(1) has no join-irreducible levels, chain(64) has 63, and the product
@@ -100,8 +84,32 @@ def relation_between(draw, algebra, source, target):
 
 
 @st.composite
-def composable_pair(draw):
-    algebra = draw(st.sampled_from(ALGEBRAS))
+def down_set_lattice(draw, max_points: int = 5):
+    """The lattice of down-sets of a random poset on at most ``max_points``
+    points, its elements in a random order.  By Birkhoff's representation
+    theorem every finite distributive lattice arises this way."""
+    n = draw(st.integers(0, max_points))
+    below = [[i < j and draw(st.booleans()) for j in range(n)]
+             for i in range(n)]
+    for m in range(n):
+        for i in range(n):
+            for j in range(n):
+                below[i][j] = below[i][j] or (below[i][m] and below[m][j])
+    down_sets = [s for s in range(1 << n)
+                 if all(s >> i & 1 for j in range(n) if s >> j & 1
+                        for i in range(n) if below[i][j])]
+    order = draw(st.permutations(down_sets))
+    pos = {s: p for p, s in enumerate(order)}
+    meet = [[pos[a & b] for b in order] for a in order]
+    join = [[pos[a | b] for b in order] for a in order]
+    labels = ["{" + ",".join(str(i) for i in range(n) if s >> i & 1) + "}"
+              for s in order]
+    return HeytingTable(labels, meet, join, name=f"down-sets-{n}")
+
+
+@st.composite
+def composable_pair(draw, algebras=st.sampled_from(ALGEBRAS)):
+    algebra = draw(algebras)
     src = draw(carriers("a"))
     mid = draw(carriers("b"))
     tgt = draw(carriers("c"))
@@ -149,21 +157,60 @@ def test_composition_with_one_chain_per_decode_group_matches_loop_oracle():
             assert g @ f == compose_relations_slow(g, f)
 
 
+def test_every_table_has_level_cuts():
+    assert all(isinstance(algebra._cuts, relations._LevelCuts)
+               for algebra in ALGEBRAS)
+
+
+def test_level_cuts_that_miss_the_table_fail_loudly():
+    # read as an order that relates nothing, b4 has no join-irreducibles and
+    # its (empty) cuts cannot tell the elements apart
+    with pytest.raises(LatticeError,
+                       match="level cuts do not represent the lattice 'b4'"):
+        relations._LevelCuts.of(b4(), np.eye(4, dtype=bool))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_composition_over_unvalidated_table_matches_loop_oracle(data):
-    algebra = data.draw(st.sampled_from(UNVALIDATED))
-    src = data.draw(carriers("a"))
-    mid = data.draw(carriers("b"))
-    tgt = data.draw(carriers("c"))
-    f = data.draw(relation_between(algebra, src, mid))
-    g = data.draw(relation_between(algebra, mid, tgt))
-    assert g @ f == compose_relations_slow(g, f)
+@given(down_set_lattice(), st.data())
+def test_every_distributive_lattice_composes_by_level_cuts(algebra, data):
+    trials = [data.draw(composable_pair(st.just(algebra))) for _ in range(3)]
+    for g, f in trials:
+        assert g @ f == compose_relations_slow(g, f)
+    batches = RelationCategory(algebra)._batches()
+    X, Y, Z = (batches.objects(list(carriers)) for carriers in zip(
+        *[(f.source, f.target, g.target) for g, f in trials]))
+    stacked = batches.compose(batches.arrows([g for g, _ in trials], Y, Z),
+                              batches.arrows([f for _, f in trials], X, Y))
+    for i, (g, f) in enumerate(trials):
+        assert batches.arrow(stacked, i) == compose_relations_slow(g, f)
 
 
-def test_only_unvalidated_tables_lack_level_cuts():
-    assert all(algebra._cuts is not None for algebra in ALGEBRAS)
-    assert all(algebra._cuts is None for algebra in UNVALIDATED)
+# tables of the lattice-law oracle: a chain, Boolean algebras and a product
+ORACLE_TABLES = (bool_algebra(), b4(), chain(5),
+                 product_lattice(chain(2), chain(3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ORACLE_TABLES), st.sampled_from(["meet", "join"]),
+       st.booleans(), st.data())
+def test_lattice_law_messages_match_the_whole_cube_oracle(algebra, which,
+                                                          mirrored, data):
+    # a mirrored corruption keeps the table commutative, so the later laws
+    # (associativity, absorption) get to fail first
+    tables = {"meet": np.array(algebra.meet), "join": np.array(algebra.join)}
+    table = tables[which]
+    k = len(algebra.elements)
+    x, y = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+    value = data.draw(st.integers(0, k - 1).filter(lambda v: v != table[x, y]))
+    table[x, y] = value
+    if mirrored:
+        table[y, x] = value
+    want = lattice_law_violation_slow(algebra.elements, tables["meet"],
+                                      tables["join"])
+    assert want is not None
+    with pytest.raises(LatticeError) as err:
+        HeytingTable(algebra.elements, tables["meet"], tables["join"])
+    assert str(err.value) == want
 
 
 @settings(max_examples=60, deadline=None)

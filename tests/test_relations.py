@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,17 @@ class TestHeytingTable:
         with pytest.raises(LatticeError) as err:
             HeytingTable(elements, meet_t, join_t)
         assert "residuation" in str(err.value)
+
+    def test_validating_a_large_chain_keeps_memory_quadratic(self):
+        # the whole (x, y, z) cube of a 256-element table takes about 100 MB
+        # of index arrays; one x at a time keeps the peak near k^2
+        tracemalloc.start()
+        try:
+            chain.__wrapped__(256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_unknown_label_in_tables(self):
         with pytest.raises(LatticeError):
