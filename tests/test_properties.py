@@ -163,8 +163,8 @@ def test_every_table_has_level_cuts():
 
 
 def test_level_cuts_that_miss_the_table_fail_loudly():
-    # read as an order that relates nothing, b4 has no join-irreducibles and
-    # its (empty) cuts cannot tell the elements apart
+    # under an order that relates no two distinct elements, b4 has no
+    # join-irreducibles, and its (empty) cuts cannot tell the elements apart
     with pytest.raises(LatticeError,
                        match="level cuts do not represent the lattice 'b4'"):
         relations._LevelCuts.of(b4(), np.eye(4, dtype=bool))
@@ -177,7 +177,7 @@ def test_every_distributive_lattice_composes_by_level_cuts(algebra, data):
     for g, f in trials:
         assert g @ f == compose_relations_slow(g, f)
     batches = RelationCategory(algebra)._batches()
-    X, Y, Z = (batches.objects(list(carriers)) for carriers in zip(
+    X, Y, Z = (batches.objects(list(objects)) for objects in zip(
         *[(f.source, f.target, g.target) for g, f in trials]))
     stacked = batches.compose(batches.arrows([g for g, _ in trials], Y, Z),
                               batches.arrows([f for _, f in trials], X, Y))
