@@ -18,14 +18,9 @@ from . import formats
 from .core import (
     DEFAULT_TOL_ABS,
     DEFAULT_TOL_REL,
-    ArrowTypeError,
-    DecompositionError,
-    LatticeError,
     ParseError,
-    PreconditionError,
     SpecatError,
     Tolerance,
-    UnsupportedDomainError,
     run_law_suite,
 )
 from .functors import (
@@ -343,10 +338,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ArrowTypeError, PreconditionError, LatticeError,
-            UnsupportedDomainError, DecompositionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except SpecatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -4,6 +4,8 @@ A category instance supplies composition, homset addition with zero arrows,
 identities, and canonical biproduct witnesses.  On top of that contract this
 module derives pairing, copairing, block sums, addition-via-biproduct, and a
 randomized law suite that exercises the defining equations of the structure.
+Instances whose arrows are grids of cells derive from ``_GridCategory``,
+which writes the arrow algebra once from a few per-instance hooks.
 """
 
 from __future__ import annotations
@@ -255,14 +257,6 @@ class SemiadditiveCategory(ABC):
 # derived constructions
 
 
-def _sub_grid(values: np.ndarray, rows, cols) -> np.ndarray:
-    """The entries at these row and column positions; ``None`` keeps them all."""
-    if rows is None or cols is None:
-        return values[slice(None) if rows is None else rows,
-                      slice(None) if cols is None else cols]
-    return values[np.ix_(rows, cols)]
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ArrowTypeError(message)
@@ -273,15 +267,13 @@ def check_zero_object(cat: SemiadditiveCategory, candidate: Any,
     """Pass iff the zero endo-arrow on ``candidate`` equals its identity."""
     zero = cat.zero(candidate, candidate)
     ident = cat.identity(candidate)
-    ok = cat.equal(zero, ident, tol)
-    report = LawReport()
-    report.record(
-        "zero_object", ok, max_residual=cat.residual(zero, ident),
-        counterexample=None if ok else {
-            "identity": cat.describe_arrow(ident),
-            "zero": cat.describe_arrow(zero),
-        })
-    return report
+    tally = LawTally(cat, tol)
+    tally.check_batch(
+        "zero_object", np.array([cat.residual(zero, ident)]),
+        lambda i: {"identity": cat.describe_arrow(ident),
+                   "zero": cat.describe_arrow(zero)},
+        np.array([cat.equal(zero, ident, tol)]))
+    return tally.report()
 
 
 def check_biproduct_axioms(cat: SemiadditiveCategory, w: BiproductWitness,
@@ -456,7 +448,7 @@ class _ListBatches:
     a category (:func:`pair`, :func:`copair`, :func:`oplus`, ...) build
     batches when handed one of these.  This default keeps lists and maps
     the category's per-arrow methods over them, so every instance has it;
-    instances override it with padded stacks (:class:`_PaddedBatches`).
+    grid instances have padded stacks instead (:class:`_PaddedBatches`).
     """
 
     def __init__(self, cat: SemiadditiveCategory) -> None:
@@ -530,72 +522,62 @@ class _ListBatches:
 
 
 class _PaddedBatches(_ListBatches):
-    """Batches as arrays of grids padded to the largest object at each end.
+    """Batches of a grid instance as arrays of grids padded to the largest
+    object at each end.
 
     Trial ``i``'s arrow fills the top-left ``target.sizes[i] x
-    source.sizes[i]`` corner of its grid.  The other cells hold ``blank``,
-    the cell of a zero arrow, and every operation leaves them blank, so the
+    source.sizes[i]`` corner of its grid.  The other cells are blank, the
+    cell of a zero arrow, and every operation leaves them blank, so the
     padding never reaches a real cell: blank cells add nothing and absorb
     products (0 for matrices; bottom for relations, which absorbs meets in
-    every lattice), identities put ``unit`` on the real diagonal only, and
-    the witnesses of a biproduct lay its factors side by side from the
-    corner.
-
-    Subclasses give the dtype, ``blank``, ``unit``, an object's size, the
-    carrier of a biproduct, the arrow holding a grid, the check that an
-    arrow belongs to the instance, and compose, add and compare.
+    every lattice), identities put the unit cell on the real diagonal only,
+    and the witnesses of a biproduct lay its factors side by side from the
+    corner.  Everything else comes from the hooks of :class:`_GridCategory`.
     """
 
-    def __init__(self, cat: SemiadditiveCategory, dtype, blank, unit) -> None:
+    def __init__(self, cat: "_GridCategory") -> None:
         super().__init__(cat)
-        self.dtype = dtype
-        self.blank = blank
-        self.unit = unit
-        self.itemsize = np.dtype(dtype).itemsize
-
-    def size(self, obj: Any) -> int:
-        raise NotImplementedError
-
-    def make(self, values: np.ndarray, src: Any, tgt: Any) -> Arrow:
-        """The arrow ``src -> tgt`` holding the fresh grid ``values``."""
-        raise NotImplementedError
+        self.itemsize = np.dtype(cat._dtype).itemsize
 
     def footprint(self, objects) -> int:
-        widest = max(map(self.size, objects), default=0)
+        widest = max(map(self.cat._size, objects), default=0)
         return _ARROW_BYTES + (2 * widest) ** 2 * self.itemsize
 
+    def carrier(self, left: Any, right: Any) -> Any:
+        return self.cat._carrier(left, right)
+
     def objects(self, items: list) -> _Objects:
-        return _Objects(items, np.fromiter(map(self.size, items), np.intp,
+        return _Objects(items, np.fromiter(map(self.cat._size, items), np.intp,
                                            len(items)))
 
     def _blank(self, src: _Objects, tgt: _Objects) -> np.ndarray:
-        return np.full((len(src.items), tgt.pad, src.pad), self.blank,
-                       dtype=self.dtype)
-
-    def admit(self, f: Arrow) -> None:
-        """Raise the per-arrow operations' ArrowTypeError unless ``f`` is an
-        arrow of this instance, whose grid may be stacked with the others."""
-        raise NotImplementedError
+        return self.cat._blank_grid(len(src.items), tgt.pad, src.pad)
 
     def repeat(self, obj: Any, count: int) -> _Objects:
-        return _Objects([obj] * count, np.full(count, self.size(obj), np.intp))
+        return _Objects([obj] * count, np.full(count, self.cat._size(obj), np.intp))
 
     def arrows(self, arrows: list, src: _Objects, tgt: _Objects) -> _Stack:
         values = self._blank(src, tgt)
         for grid, f in zip(values, arrows):
-            self.admit(f)
+            self.cat._admit(f)
             rows, cols = f.values.shape
             grid[:rows, :cols] = f.values
         return _Stack(src, tgt, values)
 
     def arrow(self, stack: _Stack, i: int) -> Arrow:
         rows, cols = stack.target.sizes[i], stack.source.sizes[i]
-        return self.make(np.array(stack.values[i, :rows, :cols]),
-                         stack.source.items[i], stack.target.items[i])
+        return self.cat._arrow(np.array(stack.values[i, :rows, :cols]),
+                               stack.source.items[i], stack.target.items[i])
 
     def take(self, stack: _Stack, trials: np.ndarray, src: _Objects,
              tgt: _Objects) -> _Stack:
         return _Stack(src, tgt, np.take(stack.values, trials, axis=0))
+
+    def compose(self, g: _Stack, f: _Stack) -> _Stack:
+        return _Stack(f.source, g.target, self.cat._compose_cells(g.values, f.values))
+
+    def add(self, f: _Stack, g: _Stack) -> _Stack:
+        return _Stack(f.source, f.target, self.cat._add_cells(f.values, g.values))
 
     def zero(self, src: _Objects, tgt: _Objects) -> _Stack:
         return _Stack(src, tgt, self._blank(src, tgt))
@@ -603,13 +585,13 @@ class _PaddedBatches(_ListBatches):
     def _diagonal(self, src: _Objects, tgt: _Objects, sizes: np.ndarray,
                   row_shift: np.ndarray | None = None,
                   col_shift: np.ndarray | None = None) -> _Stack:
-        """``unit`` at (row_shift + j, col_shift + j) for j below each size."""
+        """The unit cell at (row_shift + j, col_shift + j) for j below each size."""
         values = self._blank(src, tgt)
         trial = np.repeat(np.arange(len(sizes)), sizes)
         step = np.arange(trial.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         rows = step if row_shift is None else step + row_shift[trial]
         cols = step if col_shift is None else step + col_shift[trial]
-        values[trial, rows, cols] = self.unit
+        values[trial, rows, cols] = self.cat._unit
         return _Stack(src, tgt, values)
 
     def identity(self, obj: _Objects) -> _Stack:
@@ -625,6 +607,99 @@ class _PaddedBatches(_ListBatches):
             self._diagonal(carrier, right, right.sizes, col_shift=left.sizes),
             self._diagonal(left, carrier, left.sizes),
             self._diagonal(right, carrier, right.sizes, row_shift=left.sizes))
+
+    def compare(self, got: _Stack, want: _Stack,
+                tol: Tolerance | None) -> tuple[np.ndarray, np.ndarray]:
+        return (self.cat._equal_cells(got.values, want.values, tol),
+                self.cat._residual_cells(got.values, want.values))
+
+
+class _GridCategory(SemiadditiveCategory):
+    """An instance whose arrows are grids of cells, target rows by source
+    columns, and whose canonical biproducts lay grids side by side.
+
+    Zero arrows, identities, canonical witnesses, sub-arrows, comparison and
+    the padded batches are written here once, from these hooks:
+
+    - ``_dtype``, ``_blank`` and ``_unit``: the cells' dtype, the cell of a
+      zero arrow (it adds nothing and absorbs products) and the diagonal
+      cell of an identity;
+    - ``_object(obj)``: ``obj`` as the instance holds it, or ArrowTypeError
+      if it is no object; ``_size(obj)``: its number of grid positions;
+    - ``_carrier(left, right)``: the biproduct carrier, ``left``'s positions
+      first; ``_sub_object(obj, positions)``: the object at those positions;
+    - ``_arrow(values, src, tgt)``: the arrow holding the fresh grid
+      ``values``, unchecked; ``_admit(f)``: the per-arrow operations'
+      ArrowTypeError unless ``f`` is an arrow of this instance;
+    - cell kernels on grids with the same leading batch axes, if any:
+      ``_compose_cells(g, f)``, ``_add_cells(f, g)``, and per grid the
+      verdict ``_equal_cells(a, b, tol)`` and the residual
+      ``_residual_cells(a, b)``.
+    """
+
+    def _blank_grid(self, *shape: int) -> np.ndarray:
+        # np.zeros leaves pages untouched until they are written
+        values = np.zeros(shape, self._dtype)
+        if self._blank:
+            values.fill(self._blank)
+        return values
+
+    def _unit_grid(self, rows: int, cols: int, k: int = 0) -> np.ndarray:
+        """A blank grid with the unit cell at (j, j + k), as ``np.eye`` lays it."""
+        values = self._blank_grid(rows, cols)
+        j = np.arange(max(0, -k), min(rows, cols - k))
+        values[j, j + k] = self._unit
+        return values
+
+    def zero(self, src: Any, tgt: Any) -> Arrow:
+        src, tgt = self._object(src), self._object(tgt)
+        return self._arrow(self._blank_grid(self._size(tgt), self._size(src)),
+                           src, tgt)
+
+    def identity(self, obj: Any) -> Arrow:
+        obj = self._object(obj)
+        n = self._size(obj)
+        return self._arrow(self._unit_grid(n, n), obj, obj)
+
+    def canonical_biproduct(self, left: Any, right: Any) -> BiproductWitness:
+        left, right = self._object(left), self._object(right)
+        carrier = self._carrier(left, right)
+        m, n = self._size(left), self._size(right)
+        p1, p2 = self._unit_grid(m, m + n), self._unit_grid(n, m + n, m)
+        # an injection is a copy of its projection's transpose, laid out as
+        # numpy copies it: the layout decides how BLAS rounds a product
+        return BiproductWitness(
+            left, right, carrier, self._arrow(p1, carrier, left),
+            self._arrow(p2, carrier, right),
+            self._arrow(np.array(p1.T), left, carrier),
+            self._arrow(np.array(p2.T), right, carrier))
+
+    def restrict(self, f: Arrow, rows, cols) -> Arrow:
+        """The sub-arrow of ``f`` on these target rows and source columns;
+        ``None`` keeps all of them (as a view, if both are ``None``)."""
+        self._admit(f)
+        if rows is None or cols is None:
+            values = f.values[slice(None) if rows is None else rows,
+                              slice(None) if cols is None else cols]
+        else:
+            values = f.values[np.ix_(rows, cols)]
+        return self._arrow(
+            values, f.source if cols is None else self._sub_object(f.source, cols),
+            f.target if rows is None else self._sub_object(f.target, rows))
+
+    def equal(self, f: Arrow, g: Arrow, tol: Tolerance | None = None) -> bool:
+        self._admit(f)
+        self._admit(g)
+        return (f.source == g.source and f.target == g.target
+                and bool(self._equal_cells(f.values, g.values, tol)))
+
+    def residual(self, f: Arrow, g: Arrow) -> float:
+        self._admit(f)
+        self._admit(g)
+        return float(self._residual_cells(f.values, g.values))
+
+    def _batches(self) -> _PaddedBatches:
+        return _PaddedBatches(self)
 
 
 def _trial_chunks(batches: _ListBatches, trials: int, draw):
@@ -696,36 +771,30 @@ class LawTally:
     def check(self, law: str, got: Arrow, want: Arrow,
               inputs: dict | None = None) -> None:
         """One check of ``got == want``, computed from ``inputs`` if given."""
-        totals = self._of(law)
-        totals.trials += 1
-        ok = self.cat.equal(got, want, self.tol)
-        residual = self.cat.residual(got, want)
-        if residual > totals.max_residual:
-            totals.max_residual = residual
-        if not ok:
-            totals.failures += 1
-            if totals.counterexample is None:
-                totals.counterexample = self.counterexample(inputs, got, want)
+        self.check_batch(law, np.array([self.cat.residual(got, want)]),
+                         lambda i: self.counterexample(inputs, got, want),
+                         np.array([self.cat.equal(got, want, self.tol)]))
 
     def check_batch(self, law: str, residuals: np.ndarray,
                     counterexample: Callable[[int], dict],
                     passed: np.ndarray) -> None:
         """A batch of checks, in order, given by their residuals and verdicts.
 
-        ``counterexample(i)`` describes the failure of check ``i`` and is
-        called only for the first failure of the law.
+        ``counterexample(i)`` describes the failure of check ``i``: any dict,
+        or None for a law without one.  It is called for the first failure,
+        and for later ones only while the law has no counterexample.
         """
         totals = self._of(law)
         totals.trials += residuals.size
-        if residuals.size:
-            residual = float(residuals.max())
-            if residual > totals.max_residual:
-                totals.max_residual = residual
-        failed = np.flatnonzero(~passed)
-        if failed.size:
-            totals.failures += failed.size
+        residual = float(residuals.max(initial=0.0))
+        if residual > totals.max_residual:
+            totals.max_residual = residual
+        failures = int(passed.size - np.count_nonzero(passed))
+        if failures:
+            totals.failures += failures
             if totals.counterexample is None:
-                totals.counterexample = counterexample(int(failed[0]))
+                # the first failure: argmin finds the first False
+                totals.counterexample = counterexample(int(passed.argmin()))
 
     def report(self) -> LawReport:
         report = LawReport()

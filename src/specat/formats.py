@@ -201,15 +201,29 @@ def save_matrix_csv(matrix: ScalarMatrix, path) -> None:
 # lattices
 
 
+# Validating a table takes time cubic in its size (on a 2-vCPU VM chain:512
+# takes 2-3 s and chain:1024 about 20 s), so lattices read from input are
+# bounded; library callers of HeytingTable and chain are not.
+_MAX_INPUT_LATTICE = 512
+
+
+def _check_lattice_size(what: str, count: int) -> None:
+    if count > _MAX_INPUT_LATTICE:
+        raise ParseError(f"lattice {what} has {count} elements; at most "
+                         f"{_MAX_INPUT_LATTICE} are accepted from input")
+
+
 def lattice_from_dict(payload: dict) -> HeytingTable:
     try:
         elements = payload["elements"]
         meet = payload["meet"]
         join = payload["join"]
+        count = len(elements)
     except (KeyError, TypeError) as exc:
         raise ParseError("lattice JSON needs elements, meet, and join") from exc
-    return HeytingTable.from_label_tables(
-        elements, meet, join, name=str(payload.get("name", "custom")))
+    name = str(payload.get("name", "custom"))
+    _check_lattice_size(repr(name), count)
+    return HeytingTable.from_label_tables(elements, meet, join, name=name)
 
 
 def resolve_lattice(spec: str) -> HeytingTable:
@@ -221,16 +235,14 @@ def resolve_lattice(spec: str) -> HeytingTable:
         return b4()
     if name.startswith("chain:"):
         try:
-            return chain(int(name.split(":", 1)[1]))
+            k = int(name.split(":", 1)[1])
         except ValueError as exc:
             raise ParseError(f"bad chain size in {spec!r}") from exc
+        _check_lattice_size(repr(spec), k)
+        return chain(k)
     if spec.startswith("builtin:"):
         raise ParseError(f"unknown builtin lattice {spec!r}")
     return lattice_from_dict(_read_json(spec))
-
-
-def save_lattice_json(algebra: HeytingTable, path) -> None:
-    Path(path).write_text(canonical_json(algebra.to_dict()))
 
 
 # ---------------------------------------------------------------------------

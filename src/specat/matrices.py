@@ -22,13 +22,9 @@ from .core import (
     BiproductWitness,
     ParseError,
     PreconditionError,
-    SemiadditiveCategory,
     Tolerance,
     UnsupportedDomainError,
-    _Objects,
-    _PaddedBatches,
-    _Stack,
-    _sub_grid,
+    _GridCategory,
 )
 
 
@@ -129,11 +125,11 @@ class ScalarMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int, domain: ScalarDomain = REAL) -> "ScalarMatrix":
-        return cls._derived(np.zeros((rows, cols), dtype=domain.dtype), domain)
+        return MatrixCategory(domain).zero(cols, rows)
 
     @classmethod
     def identity(cls, n: int, domain: ScalarDomain = REAL) -> "ScalarMatrix":
-        return cls._derived(np.eye(n, dtype=domain.dtype), domain)
+        return MatrixCategory(domain).identity(n)
 
     # -- algebra ----------------------------------------------------------------
 
@@ -219,13 +215,16 @@ def _matrix_from_payload(payload, domain: ScalarDomain) -> np.ndarray:
                     dtype=domain.dtype)
 
 
-class MatrixCategory(SemiadditiveCategory):
+class MatrixCategory(_GridCategory):
     """Matrices over one scalar domain, with dimension objects."""
 
     exact = False
+    _blank = 0
+    _unit = 1
 
     def __init__(self, domain: ScalarDomain):
         self.domain = domain
+        self._dtype = domain.dtype
         self.name = {"real": "mat-r", "complex": "mat-c",
                      "nonnegative": "mat-nn"}.get(domain.name, f"mat-{domain.name}")
 
@@ -235,29 +234,8 @@ class MatrixCategory(SemiadditiveCategory):
     def add(self, f: ScalarMatrix, g: ScalarMatrix) -> ScalarMatrix:
         return f + g
 
-    def zero(self, src: int, tgt: int) -> ScalarMatrix:
-        return ScalarMatrix.zeros(tgt, src, self.domain)
-
-    def identity(self, obj: int) -> ScalarMatrix:
-        return ScalarMatrix.identity(obj, self.domain)
-
-    def restrict(self, f: ScalarMatrix, rows, cols) -> ScalarMatrix:
-        """The sub-matrix on these row and column positions (``None``: all)."""
-        return ScalarMatrix._derived(_sub_grid(f.values, rows, cols), f.domain)
-
     def zero_object(self) -> int:
         return 0
-
-    def canonical_biproduct(self, left: int, right: int) -> BiproductWitness:
-        if left < 0 or right < 0:
-            raise ArrowTypeError("dimensions must be non-negative")
-        dtype = self.domain.dtype
-        pi1 = ScalarMatrix._derived(
-            np.eye(left, left + right, dtype=dtype), self.domain)
-        pi2 = ScalarMatrix._derived(
-            np.eye(right, left + right, k=left, dtype=dtype), self.domain)
-        return BiproductWitness(left, right, left + right,
-                                pi1, pi2, pi1.transpose(), pi2.transpose())
 
     def generalized_biproduct(self, f: ScalarMatrix, g: ScalarMatrix,
                               f_inv: ScalarMatrix | None = None,
@@ -284,22 +262,8 @@ class MatrixCategory(SemiadditiveCategory):
             np.vstack([np.zeros((m, n)), np.asarray(g_inv.values)]), self.domain)
         return BiproductWitness(m, n, m + n, pi1, pi2, iota1, iota2)
 
-    def equal(self, f: ScalarMatrix, g: ScalarMatrix,
-              tol: Tolerance | None = None) -> bool:
-        _check_domains(self.domain, f.domain)
-        _check_domains(self.domain, g.domain)
-        if f.source != g.source or f.target != g.target:
-            return False
-        if tol is None:
-            tol = Tolerance()
-        return bool(tol.close(f.values, g.values).all())
-
-    def residual(self, f: ScalarMatrix, g: ScalarMatrix) -> float:
-        _check_domains(self.domain, f.domain)
-        _check_domains(self.domain, g.domain)
-        if f.values.size == 0:
-            return 0.0
-        return float(np.max(np.abs(f.values - g.values)))
+    # bound in the class body, so a traced run times each instance's own
+    equal = _GridCategory.equal
 
     def arrow_to_payload(self, f: ScalarMatrix) -> list:
         if self.domain is COMPLEX or np.iscomplexobj(f.values):
@@ -328,46 +292,44 @@ class MatrixCategory(SemiadditiveCategory):
         return MatrixSampler(self.domain,
                              max_dim=5 if max_size is None else max_size)
 
-    def _batches(self) -> "_MatrixBatches":
-        return _MatrixBatches(self)
+    # -- grid hooks (see _GridCategory) ---------------------------------------
 
-
-class _MatrixBatches(_PaddedBatches):
-    """Stacks of matrices padded with zeros, multiplied as one stack."""
-
-    def __init__(self, cat: MatrixCategory):
-        super().__init__(cat, cat.domain.dtype, 0, 1)
-        self.domain = cat.domain
-
-    def size(self, obj: int) -> int:
+    def _object(self, obj: int) -> int:
+        if obj < 0:
+            raise ArrowTypeError("dimensions must be non-negative")
         return obj
 
-    def carrier(self, left: int, right: int) -> int:
+    def _size(self, obj: int) -> int:
+        return obj
+
+    def _carrier(self, left: int, right: int) -> int:
         return left + right
 
-    def make(self, values: np.ndarray, src: int, tgt: int) -> ScalarMatrix:
+    def _sub_object(self, obj: int, positions) -> int:
+        return len(positions)
+
+    def _arrow(self, values: np.ndarray, src: int, tgt: int) -> ScalarMatrix:
         return ScalarMatrix._derived(values, self.domain)
 
-    def admit(self, f: ScalarMatrix) -> None:
+    def _admit(self, f: ScalarMatrix) -> None:
         _check_domains(self.domain, f.domain)
 
-    def _checked(self, src: _Objects, tgt: _Objects, values: np.ndarray) -> _Stack:
+    def _valid(self, values: np.ndarray) -> np.ndarray:
         self.domain.validate(values)
-        return _Stack(src, tgt, values)
+        return values
 
-    def compose(self, g: _Stack, f: _Stack) -> _Stack:
-        return self._checked(f.source, g.target, np.matmul(g.values, f.values))
+    def _compose_cells(self, g: np.ndarray, f: np.ndarray) -> np.ndarray:
+        return self._valid(np.matmul(g, f))
 
-    def add(self, f: _Stack, g: _Stack) -> _Stack:
-        return self._checked(f.source, f.target, f.values + g.values)
+    def _add_cells(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        return self._valid(f + g)
 
-    def compare(self, got: _Stack, want: _Stack,
-                tol: Tolerance | None) -> tuple[np.ndarray, np.ndarray]:
-        if tol is None:
-            tol = Tolerance()
-        axes = (1, 2)
-        return (tol.close(got.values, want.values).all(axis=axes),
-                np.abs(got.values - want.values).max(axis=axes, initial=0.0))
+    def _equal_cells(self, a: np.ndarray, b: np.ndarray,
+                     tol: Tolerance | None) -> np.ndarray:
+        return (Tolerance() if tol is None else tol).close(a, b).all(axis=(-2, -1))
+
+    def _residual_cells(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.abs(a - b).max(axis=(-2, -1), initial=0.0)
 
 
 class MatrixSampler(ArrowSampler):

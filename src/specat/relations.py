@@ -39,11 +39,8 @@ from .core import (
     LatticeError,
     ParseError,
     PreconditionError,
-    SemiadditiveCategory,
     Tolerance,
-    _PaddedBatches,
-    _Stack,
-    _sub_grid,
+    _GridCategory,
 )
 
 Label = Any
@@ -445,18 +442,11 @@ class LRelation:
 
     @classmethod
     def zero(cls, algebra: HeytingTable, source, target) -> "LRelation":
-        source = as_carrier(source)
-        target = as_carrier(target)
-        grid = np.full((len(target), len(source)), algebra.bottom, dtype=np.int16)
-        return cls._derived(algebra, source, target, grid)
+        return RelationCategory(algebra).zero(source, target)
 
     @classmethod
     def identity(cls, algebra: HeytingTable, carrier) -> "LRelation":
-        carrier = as_carrier(carrier)
-        n = len(carrier)
-        grid = np.full((n, n), algebra.bottom, dtype=np.int16)
-        np.fill_diagonal(grid, algebra.top)
-        return cls._derived(algebra, carrier, carrier, grid)
+        return RelationCategory(algebra).identity(carrier)
 
     @classmethod
     def from_labels(cls, algebra: HeytingTable, source, target, grid) -> "LRelation":
@@ -532,13 +522,16 @@ def tagged_union(left: Carrier, right: Carrier) -> Carrier:
     return tuple((1, a) for a in left) + tuple((2, b) for b in right)
 
 
-class RelationCategory(SemiadditiveCategory):
+class RelationCategory(_GridCategory):
     """Relations valued in one finite Heyting algebra, with carrier objects."""
 
     exact = True
+    _dtype = np.int16
 
     def __init__(self, algebra: HeytingTable):
         self.algebra = algebra
+        self._blank = algebra.bottom
+        self._unit = algebra.top
         self.name = "rel" if algebra == bool_algebra() else f"rel-{algebra.name}"
 
     def compose(self, g: LRelation, f: LRelation) -> LRelation:
@@ -547,25 +540,8 @@ class RelationCategory(SemiadditiveCategory):
     def add(self, f: LRelation, g: LRelation) -> LRelation:
         return f | g
 
-    def zero(self, src, tgt) -> LRelation:
-        return LRelation.zero(self.algebra, src, tgt)
-
-    def identity(self, obj) -> LRelation:
-        return LRelation.identity(self.algebra, obj)
-
-    def restrict(self, f: LRelation, rows, cols) -> LRelation:
-        """The sub-relation on the labels at these positions (``None``: all)."""
-        return LRelation._derived(
-            f.algebra,
-            f.source if cols is None else as_carrier(f.source[j] for j in cols),
-            f.target if rows is None else as_carrier(f.target[i] for i in rows),
-            _sub_grid(f.values, rows, cols))
-
     def zero_object(self) -> Carrier:
         return ()
-
-    def canonical_biproduct(self, left, right) -> BiproductWitness:
-        return self.generalized_biproduct(left, right)
 
     def generalized_biproduct(self, left, right,
                               left_iso: LRelation | None = None,
@@ -573,21 +549,12 @@ class RelationCategory(SemiadditiveCategory):
         """Biproduct on the tagged disjoint union, with optional bijections.
 
         ``left_iso`` and ``right_iso`` must be self-inverse-under-converse
-        relations on the factors; identities are used when omitted.
+        relations on the factors; identities are used when omitted.  They
+        are composed onto the canonical witness's projections.
         """
-        left = as_carrier(left)
-        right = as_carrier(right)
-        carrier = tagged_union(left, right)
-        n1, n2 = len(left), len(right)
-        alg = self.algebra
-        p1 = np.full((n1, n1 + n2), alg.bottom, dtype=np.int16)
-        p1[np.arange(n1), np.arange(n1)] = alg.top
-        p2 = np.full((n2, n1 + n2), alg.bottom, dtype=np.int16)
-        p2[np.arange(n2), n1 + np.arange(n2)] = alg.top
-        pi1 = LRelation._derived(alg, carrier, left, p1)
-        pi2 = LRelation._derived(alg, carrier, right, p2)
-        for iso, obj, name in ((left_iso, left, "left_iso"),
-                               (right_iso, right, "right_iso")):
+        w = self.canonical_biproduct(left, right)
+        for iso, obj, name in ((left_iso, w.left, "left_iso"),
+                               (right_iso, w.right, "right_iso")):
             if iso is not None:
                 if iso.source != obj or iso.target != obj:
                     raise ArrowTypeError(f"{name} must be an endo-relation on {obj!r}")
@@ -595,24 +562,13 @@ class RelationCategory(SemiadditiveCategory):
                 if not (iso @ iso.converse() == ident
                         and iso.converse() @ iso == ident):
                     raise ArrowTypeError(f"{name} is not a bijective relation")
-        if left_iso is not None:
-            pi1 = left_iso @ pi1
-        if right_iso is not None:
-            pi2 = right_iso @ pi2
-        return BiproductWitness(left, right, carrier, pi1, pi2,
+        pi1 = w.pi1 if left_iso is None else left_iso @ w.pi1
+        pi2 = w.pi2 if right_iso is None else right_iso @ w.pi2
+        return BiproductWitness(w.left, w.right, w.carrier, pi1, pi2,
                                 pi1.converse(), pi2.converse())
 
-    def equal(self, f: LRelation, g: LRelation,
-              tol: Tolerance | None = None) -> bool:
-        _check_algebras(self.algebra, f.algebra)
-        _check_algebras(self.algebra, g.algebra)
-        return (f.source == g.source and f.target == g.target
-                and np.array_equal(f.values, g.values))
-
-    def residual(self, f: LRelation, g: LRelation) -> float:
-        _check_algebras(self.algebra, f.algebra)
-        _check_algebras(self.algebra, g.algebra)
-        return float(np.count_nonzero(f.values != g.values))
+    # bound in the class body, so a traced run times each instance's own
+    equal = _GridCategory.equal
 
     def arrow_to_payload(self, f: LRelation) -> list:
         label = self.algebra.label
@@ -650,45 +606,39 @@ class RelationCategory(SemiadditiveCategory):
         return RelationSampler(
             self.algebra, max_carrier=6 if max_size is None else max_size)
 
-    def _batches(self) -> "_RelationBatches":
-        return _RelationBatches(self)
+    # -- grid hooks (see _GridCategory) ---------------------------------------
 
+    _object = staticmethod(as_carrier)
+    _size = staticmethod(len)
+    _carrier = staticmethod(tagged_union)
 
-class _RelationBatches(_PaddedBatches):
-    """Stacks of relation grids padded with bottom, composed as one stack."""
+    def _sub_object(self, obj: Carrier, positions) -> Carrier:
+        return as_carrier(obj[j] for j in positions)
 
-    def __init__(self, cat: RelationCategory):
-        super().__init__(cat, np.int16, cat.algebra.bottom, cat.algebra.top)
-        self.algebra = cat.algebra
-
-    def size(self, obj: Carrier) -> int:
-        return len(obj)
-
-    def carrier(self, left: Carrier, right: Carrier) -> Carrier:
-        return tagged_union(left, right)
-
-    def make(self, values: np.ndarray, src: Carrier, tgt: Carrier) -> LRelation:
+    def _arrow(self, values: np.ndarray, src: Carrier, tgt: Carrier) -> LRelation:
         return LRelation._derived(self.algebra, src, tgt, values)
 
-    def admit(self, f: LRelation) -> None:
+    def _admit(self, f: LRelation) -> None:
         _check_algebras(self.algebra, f.algebra)
 
-    def compose(self, g: _Stack, f: _Stack) -> _Stack:
-        return _Stack(f.source, g.target,
-                      self.algebra._cuts.compose(g.values, f.values))
+    def _compose_cells(self, g: np.ndarray, f: np.ndarray) -> np.ndarray:
+        return self.algebra._cuts.compose(g, f)
 
-    def add(self, f: _Stack, g: _Stack) -> _Stack:
-        return _Stack(f.source, f.target,
-                      _lookup(self.algebra.join, f.values, g.values))
+    def _add_cells(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        return _lookup(self.algebra.join, f, g)
 
-    def compare(self, got: _Stack, want: _Stack,
-                tol: Tolerance | None) -> tuple[np.ndarray, np.ndarray]:
-        trials, rows, cols = got.values.shape
-        # a product with ones counts the differing cells faster than a
-        # reduction over the two small grid axes
-        differ = (got.values != want.values).reshape(trials, rows * cols)
-        residual = differ @ np.ones(rows * cols)
-        return residual == 0, residual
+    def _equal_cells(self, a: np.ndarray, b: np.ndarray,
+                     tol: Tolerance | None) -> np.ndarray:
+        return (a == b).all(axis=(-2, -1))
+
+    def _residual_cells(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        differ = a != b
+        if differ.ndim == 2:  # one grid counts fastest as a whole
+            return np.count_nonzero(differ)
+        # per grid of a stack, a product with ones counts the differing
+        # cells faster than a reduction over the two small grid axes
+        *lead, rows, cols = differ.shape
+        return differ.reshape(*lead, rows * cols) @ np.ones(rows * cols)
 
 
 def encode_label(label: Label):

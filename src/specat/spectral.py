@@ -640,21 +640,26 @@ def verify_quotient(quotient: EquitableQuotient, walk: ScalarMatrix,
         tol = Tolerance()
     bound = tol.abs + tol.rel
     average = quotient.average.values
-    report = LawReport()
+    tally = LawTally(MatrixCategory(walk.domain), tol)
+
+    def record(law: str, passed, residual: float = 0.0) -> None:
+        tally.check_batch(law, np.array([residual]), lambda i: None,
+                          np.array([passed]))
+
     row_sums = quotient.reduced.values.sum(axis=1)
     res = float(np.max(np.abs(row_sums - 1.0))) if row_sums.size else 0.0
-    report.record("stochastic_rows", res <= bound, max_residual=res)
+    record("stochastic_rows", res <= bound, res)
     balance = np.array(quotient.cell_sizes)[:, None] * quotient.degrees
-    report.record("conservation", bool(np.array_equal(balance, balance.T)))
+    record("conservation", np.array_equal(balance, balance.T))
     res = float(np.max(np.abs(average @ walk.values
                               - quotient.reduced.values @ average)))
-    report.record("intertwine_average", res <= bound, max_residual=res)
+    record("intertwine_average", res <= bound, res)
     retract = average @ quotient.indicator.values
     res = float(np.max(np.abs(retract - np.eye(len(quotient.partition.cells)))))
-    report.record("average_retracts_indicator", res <= bound, max_residual=res)
+    record("average_retracts_indicator", res <= bound, res)
     res = float(np.max(np.abs(average @ residual.values)))
-    report.record("residual_annihilated", res <= bound, max_residual=res)
-    return report
+    record("residual_annihilated", res <= bound, res)
+    return tally.report()
 
 
 def residual_part(f: ScalarMatrix, quotient: EquitableQuotient) -> ScalarMatrix:

@@ -15,6 +15,7 @@ import numpy as np
 
 from specat import (
     ArrowTypeError,
+    BiproductWitness,
     Block,
     LawReport,
     LRelation,
@@ -23,6 +24,7 @@ from specat import (
     RelationCategory,
     ScalarMatrix,
     SpectralDecomposition,
+    Tolerance,
 )
 from specat.core import (
     DEFAULT_TOL_ABS,
@@ -33,7 +35,8 @@ from specat.core import (
     pair,
     sum_via_biproduct,
 )
-from specat.matrices import COMPLEX
+from specat.matrices import COMPLEX, _check_domains
+from specat.relations import _check_algebras, as_carrier, tagged_union
 from specat.spectral import _component_cells, _support_graph
 
 
@@ -625,3 +628,113 @@ def check_cmon_functor_sampled_slow(functor, sampler=None, trials: int = 100,
     if exhaustive_cells > 0 and isinstance(src, RelationCategory):
         _exhaustive_functor_laws_slow(functor, tally, exhaustive_cells)
     return tally.report()
+
+
+# ---------------------------------------------------------------------------
+# zero, identity, canonical witness, restrict, equal and residual as each
+# shipped instance wrote them for itself, before one grid base wrote them once
+
+
+def _sub_grid_slow(values: np.ndarray, rows, cols) -> np.ndarray:
+    if rows is None or cols is None:
+        return values[slice(None) if rows is None else rows,
+                      slice(None) if cols is None else cols]
+    return values[np.ix_(rows, cols)]
+
+
+class RelationAlgebraSlow:
+    """The arrow algebra of ``RelationCategory(algebra)``, per instance."""
+
+    def __init__(self, algebra):
+        self.algebra = algebra
+
+    def zero(self, src, tgt) -> LRelation:
+        source, target = as_carrier(src), as_carrier(tgt)
+        grid = np.full((len(target), len(source)), self.algebra.bottom,
+                       dtype=np.int16)
+        return LRelation._derived(self.algebra, source, target, grid)
+
+    def identity(self, obj) -> LRelation:
+        carrier = as_carrier(obj)
+        n = len(carrier)
+        grid = np.full((n, n), self.algebra.bottom, dtype=np.int16)
+        np.fill_diagonal(grid, self.algebra.top)
+        return LRelation._derived(self.algebra, carrier, carrier, grid)
+
+    def canonical_biproduct(self, left, right) -> BiproductWitness:
+        left, right = as_carrier(left), as_carrier(right)
+        carrier = tagged_union(left, right)
+        n1, n2 = len(left), len(right)
+        alg = self.algebra
+        p1 = np.full((n1, n1 + n2), alg.bottom, dtype=np.int16)
+        p1[np.arange(n1), np.arange(n1)] = alg.top
+        p2 = np.full((n2, n1 + n2), alg.bottom, dtype=np.int16)
+        p2[np.arange(n2), n1 + np.arange(n2)] = alg.top
+        pi1 = LRelation._derived(alg, carrier, left, p1)
+        pi2 = LRelation._derived(alg, carrier, right, p2)
+        return BiproductWitness(left, right, carrier, pi1, pi2,
+                                pi1.converse(), pi2.converse())
+
+    def restrict(self, f: LRelation, rows, cols) -> LRelation:
+        return LRelation._derived(
+            f.algebra,
+            f.source if cols is None else as_carrier(f.source[j] for j in cols),
+            f.target if rows is None else as_carrier(f.target[i] for i in rows),
+            _sub_grid_slow(f.values, rows, cols))
+
+    def equal(self, f: LRelation, g: LRelation, tol=None) -> bool:
+        _check_algebras(self.algebra, f.algebra)
+        _check_algebras(self.algebra, g.algebra)
+        return (f.source == g.source and f.target == g.target
+                and np.array_equal(f.values, g.values))
+
+    def residual(self, f: LRelation, g: LRelation) -> float:
+        _check_algebras(self.algebra, f.algebra)
+        _check_algebras(self.algebra, g.algebra)
+        return float(np.count_nonzero(f.values != g.values))
+
+
+class MatrixAlgebraSlow:
+    """The arrow algebra of ``MatrixCategory(domain)``, per instance."""
+
+    def __init__(self, domain):
+        self.domain = domain
+
+    def zero(self, src: int, tgt: int) -> ScalarMatrix:
+        return ScalarMatrix._derived(
+            np.zeros((tgt, src), dtype=self.domain.dtype), self.domain)
+
+    def identity(self, obj: int) -> ScalarMatrix:
+        return ScalarMatrix._derived(np.eye(obj, dtype=self.domain.dtype),
+                                     self.domain)
+
+    def canonical_biproduct(self, left: int, right: int) -> BiproductWitness:
+        if left < 0 or right < 0:
+            raise ArrowTypeError("dimensions must be non-negative")
+        dtype = self.domain.dtype
+        pi1 = ScalarMatrix._derived(
+            np.eye(left, left + right, dtype=dtype), self.domain)
+        pi2 = ScalarMatrix._derived(
+            np.eye(right, left + right, k=left, dtype=dtype), self.domain)
+        return BiproductWitness(left, right, left + right,
+                                pi1, pi2, pi1.transpose(), pi2.transpose())
+
+    def restrict(self, f: ScalarMatrix, rows, cols) -> ScalarMatrix:
+        return ScalarMatrix._derived(_sub_grid_slow(f.values, rows, cols),
+                                     f.domain)
+
+    def equal(self, f: ScalarMatrix, g: ScalarMatrix, tol=None) -> bool:
+        _check_domains(self.domain, f.domain)
+        _check_domains(self.domain, g.domain)
+        if f.source != g.source or f.target != g.target:
+            return False
+        if tol is None:
+            tol = Tolerance()
+        return bool(tol.close(f.values, g.values).all())
+
+    def residual(self, f: ScalarMatrix, g: ScalarMatrix) -> float:
+        _check_domains(self.domain, f.domain)
+        _check_domains(self.domain, g.domain)
+        if f.values.size == 0:
+            return 0.0
+        return float(np.max(np.abs(f.values - g.values)))

@@ -35,7 +35,7 @@ from specat import (
 from specat import core, relations
 from specat.core import _ListBatches
 from specat.matrices import COMPLEX
-from specat.relations import RelationSampler, _lookup, _RelationBatches
+from specat.relations import RelationSampler, _lookup
 
 from ._oracles import check_cmon_functor_sampled_slow, run_law_suite_slow
 from .test_properties import product_lattice
@@ -122,7 +122,7 @@ def assert_blank_padding(batches, stack):
     rows = np.arange(stack.target.pad) < stack.target.sizes[:, None]
     cols = np.arange(stack.source.pad) < stack.source.sizes[:, None]
     real = rows[:, :, None] & cols[:, None, :]
-    assert np.all(stack.values[~real] == batches.blank)
+    assert np.all(stack.values[~real] == batches.cat._blank)
 
 
 def assert_same_arrows(cat, padded, listed, stack_a, stack_b):
@@ -224,14 +224,8 @@ class MeetAddCategory(RelationCategory):
         return LRelation._derived(f.algebra, f.source, f.target,
                                   f.algebra.meet[f.values, g.values])
 
-    def _batches(self):
-        return MeetAddBatches(self)
-
-
-class MeetAddBatches(_RelationBatches):
-    def add(self, f, g):
-        return core._Stack(f.source, f.target,
-                           _lookup(self.algebra.meet, f.values, g.values))
+    def _add_cells(self, f, g):
+        return _lookup(self.algebra.meet, f, g)
 
 
 @pytest.mark.parametrize("per_chunk", [1, 7])

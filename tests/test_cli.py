@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from specat.cli import main
@@ -334,6 +335,70 @@ class TestOutOfMemory:
         assert code == 3
         assert captured.out == ""
         assert captured.err == f"error: out of memory: {self.MESSAGE}\n"
+
+
+class TestLibraryErrors:
+    @pytest.mark.parametrize("error", [
+        "ArrowTypeError", "PreconditionError", "LatticeError",
+        "UnsupportedDomainError", "DecompositionError", "SpecatError"])
+    def test_library_error_exits_3_with_its_message(self, capsys, monkeypatch,
+                                                    error):
+        # every library error but ParseError is a precondition violation,
+        # whether or not some real input reaches it today
+        from specat import cli, core
+
+        def failing(args):
+            raise getattr(core, error)("the operation's message")
+
+        monkeypatch.setattr(cli, "cmd_laws", failing)
+        code = main(["laws", "--instance", "rel"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: the operation's message\n"
+
+
+def chain_table(k: int) -> dict:
+    labels = [f"e{i}" for i in range(k)]
+    idx = np.arange(k)
+    pick = np.array(labels)
+    return {"elements": labels,
+            "meet": pick[np.minimum.outer(idx, idx)].tolist(),
+            "join": pick[np.maximum.outer(idx, idx)].tolist()}
+
+
+class TestLatticeBound:
+    @pytest.mark.parametrize("source", ["builtin", "file", "hom"])
+    def test_oversized_lattice_exits_2_before_building_a_table(
+            self, capsys, monkeypatch, tmp_path, source):
+        # validating a table takes time cubic in its size, so input naming
+        # more than 512 elements is refused before any table is built
+        from specat import relations
+
+        def never(*args, **kwargs):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(relations.HeytingTable, "__init__", never)
+        if source == "builtin":
+            spec, name = "builtin:chain:513", "'builtin:chain:513'"
+        else:
+            path = tmp_path / "big.json"
+            path.write_text(json.dumps(chain_table(513)))
+            spec, name = str(path), "'custom'"
+        if source == "hom":
+            hom = tmp_path / "hom.json"
+            hom.write_text(json.dumps({"source": chain_table(513),
+                                       "target": "bool", "map": {}}))
+            argv = ["functor", "--hom", str(hom), "--arrow", "unread.json",
+                    "--decomposition", "unread.json"]
+        else:
+            argv = ["laws", "--instance", "rel-l", "--lattice", spec]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: lattice {name} has 513 elements; "
+                                "at most 512 are accepted from input\n")
 
 
 class TestFunctor:

@@ -51,6 +51,15 @@ class TestZeroObject:
         assert failure.counterexample["identity"]["entries"] == [[1.0]]
         assert failure.counterexample["zero"]["entries"] == [[0.0]]
 
+    def test_report_names_the_identity_and_the_zero_arrow(self):
+        cell = {"source": ["x"], "target": ["x"]}
+        assert check_zero_object(REL, ("x",)).to_dict() == {
+            "passed": False,
+            "checks": [{"law": "zero_object", "passed": False, "trials": 1,
+                        "max_residual": 1.0, "counterexample": {
+                            "identity": {**cell, "values": [["1"]]},
+                            "zero": {**cell, "values": [["0"]]}}}]}
+
 
 class TestBiproductAxioms:
     def test_scaled_injection_fails_condition_a(self):

@@ -87,6 +87,11 @@ class TestLattice:
         with pytest.raises(ParseError):
             resolve_lattice("builtin:pentagon")
 
+    def test_largest_input_chain_still_resolves(self):
+        assert len(resolve_lattice("chain:512").elements) == 512
+        with pytest.raises(ParseError, match="has 513 elements; at most 512"):
+            resolve_lattice("chain:513")
+
     def test_dict_round_trip(self):
         rebuilt = lattice_from_dict(B4.to_dict())
         assert rebuilt == B4

@@ -1,0 +1,164 @@
+"""One grid algebra for both shipped instances, against the per-instance
+bodies it replaced (``_oracles.RelationAlgebraSlow``, ``MatrixAlgebraSlow``).
+
+Zero arrows, identities, canonical witnesses, restrict, equal and residual
+are written once on ``core._GridCategory``; every arrow they build must
+match the old one in values, dtype, shape, memory layout and endpoints, and
+a foreign arrow must be refused with the per-arrow message.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from specat import (
+    MAT_C,
+    MAT_NN,
+    MAT_R,
+    ArrowTypeError,
+    LRelation,
+    RelationCategory,
+    ScalarMatrix,
+    Tolerance,
+    b4,
+    bool_algebra,
+    chain,
+)
+from specat.matrices import COMPLEX, REAL
+
+from ._oracles import MatrixAlgebraSlow, RelationAlgebraSlow
+
+CASES = (RelationCategory(bool_algebra()), RelationCategory(b4()),
+         RelationCategory(chain(64)), MAT_R, MAT_C, MAT_NN)
+TOLERANCES = (None, Tolerance(0.0, 0.0), Tolerance(0.5, 0.0))
+
+
+def oracle_for(cat):
+    if cat.exact:
+        return RelationAlgebraSlow(cat.algebra)
+    return MatrixAlgebraSlow(cat.domain)
+
+
+def obj(cat, size: int, tag: str = "v"):
+    return tuple(f"{tag}{i}" for i in range(size)) if cat.exact else size
+
+
+def foreign_arrow(cat, f):
+    """``f``'s grid as an arrow over another algebra or domain."""
+    if cat.exact:
+        other = chain(3) if cat.algebra != chain(3) else b4()
+        return LRelation(other, f.source, f.target,
+                         np.minimum(f.values, len(other.elements) - 1))
+    if cat.domain == COMPLEX:
+        return ScalarMatrix(f.values.real, REAL)
+    return ScalarMatrix(f.values, COMPLEX)
+
+
+def foreign_message(cat) -> str:
+    if cat.exact:
+        return "relations live over different algebras"
+    return "domain mismatch"
+
+
+def assert_same_arrow(got, want, fresh: bool) -> None:
+    """Same class, endpoints, values, dtype, shape and layout.
+
+    A fresh grid must be laid out as numpy copies the old one (relation
+    injections used to be transposed views of their projections; a copy of
+    such a view keeps its layout); a sub-grid keeps the old strides as they
+    are, views included.
+    """
+    assert type(got) is type(want)
+    assert (got.source, got.target) == (want.source, want.target)
+    assert got.values.dtype == want.values.dtype
+    assert got.values.shape == want.values.shape
+    layout = np.array(want.values) if fresh else want.values
+    assert got.values.strides == layout.strides
+    assert np.array_equal(got.values, want.values)
+    assert not got.values.flags.writeable
+    if hasattr(want, "domain"):
+        assert got.domain == want.domain
+    else:
+        assert got.algebra == want.algebra
+
+
+positions = st.one_of(st.none(), st.lists(st.integers(0, 3), unique=True,
+                                          max_size=4))
+
+
+@settings(max_examples=120, deadline=None)
+@given(cat=st.sampled_from(CASES), m=st.integers(0, 4), n=st.integers(0, 4),
+       rows=positions, cols=positions, tol=st.sampled_from(TOLERANCES),
+       seed=st.integers(0, 2 ** 16))
+def test_grid_algebra_matches_the_per_instance_bodies(cat, m, n, rows, cols,
+                                                      tol, seed):
+    oracle = oracle_for(cat)
+    x, y = obj(cat, m), obj(cat, n, "w")
+    for name, args in (("zero", (x, y)), ("zero", (y, x)),
+                       ("identity", (x,)), ("identity", (y,))):
+        assert_same_arrow(getattr(cat, name)(*args),
+                          getattr(oracle, name)(*args), fresh=True)
+    got, want = cat.canonical_biproduct(x, y), oracle.canonical_biproduct(x, y)
+    assert (got.left, got.right, got.carrier) == \
+        (want.left, want.right, want.carrier)
+    for name in ("pi1", "pi2", "iota1", "iota2"):
+        assert_same_arrow(getattr(got, name), getattr(want, name), fresh=True)
+
+    rng = random.Random(seed)
+    sampler = cat.default_sampler()
+    f, g = (sampler.random_arrow(rng, x, y) for _ in range(2))
+    rows = None if rows is None else [i for i in rows if i < n]
+    cols = None if cols is None else [j for j in cols if j < m]
+    assert_same_arrow(cat.restrict(f, rows, cols),
+                      oracle.restrict(f, rows, cols), fresh=False)
+
+    for a, b in ((f, g), (f, f), (g, f), (f, cat.zero(x, y)),
+                 (cat.identity(x), cat.zero(x, x))):
+        assert cat.equal(a, b, tol) is oracle.equal(a, b, tol)
+        assert cat.residual(a, b) == oracle.residual(a, b)
+    if m != n:
+        assert cat.equal(f, cat.zero(y, x), tol) is False
+
+    foreign, message = foreign_arrow(cat, f), foreign_message(cat)
+    for a, b in ((foreign, f), (f, foreign)):
+        for method in ("equal", "residual"):
+            with pytest.raises(ArrowTypeError, match=message) as want_error:
+                getattr(oracle, method)(a, b)
+            with pytest.raises(ArrowTypeError) as got_error:
+                getattr(cat, method)(a, b)
+            assert str(got_error.value) == str(want_error.value)
+    # the old restrict bodies did not check, so there is no oracle to match
+    with pytest.raises(ArrowTypeError, match=message):
+        cat.restrict(foreign, rows, cols)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MAT_R.zero(-1, 2), lambda: MAT_R.zero(2, -1),
+    lambda: MAT_R.identity(-3), lambda: MAT_NN.canonical_biproduct(1, -1),
+    lambda: ScalarMatrix.zeros(-1, 0), lambda: ScalarMatrix.identity(-1, COMPLEX),
+], ids=["zero-src", "zero-tgt", "identity", "witness", "zeros", "eye"])
+def test_negative_dimension_raises_the_witness_error(build):
+    with pytest.raises(ArrowTypeError, match="dimensions must be non-negative"):
+        build()
+
+
+def test_restricting_everything_is_a_view_of_the_same_grid():
+    f = ScalarMatrix([[1.0, 2.0], [3.0, 4.0]])
+    whole = MAT_R.restrict(f, None, None)
+    assert np.shares_memory(whole.values, f.values)
+    assert not np.shares_memory(MAT_R.restrict(f, [0, 1], None).values, f.values)
+
+
+def test_generalized_relation_witness_composes_onto_the_canonical_one():
+    cat = RelationCategory(bool_algebra())
+    swap = LRelation.from_pairs(bool_algebra(), ("a", "b"), ("a", "b"),
+                                [("a", "b"), ("b", "a")])
+    canonical = cat.canonical_biproduct(("a", "b"), ("c",))
+    w = cat.generalized_biproduct(("a", "b"), ("c",), left_iso=swap)
+    assert w.carrier == canonical.carrier
+    assert w.pi1 == swap @ canonical.pi1
+    assert w.iota1 == w.pi1.converse()
+    assert w.pi2 == canonical.pi2
