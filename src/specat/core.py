@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import accumulate
 from typing import Any, Callable, Protocol, runtime_checkable
 
 import numpy as np
@@ -247,6 +249,37 @@ class SemiadditiveCategory(ABC):
 
     @abstractmethod
     def default_sampler(self, max_size: int | None = None) -> ArrowSampler: ...
+
+    # -- block operations -------------------------------------------------------
+    # A family of objects stacks to its left-folded biproduct, as
+    # :func:`fold_biproduct` builds it; each takes one or more arrows.
+
+    def stack(self, arrows) -> Arrow:
+        """The arrow into the stacked targets of ``arrows``, which share a
+        source, whose projections are ``arrows``: :func:`pair` of a family."""
+        _, _, iotas = fold_biproduct(self, [f.target for f in arrows])
+        return reduce(self.add, [self.compose(i, f) for i, f in zip(iotas, arrows)])
+
+    def costack(self, arrows) -> Arrow:
+        """The arrow out of the stacked sources of ``arrows``, which share a
+        target, whose injections are ``arrows``: :func:`copair` of a family."""
+        _, pis, _ = fold_biproduct(self, [f.source for f in arrows])
+        return reduce(self.add, [self.compose(f, p) for p, f in zip(pis, arrows)])
+
+    def block_sum(self, arrows) -> Arrow:
+        """The arrow between the stacked sources and the stacked targets of
+        ``arrows`` that acts as ``arrows[i]`` from factor i to factor i."""
+        _, pis, _ = fold_biproduct(self, [f.source for f in arrows])
+        _, _, iotas = fold_biproduct(self, [f.target for f in arrows])
+        return reduce(self.add, [self.compose(i, self.compose(f, p))
+                                 for p, i, f in zip(pis, iotas, arrows)])
+
+    def unstack(self, f: Arrow, targets, sources) -> list[list[Arrow]]:
+        """The blocks of ``f``, from the stacked ``sources`` to the stacked
+        ``targets``: entry ``[i][j]`` goes ``sources[j] -> targets[i]``."""
+        _, pis, _ = fold_biproduct(self, targets)
+        _, _, iotas = fold_biproduct(self, sources)
+        return [[self.compose(p, self.compose(f, i)) for i in iotas] for p in pis]
 
     def _batches(self) -> "_ListBatches":
         """This instance's arrow algebra on batches, for the law checkers."""
@@ -618,8 +651,9 @@ class _GridCategory(SemiadditiveCategory):
     """An instance whose arrows are grids of cells, target rows by source
     columns, and whose canonical biproducts lay grids side by side.
 
-    Zero arrows, identities, canonical witnesses, sub-arrows, comparison and
-    the padded batches are written here once, from these hooks:
+    Zero arrows, identities, canonical witnesses, sub-arrows, block
+    operations, comparison and the padded batches are written here once,
+    from these hooks:
 
     - ``_dtype``, ``_blank`` and ``_unit``: the cells' dtype, the cell of a
       zero arrow (it adds nothing and absorbs products) and the diagonal
@@ -686,6 +720,69 @@ class _GridCategory(SemiadditiveCategory):
         return self._arrow(
             values, f.source if cols is None else self._sub_object(f.source, cols),
             f.target if rows is None else self._sub_object(f.target, rows))
+
+    # Block operations by concatenation.  Every arrow is admitted before its
+    # grid is copied: numpy would cast a foreign arrow's cells silently.
+
+    def _stacked(self, objects) -> Any:
+        return reduce(self._carrier, map(self._object, objects))
+
+    def _admit_all(self, arrows) -> None:
+        for f in arrows:
+            self._admit(f)
+
+    def _joined(self, arrows, axis: int) -> np.ndarray:
+        """The arrows' grids joined along ``axis`` into a fresh C-ordered grid,
+        the layout a sum of products has (numpy would lay column selections
+        out column-major)."""
+        shape = list(arrows[0].values.shape)
+        shape[axis] = sum(f.values.shape[axis] for f in arrows)
+        return np.concatenate([f.values for f in arrows], axis,
+                              out=np.empty(shape, self._dtype))
+
+    def stack(self, arrows) -> Arrow:
+        self._admit_all(arrows)
+        source = arrows[0].source
+        _require(all(f.source == source for f in arrows),
+                 "stack: arrows must share their source")
+        return self._arrow(self._joined(arrows, 0), source,
+                           self._stacked([f.target for f in arrows]))
+
+    def costack(self, arrows) -> Arrow:
+        self._admit_all(arrows)
+        target = arrows[0].target
+        _require(all(f.target == target for f in arrows),
+                 "costack: arrows must share their target")
+        return self._arrow(self._joined(arrows, 1),
+                           self._stacked([f.source for f in arrows]), target)
+
+    def block_sum(self, arrows) -> Arrow:
+        self._admit_all(arrows)
+        shapes = [f.values.shape for f in arrows]
+        values = self._blank_grid(sum(r for r, _ in shapes), sum(c for _, c in shapes))
+        row = col = 0
+        for f, (rows, cols) in zip(arrows, shapes):
+            values[row:row + rows, col:col + cols] = f.values
+            row, col = row + rows, col + cols
+        return self._arrow(values, self._stacked([f.source for f in arrows]),
+                           self._stacked([f.target for f in arrows]))
+
+    def unstack(self, f: Arrow, targets, sources) -> list[list[Arrow]]:
+        """The blocks as views of ``f``'s grid."""
+        self._admit(f)
+        rows, cols = f.values.shape
+        row_cuts = self._cuts(targets, rows, "targets")
+        col_cuts = self._cuts(sources, cols, "sources")
+        return [[self._arrow(f.values[r0:r1, c0:c1], src, tgt)
+                 for src, (c0, c1) in zip(sources, col_cuts)]
+                for tgt, (r0, r1) in zip(targets, row_cuts)]
+
+    def _cuts(self, objects, size: int, name: str) -> list[tuple[int, int]]:
+        """Where each of ``objects`` lies along a side of ``size`` positions."""
+        ends = list(accumulate(map(self._size, objects)))
+        _require(ends[-1] == size,
+                 f"unstack: the {name} stack to {ends[-1]} positions, not {size}")
+        return list(zip([0] + ends, ends))
 
     def equal(self, f: Arrow, g: Arrow, tol: Tolerance | None = None) -> bool:
         self._admit(f)

@@ -12,7 +12,6 @@ matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Any
 
 import numpy as np
@@ -29,7 +28,6 @@ from .core import (
     SpecatError,
     Tolerance,
     UnsupportedDomainError,
-    fold_biproduct,
 )
 from .matrices import MatrixCategory, ScalarMatrix
 from .relations import LRelation, RelationCategory
@@ -129,11 +127,52 @@ def verify_decomposition(cat: SemiadditiveCategory, f: Arrow,
     reassemble ``f``.  The intertwining equations ``project.f =
     local.project`` and ``f.inject = inject.local`` must follow whenever
     (a)-(d) hold and are reported alongside them.
+
+    All of them are equations between stacked arrows.  With P the
+    projections stacked, I the injections side by side and L the block sum
+    of the locals: (a) and (b) read P.I = id, (c) I.P = id, (d) I.(L.P) = f,
+    and the intertwining P.f = L.P and f.I = I.L.  Those five products are
+    one compose each; L.P and I.L are formed block by block, so B blocks
+    take 5 + 2B composes.  Each block of a product is read back by
+    ``cat.unstack`` and reported under its own law, as one check.
     """
     if f.source != dec.carrier or f.target != dec.carrier:
         raise ArrowTypeError(
             f"arrow must be an endo-arrow on {dec.carrier!r}, "
             f"got {f.source!r} -> {f.target!r}")
+    _check_block_types(dec)
+
+    tally = LawTally(cat, tol)
+    check = tally.check
+    blocks = dec.blocks
+    spaces = [b.space for b in blocks]
+    whole = [dec.carrier]
+
+    # P and I are stacked anew for each product rather than held, and each
+    # product is dropped once its blocks are checked: while c or d is
+    # compared, only that product and the arrow it should equal are alive
+    def stacked():
+        return cat.stack([b.project for b in blocks])
+
+    def costacked():
+        return cat.costack([b.inject for b in blocks])
+
+    _check_retracts(cat, check, spaces,
+                    cat.unstack(cat.compose(stacked(), costacked()), spaces, spaces))
+    check("c", cat.compose(costacked(), stacked()), cat.identity(dec.carrier))
+    local_project = cat.stack([cat.compose(b.local, b.project) for b in blocks])
+    check("d", cat.compose(costacked(), local_project), f)
+    project_f = cat.unstack(cat.compose(stacked(), f), spaces, whole)
+    f_inject = cat.unstack(cat.compose(f, costacked()), whole, spaces)[0]
+    for i, (blk, got, want) in enumerate(zip(
+            blocks, project_f, cat.unstack(local_project, spaces, whole)), start=1):
+        check(f"intertwine_project[{i}]", got[0], want[0])
+        check(f"intertwine_inject[{i}]", f_inject[i - 1],
+              cat.compose(blk.inject, blk.local))
+    return tally.report()
+
+
+def _check_block_types(dec: SpectralDecomposition) -> None:
     for i, blk in enumerate(dec.blocks, start=1):
         if blk.project.source != dec.carrier or blk.project.target != blk.space:
             raise ArrowTypeError(f"block {i}: project must map carrier -> space")
@@ -142,29 +181,17 @@ def verify_decomposition(cat: SemiadditiveCategory, f: Arrow,
         if blk.local.source != blk.space or blk.local.target != blk.space:
             raise ArrowTypeError(f"block {i}: local must be an endo-arrow on its space")
 
-    tally = LawTally(cat, tol)
-    check = tally.check
-    blocks = dec.blocks
-    for i, blk in enumerate(blocks, start=1):
-        check(f"a[{i}]", cat.compose(blk.project, blk.inject),
-              cat.identity(blk.space))
-    for i, blk_i in enumerate(blocks, start=1):
-        for j, blk_j in enumerate(blocks, start=1):
+
+def _check_retracts(cat: SemiadditiveCategory, check, spaces: list,
+                    retracts: list[list[Arrow]]) -> None:
+    """(a) and (b) on the blocks of P.I: identities on the diagonal, zeros
+    off it."""
+    for i, space in enumerate(spaces):
+        check(f"a[{i + 1}]", retracts[i][i], cat.identity(space))
+    for i, row in enumerate(retracts):
+        for j, (got, space) in enumerate(zip(row, spaces)):
             if i != j:
-                check(f"b[{i},{j}]", cat.compose(blk_i.project, blk_j.inject),
-                      cat.zero(blk_j.space, blk_i.space))
-
-    check("c", reduce(cat.add, (cat.compose(b.inject, b.project) for b in blocks)),
-          cat.identity(dec.carrier))
-    check("d", reduce(cat.add, (cat.compose(b.inject, cat.compose(b.local, b.project))
-                                for b in blocks)), f)
-
-    for i, blk in enumerate(blocks, start=1):
-        check(f"intertwine_project[{i}]", cat.compose(blk.project, f),
-              cat.compose(blk.local, blk.project))
-        check(f"intertwine_inject[{i}]", cat.compose(f, blk.inject),
-              cat.compose(blk.inject, blk.local))
-    return tally.report()
+                check(f"b[{i + 1},{j + 1}]", got, cat.zero(space, spaces[i]))
 
 
 def _combined(cat: SemiadditiveCategory, first: SpectralDecomposition,
@@ -213,11 +240,14 @@ def fold_to_binary(cat: SemiadditiveCategory,
                    dec: SpectralDecomposition) -> SpectralDecomposition:
     """View an n-block decomposition as a two-block one.
 
-    Blocks after the first are grouped on their left-folded biproduct; a
-    single-block decomposition is padded with the zero object.
+    Blocks after the first are grouped on their stacked spaces (the
+    left-folded biproduct of :func:`fold_biproduct`), with their projections
+    stacked, their injections side by side and the block sum of their
+    locals; a single-block decomposition is padded with the zero object.
     """
     if len(dec.blocks) == 2:
         return dec
+    _check_block_types(dec)
     head = dec.blocks[0]
     rest = dec.blocks[1:]
     if not rest:
@@ -225,13 +255,9 @@ def fold_to_binary(cat: SemiadditiveCategory,
         pad = Block(z, cat.zero(dec.carrier, z), cat.zero(z, dec.carrier),
                     cat.identity(z))
         return SpectralDecomposition(dec.carrier, (head, pad), arrow=dec.arrow)
-    grouped, pis, iotas = fold_biproduct(cat, [b.space for b in rest])
-    parts = list(zip(rest, pis, iotas))
-    project = reduce(cat.add, [cat.compose(iota, b.project) for b, _, iota in parts])
-    inject = reduce(cat.add, [cat.compose(b.inject, pi) for b, pi, _ in parts])
-    local = reduce(cat.add, [cat.compose(iota, cat.compose(b.local, pi))
-                             for b, pi, iota in parts])
-    tail = Block(grouped, project, inject, local)
+    project = cat.stack([b.project for b in rest])
+    tail = Block(project.target, project, cat.costack([b.inject for b in rest]),
+                 cat.block_sum([b.local for b in rest]))
     return SpectralDecomposition(dec.carrier, (head, tail), arrow=dec.arrow)
 
 

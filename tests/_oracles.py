@@ -15,6 +15,7 @@ import numpy as np
 
 from specat import (
     ArrowTypeError,
+    Arrow,
     BiproductWitness,
     Block,
     LawReport,
@@ -31,6 +32,7 @@ from specat.core import (
     LawTally,
     _biproduct_cases,
     copair,
+    fold_biproduct,
     oplus,
     pair,
     sum_via_biproduct,
@@ -468,6 +470,71 @@ def detect_blocks_slow(f: ScalarMatrix, zero_tol: float | None = None):
     partition = Partition(tuple(range(n)),
                           tuple(tuple(cell) for cell in cells_idx))
     return partition, SpectralDecomposition(n, tuple(blocks), arrow=f)
+
+
+def verify_decomposition_slow(cat, f: Arrow, dec: SpectralDecomposition,
+                              tol=None) -> LawReport:
+    """``verify_decomposition`` with one compose or more per block pair
+    (B^2 + 7B composes for B blocks), and sums of per-block composites."""
+    if f.source != dec.carrier or f.target != dec.carrier:
+        raise ArrowTypeError(
+            f"arrow must be an endo-arrow on {dec.carrier!r}, "
+            f"got {f.source!r} -> {f.target!r}")
+    for i, blk in enumerate(dec.blocks, start=1):
+        if blk.project.source != dec.carrier or blk.project.target != blk.space:
+            raise ArrowTypeError(f"block {i}: project must map carrier -> space")
+        if blk.inject.source != blk.space or blk.inject.target != dec.carrier:
+            raise ArrowTypeError(f"block {i}: inject must map space -> carrier")
+        if blk.local.source != blk.space or blk.local.target != blk.space:
+            raise ArrowTypeError(f"block {i}: local must be an endo-arrow on its space")
+
+    tally = LawTally(cat, tol)
+    check = tally.check
+    blocks = dec.blocks
+    for i, blk in enumerate(blocks, start=1):
+        check(f"a[{i}]", cat.compose(blk.project, blk.inject),
+              cat.identity(blk.space))
+    for i, blk_i in enumerate(blocks, start=1):
+        for j, blk_j in enumerate(blocks, start=1):
+            if i != j:
+                check(f"b[{i},{j}]", cat.compose(blk_i.project, blk_j.inject),
+                      cat.zero(blk_j.space, blk_i.space))
+
+    add = functools.partial(functools.reduce, cat.add)
+    check("c", add(cat.compose(b.inject, b.project) for b in blocks),
+          cat.identity(dec.carrier))
+    check("d", add(cat.compose(b.inject, cat.compose(b.local, b.project))
+                   for b in blocks), f)
+
+    for i, blk in enumerate(blocks, start=1):
+        check(f"intertwine_project[{i}]", cat.compose(blk.project, f),
+              cat.compose(blk.local, blk.project))
+        check(f"intertwine_inject[{i}]", cat.compose(f, blk.inject),
+              cat.compose(blk.inject, blk.local))
+    return tally.report()
+
+
+def fold_to_binary_slow(cat, dec: SpectralDecomposition) -> SpectralDecomposition:
+    """``fold_to_binary`` with the tail summed from composites with the
+    witnesses of :func:`fold_biproduct`: 3(B-1) composes and 2(B-1) sums."""
+    if len(dec.blocks) == 2:
+        return dec
+    head = dec.blocks[0]
+    rest = dec.blocks[1:]
+    if not rest:
+        z = cat.zero_object()
+        pad = Block(z, cat.zero(dec.carrier, z), cat.zero(z, dec.carrier),
+                    cat.identity(z))
+        return SpectralDecomposition(dec.carrier, (head, pad), arrow=dec.arrow)
+    grouped, pis, iotas = fold_biproduct(cat, [b.space for b in rest])
+    parts = list(zip(rest, pis, iotas))
+    add = functools.partial(functools.reduce, cat.add)
+    project = add([cat.compose(iota, b.project) for b, _, iota in parts])
+    inject = add([cat.compose(b.inject, pi) for b, pi, _ in parts])
+    local = add([cat.compose(iota, cat.compose(b.local, pi))
+                 for b, pi, iota in parts])
+    tail = Block(grouped, project, inject, local)
+    return SpectralDecomposition(dec.carrier, (head, tail), arrow=dec.arrow)
 
 
 def run_law_suite_slow(cat, sampler=None, trials: int = 100, tol=None,

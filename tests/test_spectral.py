@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from specat import (
+    MAT_C,
     MAT_NN,
     MAT_R,
     ArrowTypeError,
@@ -20,6 +22,7 @@ from specat import (
     UnsupportedDomainError,
     b4,
     bool_algebra,
+    chain,
     coarsest_equitable_partition,
     compose_decompositions,
     detect_blocks,
@@ -32,6 +35,7 @@ from specat import (
     verify_quotient,
     walk_matrix,
 )
+from specat.matrices import COMPLEX, REAL
 
 from ._oracles import (
     bfs_components,
@@ -144,6 +148,41 @@ class TestVerify:
         dec = line3_decomposition()
         with pytest.raises(ArrowTypeError):
             verify_decomposition(MAT_R, MAT_R.identity(2), dec)
+
+    @pytest.mark.parametrize("kind", ["rel-b4", "mat-r", "mat-c", "mat-nn"])
+    @pytest.mark.parametrize("where", ["f", "project", "inject", "local"])
+    def test_foreign_arrow_raises_the_per_arrow_error(self, kind, where):
+        """An arrow over another algebra or domain is refused, never cast:
+        a complex local must not turn a real product complex."""
+        if kind == "rel-b4":
+            cat, message = REL_B4, "relations live over different algebras"
+            f = brel(C3, C3, [["a", "1", "0"], ["b", "0", "0"], ["0", "0", "b"]])
+            _, dec = separate_components(f)
+
+            def foreign(arrow):
+                return LRelation(chain(3), arrow.source, arrow.target,
+                                 np.minimum(arrow.values, 2))
+        else:
+            cat = {"mat-r": MAT_R, "mat-c": MAT_C, "mat-nn": MAT_NN}[kind]
+            f = ScalarMatrix([[1, 2, 0], [3, 4, 0], [0, 0, 5]], cat.domain)
+            _, dec = detect_blocks(f)
+            other = REAL if cat.domain == COMPLEX else COMPLEX
+            message = "domain mismatch: "
+
+            def foreign(arrow):
+                return ScalarMatrix(arrow.values.real if other is REAL
+                                    else arrow.values, other)
+        assert verify_decomposition(cat, f, dec).passed
+        for i in range(len(dec.blocks)):
+            if where == "f":
+                args = (foreign(f), dec)
+            else:
+                blocks = list(dec.blocks)
+                blocks[i] = replace(blocks[i], **{where: foreign(
+                    getattr(blocks[i], where))})
+                args = (f, SpectralDecomposition(dec.carrier, blocks))
+            with pytest.raises(ArrowTypeError, match=message):
+                verify_decomposition(cat, *args)
 
 
 class TestCombinators:

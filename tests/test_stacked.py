@@ -1,0 +1,377 @@
+"""Block operations and the stacked decomposition verifier.
+
+``stack``, ``costack``, ``block_sum`` and ``unstack`` are written once on
+``core._GridCategory`` by concatenation and slicing; they must equal the
+generic ``SemiadditiveCategory`` defaults built from ``fold_biproduct``.
+``verify_decomposition`` and ``fold_to_binary`` run on them and must give
+what the per-pair bodies in ``_oracles`` give, failing decompositions and
+counterexamples included.  Matrix entries are small integers, so every
+product and sum is exact whatever order BLAS adds in; only the sign of an
+exact zero may differ, which BLAS kernels choose by the shape of a product.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from specat import (
+    MAT_C,
+    MAT_NN,
+    MAT_R,
+    ArrowTypeError,
+    Block,
+    LRelation,
+    RelationCategory,
+    ScalarMatrix,
+    SemiadditiveCategory,
+    SpectralDecomposition,
+    Tolerance,
+    b4,
+    bool_algebra,
+    chain,
+    detect_blocks,
+    fold_to_binary,
+    separate_components,
+    verify_decomposition,
+)
+
+from ._oracles import fold_to_binary_slow, verify_decomposition_slow
+from .test_grid import assert_same_arrow, foreign_arrow, foreign_message, obj
+
+KINDS = {
+    "rel": RelationCategory(bool_algebra()),
+    "rel-b4": RelationCategory(b4()),
+    "rel-chain64": RelationCategory(chain(64)),
+    "mat-r": MAT_R,
+    "mat-c": MAT_C,
+    "mat-nn": MAT_NN,
+}
+# nonzero matrix entries; zeros come from the cells outside the blocks
+ENTRIES = {
+    "mat-r": [-2.0, -1.0, 1.0, 2.0, 3.0],
+    "mat-c": [1.0, -2.0, 1j, 1 - 1j, 2 + 1j],
+    "mat-nn": [1.0, 2.0, 3.0],
+}
+MUTATIONS = ("none", "local", "arrow", "swap", "borrow", "scale")
+
+
+def regrid(cat, arrow, values):
+    """``arrow``'s endpoints with another grid."""
+    if cat.exact:
+        return LRelation(cat.algebra, arrow.source, arrow.target, values)
+    return ScalarMatrix(values, cat.domain)
+
+
+def another_cell(cat, draw, value):
+    """A cell value other than ``value``."""
+    if cat.exact:
+        k = len(cat.algebra.elements)
+        return (int(value) + draw(st.integers(1, k - 1))) % k
+    return value + draw(st.sampled_from(ENTRIES[cat.name]))
+
+
+def changed_cell(cat, draw, arrow):
+    """``arrow`` with one cell changed, or ``arrow`` if it has no cells."""
+    values = np.array(arrow.values)
+    if not values.size:
+        return arrow
+    r = draw(st.integers(0, values.shape[0] - 1))
+    c = draw(st.integers(0, values.shape[1] - 1))
+    values[r, c] = another_cell(cat, draw, values[r, c])
+    return regrid(cat, arrow, values)
+
+
+def scaled(cat, draw, arrow):
+    """``arrow`` with its cells no longer 0/1 selections: doubled or
+    negated matrices, relations met with a lattice element."""
+    if cat.exact:
+        element = draw(st.integers(0, len(cat.algebra.elements) - 1))
+        return regrid(cat, arrow, cat.algebra.meet[arrow.values, element])
+    factor = draw(st.sampled_from([2.0] if cat.domain.nonnegative else [2.0, -1.0]))
+    return regrid(cat, arrow, arrow.values * factor)
+
+
+def swapped(cat, first, second):
+    """``second`` on ``first``'s endpoints when their grids fit, else
+    ``second`` itself, which the verifier refuses for its endpoints."""
+    if first.values.shape == second.values.shape:
+        return regrid(cat, first, second.values)
+    return second
+
+
+@st.composite
+def planted_case(draw):
+    """(category, arrow, decomposition): a block arrow scattered over the
+    carrier by a permutation, split by ``separate_components`` or
+    ``detect_blocks``, then perhaps mutated."""
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    cat = KINDS[kind]
+    sizes = draw(st.lists(st.integers(1, 3), max_size=4))
+    n = sum(sizes)
+    order = draw(st.permutations(range(n)))
+    if cat.exact:
+        cells = st.integers(0, len(cat.algebra.elements) - 1)
+        grid = np.full((n, n), cat.algebra.bottom, dtype=np.int16)
+    else:
+        cells = st.sampled_from(ENTRIES[kind] + [0.0])
+        grid = np.zeros((n, n), dtype=cat.domain.dtype)
+    start = 0
+    for size in sizes:
+        members = order[start:start + size]
+        start += size
+        for r in members:
+            for c in members:
+                grid[r, c] = draw(cells)
+    if cat.exact:
+        labels = tuple(f"v{i}" for i in range(n))
+        f = LRelation(cat.algebra, labels, labels, grid)
+        _, dec = separate_components(f)
+    else:
+        f = ScalarMatrix(grid, cat.domain)
+        _, dec = detect_blocks(f)
+    blocks = list(dec.blocks)
+    mutation = draw(st.sampled_from(MUTATIONS))
+    i = draw(st.integers(0, len(blocks) - 1))
+    j = draw(st.integers(0, len(blocks) - 1))
+    if mutation == "local":
+        blocks[i] = Block(blocks[i].space, blocks[i].project, blocks[i].inject,
+                          changed_cell(cat, draw, blocks[i].local))
+    elif mutation == "arrow":
+        f = changed_cell(cat, draw, f)
+    elif mutation == "swap":
+        pi, pj = blocks[i].project, blocks[j].project
+        blocks[i] = Block(blocks[i].space, swapped(cat, pi, pj),
+                          blocks[i].inject, blocks[i].local)
+        blocks[j] = Block(blocks[j].space, swapped(cat, pj, pi),
+                          blocks[j].inject, blocks[j].local)
+    elif mutation == "borrow":
+        blocks[i] = Block(blocks[i].space, blocks[i].project,
+                          swapped(cat, blocks[i].inject, blocks[j].inject),
+                          blocks[i].local)
+    elif mutation == "scale":
+        blocks[i] = Block(blocks[i].space, scaled(cat, draw, blocks[i].project),
+                          blocks[i].inject, blocks[i].local)
+    return cat, f, SpectralDecomposition(dec.carrier, blocks, arrow=f)
+
+
+def zero_signs_ignored(value):
+    """``value`` with the complex entries that reports spell as text read
+    back as numbers, which compare as real entries do: -0.0 == 0.0."""
+    if isinstance(value, dict):
+        return {k: zero_signs_ignored(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [zero_signs_ignored(v) for v in value]
+    if isinstance(value, str) and value.endswith(("j", "j)")):
+        return complex(value)
+    return value
+
+
+def outcome(verify, cat, f, dec, tol):
+    """The report as a dict, or the type and text of the error raised."""
+    try:
+        return zero_signs_ignored(verify(cat, f, dec, tol).to_dict())
+    except ArrowTypeError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=planted_case(),
+       tol=st.sampled_from([None, Tolerance(0.0, 0.0), Tolerance(0.5, 0.0)]))
+def test_stacked_verifier_matches_the_per_pair_oracle(case, tol):
+    cat, f, dec = case
+    assert (outcome(verify_decomposition, cat, f, dec, tol)
+            == outcome(verify_decomposition_slow, cat, f, dec, tol))
+
+
+def count_composes(monkeypatch) -> list:
+    """Counts every relation and matrix product, as the traced run does."""
+    calls = []
+    for cls in (LRelation, ScalarMatrix):
+        product = cls.__matmul__
+
+        def counted(g, f, product=product):
+            calls.append(1)
+            return product(g, f)
+
+        monkeypatch.setattr(cls, "__matmul__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_verifier_makes_five_plus_two_composes_per_block(monkeypatch, kind,
+                                                         count):
+    cat = KINDS[kind]
+    if cat.exact:
+        labels = tuple(f"v{i}" for i in range(2 * count))
+        f = LRelation.from_pairs(cat.algebra, labels, labels,
+                                 [(labels[2 * b], labels[2 * b + 1])
+                                  for b in range(count)])
+        _, dec = separate_components(f)
+    else:
+        f = ScalarMatrix(np.kron(np.eye(count), [[1.0, 2.0], [0.0, 1.0]]),
+                         cat.domain)
+        _, dec = detect_blocks(f)
+    assert len(dec.blocks) == count
+    calls = count_composes(monkeypatch)
+    assert verify_decomposition(cat, f, dec).passed
+    assert len(calls) == 5 + 2 * count
+    calls.clear()
+    verify_decomposition_slow(cat, f, dec)
+    assert len(calls) == count * count + 7 * count
+
+
+# ---------------------------------------------------------------------------
+# fold_to_binary
+
+
+@st.composite
+def random_blocks_case(draw):
+    """(category, decomposition) of random blocks drawn by the sampler, on
+    empty objects too; it need not decompose anything."""
+    cat = KINDS[draw(st.sampled_from(sorted(KINDS)))]
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    sampler = cat.default_sampler(3)
+    carrier = obj(cat, draw(st.integers(0, 3)), "c")
+    blocks = []
+    for b, size in enumerate(draw(st.lists(st.integers(0, 3), min_size=1,
+                                           max_size=4))):
+        space = obj(cat, size, f"s{b}.")
+        blocks.append(Block(space, sampler.random_arrow(rng, carrier, space),
+                            sampler.random_arrow(rng, space, carrier),
+                            sampler.random_arrow(rng, space, space)))
+    return cat, SpectralDecomposition(carrier, blocks)
+
+
+def assert_same_decomposition(got, want) -> None:
+    assert got.carrier == want.carrier and got.arrow is want.arrow
+    assert len(got.blocks) == len(want.blocks) == 2
+    for got_block, want_block in zip(got.blocks, want.blocks):
+        assert got_block.space == want_block.space
+        for name in ("project", "inject", "local"):
+            got_arrow = getattr(got_block, name)
+            want_arrow = getattr(want_block, name)
+            if got_arrow is not want_arrow:
+                assert_same_arrow(got_arrow, want_arrow, fresh=True)
+
+
+def well_typed(dec) -> bool:
+    return all(b.project.source == b.inject.target == dec.carrier
+               and b.project.target == b.inject.source == b.space
+               and b.local.source == b.local.target == b.space
+               for b in dec.blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_case())
+def test_fold_to_binary_matches_the_witness_oracle_on_planted_blocks(case):
+    """Swapped or borrowed arrows that do not fit their block are refused,
+    as the verifier refuses them; the oracle failed on them by chance."""
+    cat, _, dec = case
+    if len(dec.blocks) != 2 and not well_typed(dec):
+        with pytest.raises(ArrowTypeError, match=r"^block \d+: "):
+            fold_to_binary(cat, dec)
+        return
+    assert_same_decomposition(fold_to_binary(cat, dec),
+                              fold_to_binary_slow(cat, dec))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_blocks_case())
+def test_fold_to_binary_matches_the_witness_oracle_on_random_blocks(case):
+    cat, dec = case
+    assert_same_decomposition(fold_to_binary(cat, dec),
+                              fold_to_binary_slow(cat, dec))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("size", [0, 2])
+def test_fold_pads_one_block_as_the_oracle_does(kind, size):
+    cat = KINDS[kind]
+    space = obj(cat, size)
+    ident = cat.identity(space)
+    dec = SpectralDecomposition(space, (Block(space, ident, ident, ident),),
+                                arrow=ident)
+    got = fold_to_binary(cat, dec)
+    assert_same_decomposition(got, fold_to_binary_slow(cat, dec))
+    assert got.blocks[1].space == cat.zero_object()
+
+
+# ---------------------------------------------------------------------------
+# block operations against the generic defaults
+
+
+def assert_equal_arrows(got, want) -> None:
+    """Same class, endpoints, dtype and values; layouts may differ."""
+    assert type(got) is type(want)
+    assert (got.source, got.target) == (want.source, want.target)
+    assert got.values.dtype == want.values.dtype
+    assert np.array_equal(got.values, want.values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(KINDS)), m=st.integers(0, 3),
+       sizes=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                      min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 16))
+def test_grid_block_operations_equal_the_generic_defaults(kind, m, sizes, seed):
+    cat = KINDS[kind]
+    rng = random.Random(seed)
+    sampler = cat.default_sampler()
+    x = obj(cat, m, "x")
+    ys = [obj(cat, a, f"y{i}.") for i, (a, _) in enumerate(sizes)]
+    zs = [obj(cat, b, f"z{i}.") for i, (_, b) in enumerate(sizes)]
+    families = {
+        "stack": [sampler.random_arrow(rng, x, y) for y in ys],
+        "costack": [sampler.random_arrow(rng, y, x) for y in ys],
+        "block_sum": [sampler.random_arrow(rng, y, z) for y, z in zip(ys, zs)],
+    }
+    for name, arrows in families.items():
+        assert_same_arrow(getattr(cat, name)(arrows),
+                          getattr(SemiadditiveCategory, name)(cat, arrows),
+                          fresh=True)
+    whole = sampler.random_arrow(rng, cat.block_sum(families["block_sum"]).source,
+                                 cat.block_sum(families["block_sum"]).target)
+    for targets, sources in ((zs, ys), ([whole.target], ys), (zs, [whole.source])):
+        got = cat.unstack(whole, targets, sources)
+        want = SemiadditiveCategory.unstack(cat, whole, targets, sources)
+        assert [len(row) for row in got] == [len(row) for row in want]
+        for got_row, want_row in zip(got, want):
+            for got_block, want_block in zip(got_row, want_row):
+                assert_equal_arrows(got_block, want_block)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_block_operations_refuse_foreign_arrows(kind):
+    """Checked before any grid is copied: a complex block must not turn a
+    real stack complex."""
+    cat = KINDS[kind]
+    rng = random.Random(5)
+    sampler = cat.default_sampler()
+    x, y = obj(cat, 2, "x"), obj(cat, 1, "y")
+    into, out = sampler.random_arrow(rng, x, y), sampler.random_arrow(rng, y, x)
+    message = foreign_message(cat)
+    for name, arrows in (("stack", [into, foreign_arrow(cat, into)]),
+                         ("costack", [foreign_arrow(cat, out), out]),
+                         ("block_sum", [into, foreign_arrow(cat, out)])):
+        with pytest.raises(ArrowTypeError, match=message):
+            getattr(cat, name)(arrows)
+    with pytest.raises(ArrowTypeError, match=message):
+        cat.unstack(foreign_arrow(cat, into), [y], [x])
+
+
+@pytest.mark.parametrize("kind", ["rel-b4", "mat-r"])
+def test_block_operations_check_how_the_arrows_fit(kind):
+    cat = KINDS[kind]
+    x, y = obj(cat, 2, "x"), obj(cat, 1, "y")
+    with pytest.raises(ArrowTypeError, match="must share their source"):
+        cat.stack([cat.zero(x, y), cat.zero(y, y)])
+    with pytest.raises(ArrowTypeError, match="must share their target"):
+        cat.costack([cat.zero(y, x), cat.zero(y, y)])
+    with pytest.raises(ArrowTypeError, match="stack to 1 positions, not 2"):
+        cat.unstack(cat.zero(x, x), [y], [x])
+    with pytest.raises(ArrowTypeError, match="stack to 3 positions, not 2"):
+        cat.unstack(cat.zero(x, x), [x], [x, y])
