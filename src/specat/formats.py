@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import ParseError, SemiadditiveCategory
 from .functors import LatticeHom
-from .matrices import ScalarDomain, ScalarMatrix
+from .matrices import ScalarDomain, ScalarMatrix, _spell_distinct
 from .relations import (
     HeytingTable,
     LRelation,
@@ -92,16 +92,7 @@ def _spell_rows(rows: list, kinds: set) -> list:
         return [[_SPELL[type(v)](v) for v in row] for row in rows]
     (kind,) = kinds
     if kind is float:
-        bits = np.array(rows, dtype=np.float64).view(np.uint64)
-        # sort and compare neighbours: np.unique took several times longer
-        distinct = np.sort(bits, axis=None)
-        distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
-        values = distinct.view(np.float64)
-        spelled = list(map(float.__repr__, values.tolist()))
-        if not np.isfinite(values).all():
-            spelled = [_NONFINITE.get(text, text) for text in spelled]
-        table = np.array(spelled, dtype=object)
-        return table[np.searchsorted(distinct, bits)].tolist()
+        return _spell_distinct(np.array(rows, dtype=np.float64), _floatstr)
     table = dict.fromkeys(itertools.chain.from_iterable(rows))
     spell = _SPELL[kind]
     for value in table:
@@ -166,13 +157,48 @@ def _read_json(path) -> Any:
 
 
 def load_matrix_csv(path, domain: ScalarDomain) -> ScalarMatrix:
+    """A matrix from CSV text, one row per line.
+
+    Each line is stripped; blank lines and lines starting with ``#`` are
+    skipped.  Each comma-separated entry reads as ``domain.parse`` reads it,
+    that is as Python's ``float()`` or ``complex()`` would, and every row
+    must have as many entries as the first.
+
+    The kept lines are parsed by one ``np.loadtxt`` call.  numpy's grammar
+    is not Python's, so the entry-by-entry loop runs instead whenever numpy
+    refuses the text, and then gives the value or the ``ParseError`` it
+    always gave: numpy refuses spellings Python accepts (``1_0``, ``j``,
+    ``1+2J``, non-ASCII digits), and its message for a ragged row lacks the
+    line number.  numpy's complex reader is looser in one place, reading
+    ``1++2j`` and ``1+-2j``, which ``complex()`` rejects; complex text with
+    ``++`` or ``+-`` therefore goes to the loop as well.
+    """
+    text = _read_text(path)
+    numbered = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            numbered.append((lineno, line))
+    if not numbered:
+        raise ParseError(f"{path}: no matrix rows found")
+    values = None
+    if not (domain.is_complex and ("++" in text or "+-" in text)):
+        try:
+            values = np.loadtxt([line for _, line in numbered], delimiter=",",
+                                dtype=domain.dtype, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if values is None:
+        values = _parse_rows(path, numbered, domain)
+    return ScalarMatrix(values, domain)
+
+
+def _parse_rows(path, numbered: list, domain: ScalarDomain) -> np.ndarray:
+    """The kept ``(line number, line)`` pairs, entry by entry."""
     rows = []
     width = None
     parse = domain.parse
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in numbered:
         entries = [parse(tok) for tok in line.split(",")]
         if width is None:
             width = len(entries)
@@ -180,9 +206,7 @@ def load_matrix_csv(path, domain: ScalarDomain) -> ScalarMatrix:
             raise ParseError(
                 f"{path}: line {lineno} has {len(entries)} entries, expected {width}")
         rows.append(entries)
-    if not rows:
-        raise ParseError(f"{path}: no matrix rows found")
-    return ScalarMatrix(np.array(rows, dtype=domain.dtype), domain)
+    return np.array(rows, dtype=domain.dtype)
 
 
 def _format_scalar(value) -> str:
@@ -192,9 +216,8 @@ def _format_scalar(value) -> str:
 
 
 def save_matrix_csv(matrix: ScalarMatrix, path) -> None:
-    lines = [",".join(_format_scalar(v) for v in row)
-             for row in matrix.values.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = _spell_distinct(matrix.values, _format_scalar)
+    Path(path).write_text("\n".join(map(",".join, rows)) + "\n")
 
 
 # ---------------------------------------------------------------------------

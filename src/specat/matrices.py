@@ -9,6 +9,7 @@ monomial matrices, read off directly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -40,6 +41,12 @@ class ScalarDomain:
     def has_negation(self) -> bool:
         return not self.nonnegative
 
+    @functools.cached_property
+    def is_complex(self) -> bool:
+        """Whether entries are complex, read from the dtype: a domain equal
+        to ``COMPLEX`` reads and writes its entries as ``COMPLEX`` does."""
+        return bool(np.issubdtype(self.dtype, np.complexfloating))
+
     @property
     def zero(self):
         return self.dtype(0)
@@ -58,9 +65,7 @@ class ScalarDomain:
         """One entry written as text."""
         token = token.strip()
         try:
-            if self is COMPLEX:
-                return complex(token)
-            return float(token)
+            return complex(token) if self.is_complex else float(token)
         except ValueError as exc:
             raise ParseError(f"bad {self.name} entry {token!r}") from exc
 
@@ -215,6 +220,39 @@ def _matrix_from_payload(payload, domain: ScalarDomain) -> np.ndarray:
                     dtype=domain.dtype)
 
 
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in sorted order, and each key's index among them."""
+    distinct = np.sort(keys)
+    # sort and compare neighbours: np.unique took several times longer
+    keep = np.ones(distinct.shape, dtype=bool)
+    keep[1:] = distinct[1:] != distinct[:-1]
+    distinct = distinct[keep]
+    return distinct, np.searchsorted(distinct, keys)
+
+
+def _spell_distinct(values: np.ndarray, spell) -> list:
+    """``[[spell(v) for v in row] for row in values.tolist()]`` for a 2-d
+    numeric array, calling ``spell`` once per distinct bit pattern.
+
+    Entries are told apart by their bits, not by ``==``: -0.0 and 0.0 stay
+    apart, and so do (-0+0j) and 0j.  A complex entry's real and imaginary
+    words are ranked apart and their ranks paired.
+    """
+    flat = np.ascontiguousarray(values).reshape(-1)
+    word = min(flat.itemsize, 8)
+    words = flat.view(f"u{word}").reshape(-1, flat.itemsize // word)
+    patterns, codes = _distinct(words[:, 0])
+    patterns = patterns[:, None]
+    for column in words.T[1:]:
+        more, more_codes = _distinct(column)
+        pairs, codes = _distinct(codes * len(more) + more_codes)
+        patterns = np.column_stack((patterns[pairs // len(more)],
+                                    more[pairs % len(more)]))
+    distinct = np.ascontiguousarray(patterns).view(flat.dtype).reshape(-1)
+    table = np.array(list(map(spell, distinct.tolist())), dtype=object)
+    return table[codes].reshape(values.shape).tolist()
+
+
 class MatrixCategory(_GridCategory):
     """Matrices over one scalar domain, with dimension objects."""
 
@@ -266,8 +304,8 @@ class MatrixCategory(_GridCategory):
     equal = _GridCategory.equal
 
     def arrow_to_payload(self, f: ScalarMatrix) -> list:
-        if self.domain is COMPLEX or np.iscomplexobj(f.values):
-            return [[str(v) for v in row] for row in f.values.tolist()]
+        if self.domain.is_complex or np.iscomplexobj(f.values):
+            return _spell_distinct(f.values, str)
         return f.values.tolist()
 
     def arrow_from_payload(self, payload, src: int, tgt: int) -> ScalarMatrix:
@@ -350,7 +388,7 @@ class MatrixSampler(ArrowSampler):
         draw = rng.random
         lo, span = (0.0, 2.0) if self.domain.nonnegative else (-2.0, 4.0)
         cells = range(src * tgt)
-        if self.domain is COMPLEX:
+        if self.domain.is_complex:
             entries = [0.0 if draw() < 0.25
                        else complex(lo + span * draw(), lo + span * draw())
                        for _ in cells]

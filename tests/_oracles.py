@@ -20,6 +20,7 @@ from specat import (
     Block,
     LawReport,
     LRelation,
+    ParseError,
     Partition,
     PreconditionError,
     RelationCategory,
@@ -37,6 +38,7 @@ from specat.core import (
     pair,
     sum_via_biproduct,
 )
+from specat.formats import _read_text
 from specat.matrices import COMPLEX, _check_domains
 from specat.relations import _check_algebras, as_carrier, tagged_union
 from specat.spectral import _component_cells, _support_graph
@@ -294,6 +296,32 @@ def matrix_from_payload_slow(payload, complex_: bool) -> np.ndarray:
     parse = complex if complex_ else float
     return np.array([[parse(str(v)) for v in row] for row in payload],
                     dtype=np.complex128 if complex_ else np.float64)
+
+
+def load_matrix_csv_slow(path, domain) -> ScalarMatrix:
+    """The CSV loader entry by entry: every token through ``domain.parse``."""
+    rows = []
+    width = None
+    parse = domain.parse
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        entries = [parse(tok) for tok in line.split(",")]
+        if width is None:
+            width = len(entries)
+        elif len(entries) != width:
+            raise ParseError(
+                f"{path}: line {lineno} has {len(entries)} entries, expected {width}")
+        rows.append(entries)
+    if not rows:
+        raise ParseError(f"{path}: no matrix rows found")
+    return ScalarMatrix(np.array(rows, dtype=domain.dtype), domain)
+
+
+def complex_payload_slow(values: np.ndarray) -> list[list[str]]:
+    """Complex matrix entries as report text, each through ``str``."""
+    return [[str(v) for v in row] for row in values.tolist()]
 
 
 def random_relation_slow(sampler, rng, src, tgt) -> LRelation:

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from specat import (
     ParseError,
     Partition,
     RelationCategory,
+    ScalarDomain,
     ScalarMatrix,
     b4,
     bool_algebra,
@@ -42,9 +44,14 @@ from specat.formats import (
     save_matrix_csv,
     save_relation_json,
 )
-from specat.matrices import _matrix_from_payload
+from specat.matrices import _matrix_from_payload, _spell_distinct
 
-from ._oracles import canonical_json_slow, matrix_from_payload_slow
+from ._oracles import (
+    canonical_json_slow,
+    complex_payload_slow,
+    load_matrix_csv_slow,
+    matrix_from_payload_slow,
+)
 from .test_spectral import path3_decomposition
 
 B4 = b4()
@@ -58,10 +65,18 @@ class TestMatrixCsv:
         assert load_matrix_csv(path, MAT_R.domain) == m
 
     def test_round_trip_complex(self, tmp_path):
-        m = ScalarMatrix([[1 + 2j, -1j], [0, 3]], MAT_C.domain)
         path = tmp_path / "m.csv"
-        save_matrix_csv(m, path)
-        assert load_matrix_csv(path, MAT_C.domain) == m
+        for entries, text in [
+            ([[1 + 2j, -1j], [0, 3]], "1+2j,-0-1j\n0j,3+0j\n"),
+            ([[complex(-0.0, 0.0), complex(0.0, -0.0)],
+              [complex(-0.0, -0.0), complex(1e16, -1e-5)]],
+             "-0+0j,-0j\n-0-0j,1e+16-1e-05j\n"),
+        ]:
+            m = ScalarMatrix(entries, MAT_C.domain)
+            save_matrix_csv(m, path)
+            assert path.read_text() == text
+            again = load_matrix_csv(path, MAT_C.domain)
+            assert again.values.tobytes() == m.values.tobytes()
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -74,6 +89,155 @@ class TestMatrixCsv:
         path.write_text("1,zap\n")
         with pytest.raises(ParseError, match="zap"):
             load_matrix_csv(path, MAT_R.domain)
+
+    @pytest.mark.parametrize("entry", ["1++2j", "1+-2j", "(1+-2j)"])
+    def test_complex_text_numpy_alone_would_read_is_rejected(self, tmp_path,
+                                                             entry):
+        path = tmp_path / "m.csv"
+        path.write_text(f"1,{entry}\n")
+        with pytest.raises(ParseError) as err:
+            load_matrix_csv(path, MAT_C.domain)
+        assert str(err.value) == f"bad complex entry {entry!r}"
+
+    @pytest.mark.parametrize("cat, text", [
+        (MAT_R, "# a comment\n\n 1.5, -2e-3\r\n-0,7\n"),
+        (MAT_NN, "0.25,1\n  # indented comment\n2,0\n"),
+        (MAT_C, "(1+2j),-0.5-0.0j\n0.0+1.0j,3\n"),
+    ])
+    def test_plain_text_is_read_without_the_entry_loop(self, tmp_path, cat, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        want = load_matrix_csv_slow(path, cat.domain)
+        with mock.patch("specat.formats._parse_rows", side_effect=AssertionError):
+            got = load_matrix_csv(path, cat.domain)
+        assert got.values.tobytes() == want.values.tobytes()
+
+    def test_a_domain_equal_to_complex_reads_its_own_output(self, tmp_path):
+        cat = MatrixCategory(ScalarDomain("complex", np.complex128))
+        assert cat.domain == MAT_C.domain and cat.domain is not MAT_C.domain
+        m = ScalarMatrix([[1 + 2j, complex(0.0, -0.5)]], cat.domain)
+        payload = cat.arrow_to_payload(m)
+        assert payload == [["(1+2j)", "-0.5j"]]
+        assert cat.arrow_from_payload(payload, 2, 1) == m
+        assert cat.arrow_from_payload([["1+2j", "j"]], 2, 1).values.tolist() \
+            == [[1 + 2j, 1j]]
+        path = tmp_path / "m.csv"
+        path.write_text("1+2j,1+J\n")  # numpy refuses J: the entry loop reads it
+        assert load_matrix_csv(path, cat.domain).values.tolist() == [[1 + 2j, 1 + 1j]]
+
+
+# load_matrix_csv against the entry-by-entry loader it must reproduce
+
+_CSV_SPELLINGS = st.sampled_from([
+    "1_0", "j", "+j", "(j)", "1+j", "1+2J", "1+2j", "(1+2j)", "-0", "-0.0",
+    "0", "-0j", "-0-0j", "0.0+0.0j", "1++2j", "1+-2j", "1-+2j", "1e400",
+    "-1e400", "1e-320", "nan", "-nan", "inf", "-inf", "infj", "1+nanj", "",
+    " ", "\xa01", "1\xa0", " 2 ", "\t3", "1 2", "#", "1#2", "0x10", "1e",
+    "--1", "1+2i", "\u0661\u0662", "\uff11", "1.5e+3", "+.5", "5.",
+])
+_CSV_NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.builds(complex, st.floats(), st.floats()).map(lambda v: str(v)),
+    st.builds(lambda re, im: f"{re!r}{im:+}j", st.floats(allow_nan=False),
+              st.floats(allow_nan=False)),
+    st.integers(-10**20, 10**20).map(str))
+_CSV_TOKENS = st.one_of(
+    _CSV_SPELLINGS, _CSV_NUMBERS, _CSV_NUMBERS,
+    _CSV_NUMBERS.map(lambda t: t + "#x"),
+    # numpy reads both signs, complex() neither
+    st.builds(lambda re, im: f"{re!r}+{im:+}j", st.floats(allow_nan=False),
+              st.floats(allow_nan=False)))
+_CSV_BREAKS = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0c", "\u2028",
+                               "\x1c", "\x85"])
+_CSV_NOISE = st.sampled_from(["", "   ", "# comment, 1++2j", "  #x", "\t"])
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV text with rows of drawn tokens, mostly rectangular, with comment
+    and blank lines, mixed line breaks and now and then a trailing comma."""
+    width = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(_CSV_NOISE))
+            continue
+        cols = width + (draw(st.integers(-1, 1)) if draw(st.integers(0, 7)) == 0
+                        else 0)
+        line = ",".join(draw(_CSV_TOKENS) for _ in range(max(cols, 1)))
+        if draw(st.integers(0, 9)) == 0:
+            line += ","
+        lines.append(line)
+    text = ""
+    for line in lines:
+        text += line + draw(_CSV_BREAKS)
+    return text
+
+
+def _csv_outcome(path, domain, load):
+    try:
+        values = load(path, domain).values
+    except Exception as exc:  # the exception must match as well
+        return type(exc), str(exc)
+    return values.dtype, values.shape, values.tobytes()
+
+
+class TestMatrixCsvOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([MAT_R, MAT_C, MAT_NN]), _csv_texts())
+    def test_matches_the_entry_loop(self, tmp_path_factory, cat, text):
+        """Same values to the bit, or the same exception and message, on
+        the bulk path and with numpy made to refuse every input."""
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        path.write_text(text, newline="")
+        want = _csv_outcome(path, cat.domain, load_matrix_csv_slow)
+        assert _csv_outcome(path, cat.domain, load_matrix_csv) == want
+        with mock.patch("numpy.loadtxt", side_effect=ValueError("refused")):
+            assert _csv_outcome(path, cat.domain, load_matrix_csv) == want
+
+
+_SPELL_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e16, -1e16, 1e-5, 3.0, -7.0, 1.0, 0.5, math.nan,
+                     math.inf, -math.inf]),
+    st.floats())
+
+
+@st.composite
+def _spell_grids(draw, dtype):
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    pool = draw(st.lists(st.builds(complex, _SPELL_PARTS, _SPELL_PARTS),
+                         min_size=1, max_size=5))
+    cells = [draw(st.sampled_from(pool)) for _ in range(rows * cols)]
+    if dtype is np.float64:
+        cells = [v.real for v in cells]
+    return np.array(cells, dtype=dtype).reshape(rows, cols)
+
+
+class TestSpellDistinct:
+    @settings(max_examples=300, deadline=None)
+    @given(_spell_grids(np.complex128))
+    def test_complex_entries_read_as_str(self, values):
+        assert _spell_distinct(values, str) == complex_payload_slow(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_spell_grids(np.float64))
+    def test_real_entries_read_as_repr(self, values):
+        assert _spell_distinct(values, repr) == \
+            [[repr(v) for v in row] for row in values.tolist()]
+
+    def test_zero_signs_stay_apart(self):
+        values = np.array([[complex(-0.0, 0.0), 0j, complex(0.0, -0.0),
+                            complex(-0.0, -0.0)]])
+        assert _spell_distinct(values, str) == [["(-0+0j)", "0j", "-0j",
+                                                 "(-0-0j)"]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 4), st.integers(0, 4))
+    def test_complex_arrows_are_described_entry_by_entry(self, seed, src, tgt):
+        f = MAT_C.default_sampler().random_arrow(random.Random(seed), src, tgt)
+        assert MAT_C.arrow_to_payload(f) == complex_payload_slow(f.values)
+        assert MAT_C.describe_arrow(f)["entries"] == complex_payload_slow(f.values)
 
 
 class TestLattice:
