@@ -366,6 +366,9 @@ class MatrixCategory(_GridCategory):
                      tol: Tolerance | None) -> np.ndarray:
         return (Tolerance() if tol is None else tol).close(a, b).all(axis=(-2, -1))
 
+    # a grid deviates as far as the farthest of its parts
+    _residual_ufunc = np.maximum
+
     def _residual_cells(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.abs(a - b).max(axis=(-2, -1), initial=0.0)
 

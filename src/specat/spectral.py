@@ -11,6 +11,7 @@ matrices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any
 
@@ -133,8 +134,11 @@ def verify_decomposition(cat: SemiadditiveCategory, f: Arrow,
     of the locals: (a) and (b) read P.I = id, (c) I.P = id, (d) I.(L.P) = f,
     and the intertwining P.f = L.P and f.I = I.L.  Those five products are
     one compose each; L.P and I.L are formed block by block, so B blocks
-    take 5 + 2B composes.  Each block of a product is read back by
-    ``cat.unstack`` and reported under its own law, as one check.
+    take 5 + 2B composes.  Each product is compared with its right-hand
+    side once, by ``cat.compare_blocks``, which gives every block's residual
+    and verdict.  The report still holds one entry per block of an
+    equation, B^2 + 2B + 2 of them: a[i] and b[i,j] for the blocks of P.I,
+    c, d, and the blocks of the intertwining products.
     """
     if f.source != dec.carrier or f.target != dec.carrier:
         raise ArrowTypeError(
@@ -143,33 +147,81 @@ def verify_decomposition(cat: SemiadditiveCategory, f: Arrow,
     _check_block_types(dec)
 
     tally = LawTally(cat, tol)
-    check = tally.check
     blocks = dec.blocks
+    count = len(blocks)
     spaces = [b.space for b in blocks]
     whole = [dec.carrier]
 
     # P and I are stacked anew for each product rather than held, and each
-    # product is dropped once its blocks are checked: while c or d is
-    # compared, only that product and the arrow it should equal are alive
+    # comparison drops its product unless a block of it failed
     def stacked():
         return cat.stack([b.project for b in blocks])
 
     def costacked():
         return cat.costack([b.inject for b in blocks])
 
-    _check_retracts(cat, check, spaces,
-                    cat.unstack(cat.compose(stacked(), costacked()), spaces, spaces))
-    check("c", cat.compose(costacked(), stacked()), cat.identity(dec.carrier))
+    # (a) on the diagonal blocks of P.I, then (b) off it, row by row
+    numbers = range(1, count + 1)
+    retract_laws = ([f"a[{i}]" for i in numbers]
+                    + [f"b[{i},{j}]" for i in numbers for j in numbers if i != j])
+    cells = np.concatenate((np.arange(count) * (count + 1),
+                            np.flatnonzero(~np.eye(count, dtype=bool))))
+    _Comparison(cat, tol, cat.compose(stacked(), costacked()), None,
+                spaces, spaces).record(tally, retract_laws, *np.divmod(cells, count))
+    _Comparison(cat, tol, cat.compose(costacked(), stacked()),
+                cat.identity(dec.carrier), whole, whole).record(tally, ["c"], [0], [0])
     local_project = cat.stack([cat.compose(b.local, b.project) for b in blocks])
-    check("d", cat.compose(costacked(), local_project), f)
-    project_f = cat.unstack(cat.compose(stacked(), f), spaces, whole)
-    f_inject = cat.unstack(cat.compose(f, costacked()), whole, spaces)[0]
-    for i, (blk, got, want) in enumerate(zip(
-            blocks, project_f, cat.unstack(local_project, spaces, whole)), start=1):
-        check(f"intertwine_project[{i}]", got[0], want[0])
-        check(f"intertwine_inject[{i}]", f_inject[i - 1],
-              cat.compose(blk.inject, blk.local))
+    _Comparison(cat, tol, cat.compose(costacked(), local_project), f,
+                whole, whole).record(tally, ["d"], [0], [0])
+
+    # block i of P.f, a column, then block i of f.I, a row, for each i
+    project = _Comparison(cat, tol, cat.compose(stacked(), f), local_project,
+                          spaces, whole)
+    # kept by project only if a block failed: f.I and I.L need the room
+    del local_project
+    inject = _Comparison(cat, tol, cat.compose(f, costacked()),
+                         cat.costack([cat.compose(b.inject, b.local) for b in blocks]),
+                         whole, spaces)
+    sides = (lambda i: project.blocks(i, 0), lambda i: inject.blocks(0, i))
+    tally.check_each(
+        [f"intertwine_{side}[{i}]" for i in numbers for side in ("project", "inject")],
+        np.hstack((project.residuals, inject.residuals.T)).ravel(),
+        lambda k: tally.counterexample(None, *sides[k % 2](k // 2)),
+        np.hstack((project.passed, inject.passed.T)).ravel())
     return tally.report()
+
+
+class _Comparison:
+    """A product compared with the arrow it should equal, block by block.
+
+    ``residuals`` and ``passed`` are indexed ``[i, j]`` as ``unstack``
+    indexes the blocks; ``want`` defaults to the identity on ``got``'s
+    target.  The two arrows are kept only if a block failed, and cut into
+    blocks when the first counterexample needs them.
+    """
+
+    def __init__(self, cat: SemiadditiveCategory, tol: Tolerance | None,
+                 got: Arrow, want: Arrow | None, targets: list,
+                 sources: list) -> None:
+        if want is None:
+            want = cat.identity(got.target)
+        self.residuals, self.passed = cat.compare_blocks(got, want, targets,
+                                                         sources, tol)
+        self._blocks = None if self.passed.all() else functools.cache(
+            lambda: (cat.unstack(got, targets, sources),
+                     cat.unstack(want, targets, sources)))
+
+    def blocks(self, i: int, j: int) -> tuple[Arrow, Arrow]:
+        """Block ``[i, j]`` of the product and of the arrow it should equal."""
+        got, want = self._blocks()
+        return got[i][j], want[i][j]
+
+    def record(self, tally: LawTally, laws: list[str], rows, cols) -> None:
+        """Block ``[rows[k], cols[k]]`` as one check of law ``laws[k]``."""
+        tally.check_each(
+            laws, self.residuals[rows, cols],
+            lambda k: tally.counterexample(None, *self.blocks(rows[k], cols[k])),
+            self.passed[rows, cols])
 
 
 def _check_block_types(dec: SpectralDecomposition) -> None:
@@ -180,18 +232,6 @@ def _check_block_types(dec: SpectralDecomposition) -> None:
             raise ArrowTypeError(f"block {i}: inject must map space -> carrier")
         if blk.local.source != blk.space or blk.local.target != blk.space:
             raise ArrowTypeError(f"block {i}: local must be an endo-arrow on its space")
-
-
-def _check_retracts(cat: SemiadditiveCategory, check, spaces: list,
-                    retracts: list[list[Arrow]]) -> None:
-    """(a) and (b) on the blocks of P.I: identities on the diagonal, zeros
-    off it."""
-    for i, space in enumerate(spaces):
-        check(f"a[{i + 1}]", retracts[i][i], cat.identity(space))
-    for i, row in enumerate(retracts):
-        for j, (got, space) in enumerate(zip(row, spaces)):
-            if i != j:
-                check(f"b[{i + 1},{j + 1}]", got, cat.zero(space, spaces[i]))
 
 
 def _combined(cat: SemiadditiveCategory, first: SpectralDecomposition,

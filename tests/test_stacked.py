@@ -3,7 +3,9 @@
 ``stack``, ``costack``, ``block_sum`` and ``unstack`` are written once on
 ``core._GridCategory`` by concatenation and slicing; they must equal the
 generic ``SemiadditiveCategory`` defaults built from ``fold_biproduct``.
-``verify_decomposition`` and ``fold_to_binary`` run on them and must give
+So must ``compare_blocks``, which ``_GridCategory`` writes by comparing
+cells and reducing them block by block.  ``verify_decomposition`` and
+``fold_to_binary`` run on them and must give
 what the per-pair bodies in ``_oracles`` give, failing decompositions and
 counterexamples included.  Matrix entries are small integers, so every
 product and sum is exact whatever order BLAS adds in; only the sign of an
@@ -11,6 +13,7 @@ exact zero may differ, which BLAS kernels choose by the shape of a product.
 """
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +40,7 @@ from specat import (
     separate_components,
     verify_decomposition,
 )
+from specat import core
 
 from ._oracles import fold_to_binary_slow, verify_decomposition_slow
 from .test_grid import assert_same_arrow, foreign_arrow, foreign_message, obj
@@ -106,7 +110,8 @@ def swapped(cat, first, second):
 def planted_case(draw):
     """(category, arrow, decomposition): a block arrow scattered over the
     carrier by a permutation, split by ``separate_components`` or
-    ``detect_blocks``, then perhaps mutated."""
+    ``detect_blocks``, then perhaps mutated, and perhaps with a block on the
+    zero object inserted among the others."""
     kind = draw(st.sampled_from(sorted(KINDS)))
     cat = KINDS[kind]
     sizes = draw(st.lists(st.integers(1, 3), max_size=4))
@@ -154,6 +159,12 @@ def planted_case(draw):
     elif mutation == "scale":
         blocks[i] = Block(blocks[i].space, scaled(cat, draw, blocks[i].project),
                           blocks[i].inject, blocks[i].local)
+    if draw(st.booleans()):
+        # a block on the zero object, which every equation passes on
+        z = cat.zero_object()
+        blocks.insert(draw(st.integers(0, len(blocks))),
+                      Block(z, cat.zero(dec.carrier, z), cat.zero(z, dec.carrier),
+                            cat.zero(z, z)))
     return cat, f, SpectralDecomposition(dec.carrier, blocks, arrow=f)
 
 
@@ -177,9 +188,11 @@ def outcome(verify, cat, f, dec, tol):
         return type(exc), str(exc)
 
 
+TOLERANCES = [None, Tolerance(0.0, 0.0), Tolerance(0.5, 0.0), Tolerance(0.0, 0.5)]
+
+
 @settings(max_examples=400, deadline=None)
-@given(case=planted_case(),
-       tol=st.sampled_from([None, Tolerance(0.0, 0.0), Tolerance(0.5, 0.0)]))
+@given(case=planted_case(), tol=st.sampled_from(TOLERANCES))
 def test_stacked_verifier_matches_the_per_pair_oracle(case, tol):
     cat, f, dec = case
     assert (outcome(verify_decomposition, cat, f, dec, tol)
@@ -222,6 +235,65 @@ def test_verifier_makes_five_plus_two_composes_per_block(monkeypatch, kind,
     calls.clear()
     verify_decomposition_slow(cat, f, dec)
     assert len(calls) == count * count + 7 * count
+
+
+def block_case(cat, count):
+    """(arrow, decomposition): ``count`` blocks of two positions each, as
+    the compose-count test above builds them."""
+    if cat.exact:
+        labels = tuple(f"v{i}" for i in range(2 * count))
+        f = LRelation.from_pairs(cat.algebra, labels, labels,
+                                 [(labels[2 * b], labels[2 * b + 1])
+                                  for b in range(count)])
+        _, dec = separate_components(f)
+    else:
+        f = ScalarMatrix(np.kron(np.eye(count), [[1.0, 2.0], [0.0, 1.0]]),
+                         cat.domain)
+        _, dec = detect_blocks(f)
+    assert len(dec.blocks) == count
+    return f, dec
+
+
+def failing_projections(cat, dec):
+    """``dec`` with every projection zero: each a[i] fails, and c and d."""
+    return SpectralDecomposition(dec.carrier, [
+        Block(b.space, cat.zero(dec.carrier, b.space), b.inject, b.local)
+        for b in dec.blocks])
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_verifier_compares_once_per_product_whatever_the_block_count(
+        monkeypatch, kind):
+    """The cell kernels run as often for 20 blocks as for one (every grid
+    here fits one band of rows), and a failing law is described once: its
+    lhs and rhs, at its first failure."""
+    cat = KINDS[kind]
+    calls = {"kernels": 0, "describe": 0}
+
+    def counting(name, counter):
+        method = getattr(type(cat), name)
+
+        def counted(self, *args):
+            calls[counter] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(type(cat), name, counted)
+
+    counting("_equal_cells", "kernels")
+    counting("_residual_cells", "kernels")
+    counting("describe_arrow", "describe")
+    kernels = set()
+    for count in (1, 2, 5, 20):
+        f, dec = block_case(cat, count)
+        for case in (dec, failing_projections(cat, dec)):
+            calls.update(kernels=0, describe=0)
+            report = verify_decomposition(cat, f, case)
+            kernels.add(calls["kernels"])
+            failing = len(report.failures())
+            assert failing == (0 if case is dec else count + 2)
+            assert calls["describe"] == 2 * failing
+            assert len(report.checks) == count * count + 2 * count + 2
+    assert len(kernels) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -375,3 +447,73 @@ def test_block_operations_check_how_the_arrows_fit(kind):
         cat.unstack(cat.zero(x, x), [y], [x])
     with pytest.raises(ArrowTypeError, match="stack to 3 positions, not 2"):
         cat.unstack(cat.zero(x, x), [x], [x, y])
+
+
+def stacked_objects(cat, objects):
+    """The object the family stacks to."""
+    return cat.costack([cat.zero(x, obj(cat, 0)) for x in objects]).source
+
+
+def perturbed(cat, rng, arrow):
+    """``arrow`` with a few cells moved: relations to another element,
+    matrices by an absolute or a relative step, within or beyond 0.5."""
+    values = np.array(arrow.values)
+    for _ in range(rng.randrange(4) if values.size else 0):
+        r, c = rng.randrange(values.shape[0]), rng.randrange(values.shape[1])
+        if cat.exact:
+            k = len(cat.algebra.elements)
+            values[r, c] = (int(values[r, c]) + rng.randrange(1, k)) % k
+        elif rng.random() < 0.5:
+            values[r, c] += rng.choice([0.25, 2.0])
+        else:
+            values[r, c] *= rng.choice([1.5, 4.0])
+    return regrid(cat, arrow, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(KINDS)),
+       rows=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+       cols=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+       tol=st.sampled_from(TOLERANCES),
+       band_cells=st.sampled_from([1, 5, core._BAND_CELLS]),
+       seed=st.integers(0, 2 ** 16))
+def test_grid_block_comparison_equals_the_generic_default(kind, rows, cols, tol,
+                                                          band_cells, seed):
+    """Zero-size targets and sources among the others read residual 0 and
+    pass; the residuals are the per-block ones exactly, however many bands
+    of rows the grids are compared in."""
+    cat = KINDS[kind]
+    rng = random.Random(seed)
+    targets = [obj(cat, size, f"t{i}.") for i, size in enumerate(rows)]
+    sources = [obj(cat, size, f"s{i}.") for i, size in enumerate(cols)]
+    got = cat.default_sampler().random_arrow(
+        rng, stacked_objects(cat, sources), stacked_objects(cat, targets))
+    for want in (got, perturbed(cat, rng, got)):
+        with mock.patch.object(core, "_BAND_CELLS", band_cells):
+            residuals, passed = cat.compare_blocks(got, want, targets, sources,
+                                                   tol)
+        generic = SemiadditiveCategory.compare_blocks(cat, got, want, targets,
+                                                      sources, tol)
+        for value, expected in zip((residuals, passed), generic):
+            assert value.shape == (len(targets), len(sources))
+            assert value.dtype == expected.dtype
+            assert np.array_equal(value, expected)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("generic", [False, True])
+def test_block_operations_refuse_empty_families(kind, generic):
+    cat = KINDS[kind]
+    ops = SemiadditiveCategory if generic else type(cat)
+    x = obj(cat, 2)
+    f = cat.identity(x)
+    for name in ("stack", "costack", "block_sum"):
+        with pytest.raises(ArrowTypeError, match=f"^{name}: no arrows$"):
+            getattr(ops, name)(cat, [])
+    for targets, sources, missing in (([], [], "targets"), ([], [x], "targets"),
+                                      ([x], [], "sources")):
+        with pytest.raises(ArrowTypeError, match=f"^unstack: no {missing}$"):
+            ops.unstack(cat, f, targets, sources)
+        with pytest.raises(ArrowTypeError,
+                           match=f"^compare_blocks: no {missing}$"):
+            ops.compare_blocks(cat, f, f, targets, sources)
