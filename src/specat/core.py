@@ -64,10 +64,6 @@ class Tolerance:
         return ok if isinstance(ok, np.ndarray) else bool(ok)
 
 
-#: All-or-nothing comparison, used by the exact (relation) instances.
-EXACT = Tolerance(0.0, 0.0)
-
-
 @runtime_checkable
 class Arrow(Protocol):
     """Anything that knows the objects it maps between."""
@@ -293,13 +289,11 @@ class SemiadditiveCategory(ABC):
         sources = _family(sources, "compare_blocks", "sources")
         rows = zip(self.unstack(got, targets, sources),
                    self.unstack(want, targets, sources))
-        blocks = [both for got_row, want_row in rows
-                  for both in zip(got_row, want_row)]
+        residuals, passed = _compare_pairs(
+            self, [both for got_row, want_row in rows
+                   for both in zip(got_row, want_row)], tol)
         shape = (len(targets), len(sources))
-        residuals = [self.residual(a, b) for a, b in blocks]
-        verdicts = [self.equal(a, b, tol) for a, b in blocks]
-        return (np.array(residuals, float).reshape(shape),
-                np.array(verdicts, bool).reshape(shape))
+        return residuals.reshape(shape), passed.reshape(shape)
 
     def _batches(self) -> "_ListBatches":
         """This instance's arrow algebra on batches, for the law checkers."""
@@ -320,6 +314,13 @@ def _family(items, op: str, name: str) -> list:
     items = list(items)
     _require(bool(items), f"{op}: no {name}")
     return items
+
+
+def _compare_pairs(cat: SemiadditiveCategory, pairs: list,
+                   tol: Tolerance | None) -> tuple[np.ndarray, np.ndarray]:
+    """The residual of each pair of arrows and whether they are equal."""
+    return (np.array([cat.residual(a, b) for a, b in pairs], float),
+            np.array([cat.equal(a, b, tol) for a, b in pairs], bool))
 
 
 def check_zero_object(cat: SemiadditiveCategory, candidate: Any,
@@ -575,10 +576,8 @@ class _ListBatches:
 
     def compare(self, got: _Stack, want: _Stack,
                 tol: Tolerance | None) -> tuple[np.ndarray, np.ndarray]:
-        """Per trial, whether ``got`` equals ``want`` and the residual."""
-        pairs = list(zip(got.values, want.values))
-        return (np.array([self.cat.equal(a, b, tol) for a, b in pairs], dtype=bool),
-                np.array([self.cat.residual(a, b) for a, b in pairs], dtype=float))
+        """Per trial, the residual and whether ``got`` equals ``want``."""
+        return _compare_pairs(self.cat, list(zip(got.values, want.values)), tol)
 
 
 class _PaddedBatches(_ListBatches):
@@ -670,8 +669,8 @@ class _PaddedBatches(_ListBatches):
 
     def compare(self, got: _Stack, want: _Stack,
                 tol: Tolerance | None) -> tuple[np.ndarray, np.ndarray]:
-        return (self.cat._equal_cells(got.values, want.values, tol),
-                self.cat._residual_cells(got.values, want.values))
+        return (self.cat._residual_cells(got.values, want.values),
+                self.cat._equal_cells(got.values, want.values, tol))
 
 
 class _GridCategory(SemiadditiveCategory):
@@ -693,10 +692,13 @@ class _GridCategory(SemiadditiveCategory):
       ``values``, unchecked; ``_admit(f)``: the per-arrow operations'
       ArrowTypeError unless ``f`` is an arrow of this instance;
     - cell kernels on grids with the same leading batch axes, if any:
-      ``_compose_cells(g, f)``, ``_add_cells(f, g)``, and per grid the
-      verdict ``_equal_cells(a, b, tol)`` and the residual
-      ``_residual_cells(a, b)``; ``_residual_ufunc``: the ufunc that reduces
-      the residuals of parts of a grid to the residual of the whole.
+      ``_compose_cells(g, f)`` and ``_add_cells(f, g)``;
+    - comparison cell by cell, on arrays that broadcast: whether cells are
+      equal, ``_cell_equal(a, b, tol)``, and how far apart they are, as
+      floats, ``_cell_residual(a, b)``; ``_residual_ufunc``: the ufunc that
+      reduces the residuals of cells to the residual of the grid that holds
+      them.  Each comparison (per grid, per block, per trial of a batch) is
+      one of these reductions.
     """
 
     def _blank_grid(self, *shape: int) -> np.ndarray:
@@ -812,9 +814,8 @@ class _GridCategory(SemiadditiveCategory):
 
     def compare_blocks(self, got: Arrow, want: Arrow, targets, sources,
                        tol: Tolerance | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Every cell compared by the cell kernels, as a 1x1 grid, a band of
-        rows at a time, then reduced block by block: residuals by
-        ``_residual_ufunc``, verdicts by logical and."""
+        """Every cell compared, a band of rows at a time, then reduced block
+        by block: residuals by ``_residual_ufunc``, verdicts by logical and."""
         self._admit(got)
         self._admit(want)
         targets = _family(targets, "compare_blocks", "targets")
@@ -829,12 +830,11 @@ class _GridCategory(SemiadditiveCategory):
         passed = np.empty((rows, len(sources)), bool)
         band = max(1, _BAND_CELLS // max(cols, 1))
         for r0 in range(0, rows, band):
-            a = got.values[r0:r0 + band, :, None, None]
-            b = want.values[r0:r0 + band, :, None, None]
+            a, b = got.values[r0:r0 + band], want.values[r0:r0 + band]
             residuals[r0:r0 + band] = _per_block(
-                self._residual_ufunc, self._residual_cells(a, b), col_cut, 1, 0.0)
+                self._residual_ufunc, self._cell_residual(a, b), col_cut, 1, 0.0)
             passed[r0:r0 + band] = _per_block(
-                np.logical_and, self._equal_cells(a, b, tol), col_cut, 1, True)
+                np.logical_and, self._cell_equal(a, b, tol), col_cut, 1, True)
         return (_per_block(self._residual_ufunc, residuals, row_cut, 0, 0.0),
                 _per_block(np.logical_and, passed, row_cut, 0, True))
 
@@ -844,6 +844,16 @@ class _GridCategory(SemiadditiveCategory):
         _require(ends[-1] == size,
                  f"{op}: the {name} stack to {ends[-1]} positions, not {size}")
         return ends
+
+    def _equal_cells(self, a: np.ndarray, b: np.ndarray,
+                     tol: Tolerance | None) -> np.ndarray:
+        """Per grid of the last two axes, whether ``a`` equals ``b``."""
+        return self._cell_equal(a, b, tol).all(axis=(-2, -1))
+
+    def _residual_cells(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per grid of the last two axes, the residual of ``a`` against ``b``."""
+        return self._residual_ufunc.reduce(self._cell_residual(a, b),
+                                           axis=(-2, -1), initial=0.0)
 
     def equal(self, f: Arrow, g: Arrow, tol: Tolerance | None = None) -> bool:
         self._admit(f)
@@ -1067,7 +1077,7 @@ def _chunk_checker(batches: "_ListBatches", tally: LawTally,
     arrow ``name`` under ``label``.
     """
     def check(law: str, got: _Stack, want: _Stack, inputs: str) -> None:
-        passed, residuals = batches.compare(got, want, tally.tol)
+        residuals, passed = batches.compare(got, want, tally.tol)
 
         def counterexample(i: int) -> dict:
             arrows, named = trial(i), {}

@@ -73,17 +73,16 @@ class LatticeHom:
             raise LatticeError(
                 f"map does not preserve top: "
                 f"{src.label(src.top)!r} -> {tgt.label(h[src.top])!r}")
-        k = len(src.elements)
-        for x in range(k):
-            for y in range(k):
-                if h[src.meet_of(x, y)] != tgt.meet_of(h[x], h[y]):
-                    raise LatticeError(
-                        f"map does not preserve meet at "
-                        f"({src.label(x)!r}, {src.label(y)!r})")
-                if h[src.join_of(x, y)] != tgt.join_of(h[x], h[y]):
-                    raise LatticeError(
-                        f"map does not preserve join at "
-                        f"({src.label(x)!r}, {src.label(y)!r})")
+        # h(x op y) against h(x) op h(y) for every pair (x, y) at once, as
+        # tables indexed (x, y, op); the first bad entry in that order is named
+        h = np.array(h, dtype=np.intp)
+        bad = np.stack([h[src.meet] != tgt.meet[h[:, None], h],
+                        h[src.join] != tgt.join[h[:, None], h]], axis=-1)
+        if bad.any():
+            x, y, op = map(int, np.unravel_index(bad.argmax(), bad.shape))
+            raise LatticeError(
+                f"map does not preserve {('meet', 'join')[op]} at "
+                f"({src.label(x)!r}, {src.label(y)!r})")
 
     @classmethod
     def from_labels(cls, source: HeytingTable, target: HeytingTable,

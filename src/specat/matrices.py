@@ -362,15 +362,15 @@ class MatrixCategory(_GridCategory):
     def _add_cells(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         return self._valid(f + g)
 
-    def _equal_cells(self, a: np.ndarray, b: np.ndarray,
-                     tol: Tolerance | None) -> np.ndarray:
-        return (Tolerance() if tol is None else tol).close(a, b).all(axis=(-2, -1))
+    def _cell_equal(self, a: np.ndarray, b: np.ndarray,
+                    tol: Tolerance | None) -> np.ndarray:
+        return (Tolerance() if tol is None else tol).close(a, b)
 
-    # a grid deviates as far as the farthest of its parts
+    def _cell_residual(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.abs(a - b)
+
+    # a grid deviates as far as the farthest of its cells
     _residual_ufunc = np.maximum
-
-    def _residual_cells(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.abs(a - b).max(axis=(-2, -1), initial=0.0)
 
 
 class MatrixSampler(ArrowSampler):

@@ -494,8 +494,9 @@ class LRelation:
         _check_algebras(self.algebra, other.algebra)
         if self.source != other.source or self.target != other.target:
             raise ArrowTypeError("cannot join relations with different carriers")
-        return LRelation._derived(self.algebra, self.source, self.target,
-                                  self.algebra.join[self.values, other.values])
+        return LRelation._derived(
+            self.algebra, self.source, self.target,
+            _lookup(self.algebra.join, self.values, other.values))
 
     def converse(self) -> "LRelation":
         return LRelation._derived(self.algebra, self.target, self.source,
@@ -627,22 +628,16 @@ class RelationCategory(_GridCategory):
     def _add_cells(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         return _lookup(self.algebra.join, f, g)
 
-    def _equal_cells(self, a: np.ndarray, b: np.ndarray,
-                     tol: Tolerance | None) -> np.ndarray:
-        return (a == b).all(axis=(-2, -1))
+    def _cell_equal(self, a: np.ndarray, b: np.ndarray,
+                    tol: Tolerance | None) -> np.ndarray:
+        return a == b
+
+    def _cell_residual(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # a float, so that np.add counts (over bools it is a logical or)
+        return (a != b).astype(float)
 
     # a grid differs in as many cells as its parts together
     _residual_ufunc = np.add
-
-    def _residual_cells(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        differ = a != b
-        if differ.ndim == 2:  # one grid counts fastest as a whole
-            return np.count_nonzero(differ)
-        # per grid of a stack, a float sum over the flattened grid counts the
-        # differing cells faster than a product with ones: a little on the
-        # law batches, tenfold on the one-cell grids of compare_blocks
-        *lead, rows, cols = differ.shape
-        return differ.reshape(*lead, rows * cols).sum(axis=-1, dtype=float)
 
 
 def encode_label(label: Label):

@@ -11,7 +11,6 @@ matrices.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Any
 
@@ -136,9 +135,10 @@ def verify_decomposition(cat: SemiadditiveCategory, f: Arrow,
     one compose each; L.P and I.L are formed block by block, so B blocks
     take 5 + 2B composes.  Each product is compared with its right-hand
     side once, by ``cat.compare_blocks``, which gives every block's residual
-    and verdict.  The report still holds one entry per block of an
-    equation, B^2 + 2B + 2 of them: a[i] and b[i,j] for the blocks of P.I,
-    c, d, and the blocks of the intertwining products.
+    and verdict, and is dropped before the next product is formed.  The
+    report still holds one entry per block of an equation, B^2 + 2B + 2 of
+    them: a[i] and b[i,j] for the blocks of P.I, c, d, and the blocks of
+    the intertwining products.
     """
     if f.source != dec.carrier or f.target != dec.carrier:
         raise ArrowTypeError(
@@ -152,76 +152,59 @@ def verify_decomposition(cat: SemiadditiveCategory, f: Arrow,
     spaces = [b.space for b in blocks]
     whole = [dec.carrier]
 
-    # P and I are stacked anew for each product rather than held, and each
-    # comparison drops its product unless a block of it failed
+    # P and I are stacked anew for each product rather than held
     def stacked():
         return cat.stack([b.project for b in blocks])
 
     def costacked():
         return cat.costack([b.inject for b in blocks])
 
-    # (a) on the diagonal blocks of P.I, then (b) off it, row by row
-    numbers = range(1, count + 1)
-    retract_laws = ([f"a[{i}]" for i in numbers]
-                    + [f"b[{i},{j}]" for i in numbers for j in numbers if i != j])
-    cells = np.concatenate((np.arange(count) * (count + 1),
-                            np.flatnonzero(~np.eye(count, dtype=bool))))
-    _Comparison(cat, tol, cat.compose(stacked(), costacked()), None,
-                spaces, spaces).record(tally, retract_laws, *np.divmod(cells, count))
-    _Comparison(cat, tol, cat.compose(costacked(), stacked()),
-                cat.identity(dec.carrier), whole, whole).record(tally, ["c"], [0], [0])
-    local_project = cat.stack([cat.compose(b.local, b.project) for b in blocks])
-    _Comparison(cat, tol, cat.compose(costacked(), local_project), f,
-                whole, whole).record(tally, ["d"], [0], [0])
-
-    # block i of P.f, a column, then block i of f.I, a row, for each i
-    project = _Comparison(cat, tol, cat.compose(stacked(), f), local_project,
-                          spaces, whole)
-    # kept by project only if a block failed: f.I and I.L need the room
-    del local_project
-    inject = _Comparison(cat, tol, cat.compose(f, costacked()),
-                         cat.costack([cat.compose(b.inject, b.local) for b in blocks]),
-                         whole, spaces)
-    sides = (lambda i: project.blocks(i, 0), lambda i: inject.blocks(0, i))
-    tally.check_each(
-        [f"intertwine_{side}[{i}]" for i in numbers for side in ("project", "inject")],
-        np.hstack((project.residuals, inject.residuals.T)).ravel(),
-        lambda k: tally.counterexample(None, *sides[k % 2](k // 2)),
-        np.hstack((project.passed, inject.passed.T)).ravel())
-    return tally.report()
-
-
-class _Comparison:
-    """A product compared with the arrow it should equal, block by block.
-
-    ``residuals`` and ``passed`` are indexed ``[i, j]`` as ``unstack``
-    indexes the blocks; ``want`` defaults to the identity on ``got``'s
-    target.  The two arrows are kept only if a block failed, and cut into
-    blocks when the first counterexample needs them.
-    """
-
-    def __init__(self, cat: SemiadditiveCategory, tol: Tolerance | None,
-                 got: Arrow, want: Arrow | None, targets: list,
-                 sources: list) -> None:
+    def compare(got, want, targets, sources):
+        """Per block [i, j] of ``got`` against ``want`` (the identity on
+        ``got``'s target if None): the residuals, the verdicts and the
+        counterexamples (None where a block passed), each an array.  Every
+        block is a law of its own, so each failing block is described, and
+        it is described here, so that no product outlives its comparison."""
         if want is None:
             want = cat.identity(got.target)
-        self.residuals, self.passed = cat.compare_blocks(got, want, targets,
-                                                         sources, tol)
-        self._blocks = None if self.passed.all() else functools.cache(
-            lambda: (cat.unstack(got, targets, sources),
-                     cat.unstack(want, targets, sources)))
+        residuals, passed = cat.compare_blocks(got, want, targets, sources, tol)
+        examples = np.full(passed.shape, None, object)
+        if not passed.all():
+            got_blocks = cat.unstack(got, targets, sources)
+            want_blocks = cat.unstack(want, targets, sources)
+            for i, j in np.argwhere(~passed).tolist():
+                examples[i, j] = tally.counterexample(None, got_blocks[i][j],
+                                                      want_blocks[i][j])
+        return residuals, passed, examples
 
-    def blocks(self, i: int, j: int) -> tuple[Arrow, Arrow]:
-        """Block ``[i, j]`` of the product and of the arrow it should equal."""
-        got, want = self._blocks()
-        return got[i][j], want[i][j]
+    def record(laws, compared):
+        """One check per law, of the blocks of ``compared`` in row-major order."""
+        residuals, passed, examples = (np.ravel(a) for a in compared)
+        tally.check_each(laws, residuals, examples.__getitem__, passed)
 
-    def record(self, tally: LawTally, laws: list[str], rows, cols) -> None:
-        """Block ``[rows[k], cols[k]]`` as one check of law ``laws[k]``."""
-        tally.check_each(
-            laws, self.residuals[rows, cols],
-            lambda k: tally.counterexample(None, *self.blocks(rows[k], cols[k])),
-            self.passed[rows, cols])
+    # (a) on the diagonal blocks of P.I, then (b) off it, row by row
+    numbers = range(1, count + 1)
+    cells = np.concatenate((np.arange(count) * (count + 1),
+                            np.flatnonzero(~np.eye(count, dtype=bool))))
+    record([f"a[{i}]" for i in numbers]
+           + [f"b[{i},{j}]" for i in numbers for j in numbers if i != j],
+           [a.ravel()[cells] for a in compare(cat.compose(stacked(), costacked()),
+                                              None, spaces, spaces)])
+    record(["c"], compare(cat.compose(costacked(), stacked()),
+                          cat.identity(dec.carrier), whole, whole))
+    local_project = cat.stack([cat.compose(b.local, b.project) for b in blocks])
+    record(["d"], compare(cat.compose(costacked(), local_project), f, whole, whole))
+
+    # block i of P.f, a column, then block i of f.I, a row, for each i
+    project = compare(cat.compose(stacked(), f), local_project, spaces, whole)
+    del local_project
+    inject = compare(cat.compose(f, costacked()),
+                     cat.costack([cat.compose(b.inject, b.local) for b in blocks]),
+                     whole, spaces)
+    record([f"intertwine_{side}[{i}]" for i in numbers
+            for side in ("project", "inject")],
+           [np.hstack((p, i.T)) for p, i in zip(project, inject)])
+    return tally.report()
 
 
 def _check_block_types(dec: SpectralDecomposition) -> None:

@@ -18,6 +18,7 @@ from specat import (
     Arrow,
     BiproductWitness,
     Block,
+    LatticeError,
     LawReport,
     LRelation,
     ParseError,
@@ -100,6 +101,30 @@ def join_relations_slow(f: LRelation, g: LRelation) -> LRelation:
              for s in range(len(f.source))]
             for t in range(len(f.target))]
     return LRelation(alg, f.source, f.target, rows)
+
+
+def check_lattice_hom_slow(src, tgt, h) -> None:
+    """``LatticeError`` unless the map ``h`` (a sequence of target indices)
+    preserves bottom, top, then meet and join pair by pair, in that order."""
+    if h[src.bottom] != tgt.bottom:
+        raise LatticeError(
+            f"map does not preserve bottom: "
+            f"{src.label(src.bottom)!r} -> {tgt.label(h[src.bottom])!r}")
+    if h[src.top] != tgt.top:
+        raise LatticeError(
+            f"map does not preserve top: "
+            f"{src.label(src.top)!r} -> {tgt.label(h[src.top])!r}")
+    k = len(src.elements)
+    for x in range(k):
+        for y in range(k):
+            if h[src.meet_of(x, y)] != tgt.meet_of(h[x], h[y]):
+                raise LatticeError(
+                    f"map does not preserve meet at "
+                    f"({src.label(x)!r}, {src.label(y)!r})")
+            if h[src.join_of(x, y)] != tgt.join_of(h[x], h[y]):
+                raise LatticeError(
+                    f"map does not preserve join at "
+                    f"({src.label(x)!r}, {src.label(y)!r})")
 
 
 def matmul_slow(a: ScalarMatrix, b: ScalarMatrix) -> list[list]:
@@ -727,7 +752,9 @@ def check_cmon_functor_sampled_slow(functor, sampler=None, trials: int = 100,
 
 # ---------------------------------------------------------------------------
 # zero, identity, canonical witness, restrict, equal and residual as each
-# shipped instance wrote them for itself, before one grid base wrote them once
+# shipped instance wrote them for itself, before one grid base wrote them once;
+# equal_cells and residual_cells are the per-grid comparison kernels each
+# wrote before the base derived them from per-cell hooks
 
 
 def _sub_grid_slow(values: np.ndarray, rows, cols) -> np.ndarray:
@@ -788,6 +815,16 @@ class RelationAlgebraSlow:
         _check_algebras(self.algebra, g.algebra)
         return float(np.count_nonzero(f.values != g.values))
 
+    def equal_cells(self, a: np.ndarray, b: np.ndarray, tol) -> np.ndarray:
+        return (a == b).all(axis=(-2, -1))
+
+    def residual_cells(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The differing cells of each grid, counted as a float (one grid on
+        its own was counted by np.count_nonzero, the same count as an int)."""
+        differ = a != b
+        *lead, rows, cols = differ.shape
+        return differ.reshape(*lead, rows * cols).sum(axis=-1, dtype=float)
+
 
 class MatrixAlgebraSlow:
     """The arrow algebra of ``MatrixCategory(domain)``, per instance."""
@@ -833,3 +870,9 @@ class MatrixAlgebraSlow:
         if f.values.size == 0:
             return 0.0
         return float(np.max(np.abs(f.values - g.values)))
+
+    def equal_cells(self, a: np.ndarray, b: np.ndarray, tol) -> np.ndarray:
+        return (Tolerance() if tol is None else tol).close(a, b).all(axis=(-2, -1))
+
+    def residual_cells(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.abs(a - b).max(axis=(-2, -1), initial=0.0)

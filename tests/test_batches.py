@@ -172,8 +172,8 @@ def test_padded_batches_keep_padding_blank_and_match_the_list_default(cat):
     for i, arrow in enumerate(f):
         assert cat.equal(padded.arrow(pf, i), arrow, Tolerance(0.0, 0.0))
 
-    passed, residual = padded.compare(padded.add(pf, pg), pf, None)
-    want_passed, want_residual = listed.compare(listed.add(lf, lg), lf, None)
+    residual, passed = padded.compare(padded.add(pf, pg), pf, None)
+    want_residual, want_passed = listed.compare(listed.add(lf, lg), lf, None)
     assert np.array_equal(passed, want_passed)
     assert np.allclose(residual, want_residual, rtol=0, atol=1e-12)
 

@@ -33,7 +33,11 @@ from specat import (
     verify_decomposition,
 )
 
-from ._oracles import all_relations, exhaustive_functor_check_slow
+from ._oracles import (
+    all_relations,
+    check_lattice_hom_slow,
+    exhaustive_functor_check_slow,
+)
 from .test_properties import product_lattice
 from .test_spectral import brel, path3_decomposition, loops3_decomposition, C3
 
@@ -69,6 +73,37 @@ class TestLatticeHom:
         hom = LatticeHom.from_labels(chain(3), BOOL,
                                      {"0": "0", "1/2": "0", "1": "1"})
         assert [BOOL.label(v) for v in hom.mapping] == ["0", "0", "1"]
+
+
+HOM_ALGEBRAS = (BOOL, B4, chain(5), product_lattice(chain(2), chain(3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_lattice_hom_check_names_the_oracles_first_violation(data):
+    """Random maps, some keeping bottom and top, some a principal filter's
+    threshold map with an entry moved: each is refused with the message of
+    the pair-by-pair oracle, or accepted by both."""
+    src = data.draw(st.sampled_from(HOM_ALGEBRAS))
+    tgt = data.draw(st.sampled_from(HOM_ALGEBRAS))
+    k, elements = len(src.elements), st.integers(0, len(tgt.elements) - 1)
+    if data.draw(st.booleans()):
+        cut = data.draw(st.integers(0, k - 1))
+        mapping = [tgt.top if src.leq(cut, x) else tgt.bottom for x in range(k)]
+        if data.draw(st.booleans()):
+            mapping[data.draw(st.integers(0, k - 1))] = data.draw(elements)
+    else:
+        mapping = data.draw(st.lists(elements, min_size=k, max_size=k))
+        if data.draw(st.booleans()):
+            mapping[src.bottom], mapping[src.top] = tgt.bottom, tgt.top
+    try:
+        check_lattice_hom_slow(src, tgt, mapping)
+    except LatticeError as exc:
+        with pytest.raises(LatticeError) as got:
+            LatticeHom(src, tgt, tuple(mapping))
+        assert str(got.value) == str(exc)
+    else:
+        assert LatticeHom(src, tgt, tuple(mapping)).mapping == tuple(mapping)
 
 
 class TestInducedFunctor:

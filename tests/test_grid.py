@@ -8,6 +8,7 @@ a foreign arrow must be refused with the per-arrow message.
 """
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from specat import (
     bool_algebra,
     chain,
 )
+from specat import core
 from specat.matrices import COMPLEX, REAL
 
 from ._oracles import MatrixAlgebraSlow, RelationAlgebraSlow
@@ -133,6 +135,83 @@ def test_grid_algebra_matches_the_per_instance_bodies(cat, m, n, rows, cols,
     # the old restrict bodies did not check, so there is no oracle to match
     with pytest.raises(ArrowTypeError, match=message):
         cat.restrict(foreign, rows, cols)
+
+
+# small entries with exact zeros; mat-nn's stay nonnegative when moved
+ENTRIES = {"mat-r": [0.0, -2.0, -1.0, 1.0, 2.5], "mat-c": [0, 1, -2, 1j, 1 - 1j],
+           "mat-nn": [0.0, 1.0, 2.0, 3.5]}
+STEPS = (lambda v: v + 1e-12, lambda v: v + 0.25, lambda v: v + 2.0,
+         lambda v: v * 1.5, lambda v: v * 4.0)
+
+
+def random_cells(cat, rng, shape) -> np.ndarray:
+    if cat.exact:
+        return rng.integers(0, len(cat.algebra.elements), shape).astype(np.int16)
+    return rng.choice(np.array(ENTRIES[cat.name], cat._dtype), shape)
+
+
+def moved_cells(cat, rng, values) -> np.ndarray:
+    """``values`` with a few cells moved: relations to another element,
+    matrices by a step within the default tolerance, or within or beyond
+    0.5, absolute or relative."""
+    values = values.copy()
+    flat = values.reshape(-1)
+    for i in rng.integers(0, flat.size, rng.integers(0, 4)) if flat.size else ():
+        if cat.exact:
+            k = len(cat.algebra.elements)
+            flat[i] = (int(flat[i]) + rng.integers(1, k)) % k
+        else:
+            flat[i] = STEPS[rng.integers(len(STEPS))](flat[i])
+    return values
+
+
+def assert_same_values(got, want) -> None:
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cat=st.sampled_from(CASES), lead=st.lists(st.integers(0, 3), max_size=2),
+       rows=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+       cols=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+       tol=st.sampled_from(TOLERANCES + (Tolerance(0.0, 0.5),)),
+       band_cells=st.sampled_from([1, 5, core._BAND_CELLS]),
+       seed=st.integers(0, 2 ** 16))
+def test_comparisons_from_cell_hooks_match_the_per_instance_kernels(
+        cat, lead, rows, cols, tol, band_cells, seed):
+    """``_equal_cells`` and ``_residual_cells``, which the grid base derives
+    from the per-cell hooks, on grids with leading batch axes, and
+    ``compare_blocks`` block by block, give what each instance's own
+    per-grid kernels gave: values, dtype and shape."""
+    oracle = oracle_for(cat)
+    rng = np.random.default_rng(seed)
+    a = random_cells(cat, rng, (*lead, sum(rows), sum(cols)))
+    for x, y in ((a, a), (a, moved_cells(cat, rng, a))):
+        for p, q in ((x, y), (y, x)):
+            assert_same_values(cat._equal_cells(p, q, tol),
+                               oracle.equal_cells(p, q, tol))
+            assert_same_values(cat._residual_cells(p, q),
+                               oracle.residual_cells(p, q))
+
+    targets = [obj(cat, n, f"t{i}.") for i, n in enumerate(rows)]
+    sources = [obj(cat, n, f"s{i}.") for i, n in enumerate(cols)]
+    row_ends = np.cumsum([0] + rows)
+    col_ends = np.cumsum([0] + cols)
+    got = random_cells(cat, rng, (sum(rows), sum(cols)))
+    for want in (got.copy(), moved_cells(cat, rng, got)):
+        blocks = [[(got[r0:r1, c0:c1], want[r0:r1, c0:c1])
+                   for c0, c1 in zip(col_ends, col_ends[1:])]
+                  for r0, r1 in zip(row_ends, row_ends[1:])]
+        arrows = [cat._arrow(v, obj(cat, sum(cols), "s"), obj(cat, sum(rows), "t"))
+                  for v in (got, want)]
+        with mock.patch.object(core, "_BAND_CELLS", band_cells):
+            residuals, passed = cat.compare_blocks(*arrows, targets, sources, tol)
+        assert_same_values(residuals, [[oracle.residual_cells(*pair) for pair in row]
+                                       for row in blocks])
+        assert_same_values(passed, [[oracle.equal_cells(*pair, tol) for pair in row]
+                                    for row in blocks])
 
 
 @pytest.mark.parametrize("build", [

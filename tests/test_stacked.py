@@ -13,6 +13,7 @@ exact zero may differ, which BLAS kernels choose by the shape of a product.
 """
 
 import random
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -264,9 +265,9 @@ def failing_projections(cat, dec):
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_verifier_compares_once_per_product_whatever_the_block_count(
         monkeypatch, kind):
-    """The cell kernels run as often for 20 blocks as for one (every grid
-    here fits one band of rows), and a failing law is described once: its
-    lhs and rhs, at its first failure."""
+    """The per-cell comparison hooks run as often for 20 blocks as for one
+    (every grid here fits one band of rows), and a failing law is described
+    once: its lhs and rhs, at its first failure."""
     cat = KINDS[kind]
     calls = {"kernels": 0, "describe": 0}
 
@@ -279,8 +280,8 @@ def test_verifier_compares_once_per_product_whatever_the_block_count(
 
         monkeypatch.setattr(type(cat), name, counted)
 
-    counting("_equal_cells", "kernels")
-    counting("_residual_cells", "kernels")
+    counting("_cell_equal", "kernels")
+    counting("_cell_residual", "kernels")
     counting("describe_arrow", "describe")
     kernels = set()
     for count in (1, 2, 5, 20):
@@ -294,6 +295,52 @@ def test_verifier_compares_once_per_product_whatever_the_block_count(
             assert calls["describe"] == 2 * failing
             assert len(report.checks) == count * count + 2 * count + 2
     assert len(kernels) == 1
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_verifier_drops_every_product_before_forming_the_last(monkeypatch,
+                                                               kind):
+    """P.I, I.P, L.P, I.(L.P) and P.f are all freed by the time f.I is
+    composed, whether blocks pass or fail (zero projections fail a, c and
+    d; zero locals fail d and the intertwining): a failing block is
+    described when its product is compared, not kept for later."""
+    cat = KINDS[kind]
+    cls = type(cat)
+    compose, stack, costack = cls.compose, cls.stack, cls.costack
+    f, dec = block_case(cat, 3)
+    zero_locals = SpectralDecomposition(dec.carrier, [
+        Block(b.space, b.project, b.inject, cat.zero(b.space, b.space))
+        for b in dec.blocks])
+    for case in (dec, failing_projections(cat, dec), zero_locals):
+        projects = [b.project for b in case.blocks]
+        stacked, products, at_last = [], [], []
+
+        def tracked_stack(self, arrows, make=stack):
+            arrows = list(arrows)
+            out = make(self, arrows)
+            stacked.append(weakref.ref(out.values))
+            if make is stack and any(a is not p for a, p in zip(arrows, projects)):
+                products.append(weakref.ref(out.values))  # L.P
+            return out
+
+        def tracked_compose(self, g, h):
+            if g is f:  # f.I
+                at_last.append((len(products),
+                                sum(ref() is not None for ref in products)))
+            out = compose(self, g, h)
+            if h is f or any(ref() is v for ref in stacked
+                             for v in (g.values, h.values)):
+                products.append(weakref.ref(out.values))
+            return out
+
+        monkeypatch.setattr(cls, "compose", tracked_compose)
+        monkeypatch.setattr(cls, "stack", tracked_stack)
+        monkeypatch.setattr(cls, "costack",
+                            lambda self, arrows: tracked_stack(self, arrows, costack))
+        report = verify_decomposition(cat, f, case)
+        monkeypatch.undo()
+        assert report.passed is (case is dec)
+        assert at_last == [(5, 0)]
 
 
 # ---------------------------------------------------------------------------
