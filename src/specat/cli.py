@@ -24,6 +24,7 @@ from .core import (
     run_law_suite,
 )
 from .functors import (
+    _exhaustive_pairs,
     check_cmon_functor,
     identity_hom,
     induced_functor,
@@ -48,7 +49,11 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 
-SCHEMA = "specat-report/1"
+SCHEMA = "specat-report/2"
+
+# `laws --functor` checks 2k^4 + 2k^3 + 2k^2 pairs over a k-element lattice:
+# 2^26 (k = 75) take about 6 s, chain:512 (input may name it) would take hours
+_MAX_FUNCTOR_PAIRS = 1 << 26
 
 
 def make_category(instance: str, lattice_spec: str | None):
@@ -172,12 +177,19 @@ def cmd_laws(args):
     if args.max_size is not None and args.max_size < 0:
         raise ParseError(f"--max-size must be non-negative, got {args.max_size}")
     cat = make_category(args.instance, args.lattice)
+    if args.functor:
+        hom = resolve_hom(args.functor, args.lattice)
+        k = len(hom.source.elements)
+        pairs = _exhaustive_pairs(k)
+        if pairs > _MAX_FUNCTOR_PAIRS:
+            raise ParseError(
+                f"--functor: the exhaustive check over a {k}-element lattice "
+                f"needs {pairs} pairs; at most {_MAX_FUNCTOR_PAIRS} are accepted")
     tol = resolve_tolerance(args)
     seed = resolve_seed(args)
     sampler = cat.default_sampler(args.max_size)
     report = run_law_suite(cat, sampler, trials=args.trials, tol=tol, seed=seed)
     if args.functor:
-        hom = resolve_hom(args.functor, args.lattice)
         functor = induced_functor(hom)
         report = report.merged(check_cmon_functor(
             functor, functor.source.default_sampler(args.max_size),

@@ -268,6 +268,19 @@ def _check_pairs(T, tally: LawTally, law: str, lefts: _Homset,
               combine(lefts.take(T, i), rights.take(T, j)), inputs)
 
 
+def _shapes(max_cells: int) -> list[tuple[int, int]]:
+    """Every (rows, cols) of at most ``max_cells`` cells, rows first."""
+    return [(rows, cols) for rows in range(1, max_cells + 1)
+            for cols in range(1, max_cells // rows + 1)]
+
+
+def _exhaustive_pairs(k: int, max_cells: int = 2) -> int:
+    """The pairs the exhaustive pass checks over ``k`` lattice elements:
+    per shape, all parallel pairs and all pairs through the middle."""
+    return sum(k ** (2 * rows * cols) + k ** (rows + cols)
+               for rows, cols in _shapes(max_cells))
+
+
 def _run_exhaustive_pass(functor: SemiadditiveFunctor, tally: LawTally,
                          max_cells: int) -> None:
     """Enumerate every arrow between small carriers and check the laws.
@@ -288,8 +301,7 @@ def _run_exhaustive_pass(functor: SemiadditiveFunctor, tally: LawTally,
     k = len(algebra.elements)
     mid = ("m0",)
     homsets, once = [], []
-    for rows, cols in ((rows, cols) for rows in range(1, max_cells + 1)
-                       for cols in range(1, max_cells // rows + 1)):
+    for rows, cols in _shapes(max_cells):
         source = tuple(f"s{i}" for i in range(cols))
         target = tuple(f"t{i}" for i in range(rows))
         place = k ** np.arange(rows * cols - 1, -1, -1)

@@ -304,9 +304,12 @@ class MatrixCategory(_GridCategory):
     equal = _GridCategory.equal
 
     def arrow_to_payload(self, f: ScalarMatrix) -> list:
-        if self.domain.is_complex or np.iscomplexobj(f.values):
-            return _spell_distinct(f.values, str)
-        return f.values.tolist()
+        # adding 0 turns -0.0 into 0.0 and leaves every other value alone:
+        # BLAS kernels differ in the sign they give an exact zero
+        values = f.values + 0
+        if self.domain.is_complex or np.iscomplexobj(values):
+            return _spell_distinct(values, str)
+        return values.tolist()
 
     def arrow_from_payload(self, payload, src: int, tgt: int) -> ScalarMatrix:
         arr = _matrix_from_payload(payload, self.domain)

@@ -29,7 +29,7 @@ from .core import (
     Tolerance,
     UnsupportedDomainError,
 )
-from .matrices import MatrixCategory, ScalarMatrix
+from .matrices import MAT_R, MatrixCategory, ScalarMatrix
 from .relations import LRelation, RelationCategory
 
 
@@ -134,11 +134,11 @@ def verify_decomposition(cat: SemiadditiveCategory, f: Arrow,
     and the intertwining P.f = L.P and f.I = I.L.  Those five products are
     one compose each; L.P and I.L are formed block by block, so B blocks
     take 5 + 2B composes.  Each product is compared with its right-hand
-    side once, by ``cat.compare_blocks``, which gives every block's residual
-    and verdict, and is dropped before the next product is formed.  The
-    report still holds one entry per block of an equation, B^2 + 2B + 2 of
-    them: a[i] and b[i,j] for the blocks of P.I, c, d, and the blocks of
-    the intertwining products.
+    side once, by ``cat.compare_blocks``, and is dropped before the next
+    product is formed.  The report holds one entry per block, 3B + 2 of
+    them: retract[i], row band i of P.I, which is (a) and (b) for block i;
+    c; d; then intertwine_project[i], row band i of P.f, and
+    intertwine_inject[i], column band i of f.I.
     """
     if f.source != dec.carrier or f.target != dec.carrier:
         raise ArrowTypeError(
@@ -148,9 +148,9 @@ def verify_decomposition(cat: SemiadditiveCategory, f: Arrow,
 
     tally = LawTally(cat, tol)
     blocks = dec.blocks
-    count = len(blocks)
     spaces = [b.space for b in blocks]
     whole = [dec.carrier]
+    numbers = range(1, len(blocks) + 1)
 
     # P and I are stacked anew for each product rather than held
     def stacked():
@@ -159,51 +159,34 @@ def verify_decomposition(cat: SemiadditiveCategory, f: Arrow,
     def costacked():
         return cat.costack([b.inject for b in blocks])
 
-    def compare(got, want, targets, sources):
-        """Per block [i, j] of ``got`` against ``want`` (the identity on
-        ``got``'s target if None): the residuals, the verdicts and the
-        counterexamples (None where a block passed), each an array.  Every
-        block is a law of its own, so each failing block is described, and
-        it is described here, so that no product outlives its comparison."""
-        if want is None:
-            want = cat.identity(got.target)
+    def check(laws, got, want, targets, sources):
+        """Law ``laws[k]`` on block k of ``got`` against ``want``, blocks in
+        row-major order.  A failing block is described here, while ``got``
+        is alive, so that no product outlives its comparison."""
         residuals, passed = cat.compare_blocks(got, want, targets, sources, tol)
-        examples = np.full(passed.shape, None, object)
         if not passed.all():
-            got_blocks = cat.unstack(got, targets, sources)
-            want_blocks = cat.unstack(want, targets, sources)
-            for i, j in np.argwhere(~passed).tolist():
-                examples[i, j] = tally.counterexample(None, got_blocks[i][j],
-                                                      want_blocks[i][j])
-        return residuals, passed, examples
+            got, want = (cat.unstack(a, targets, sources) for a in (got, want))
 
-    def record(laws, compared):
-        """One check per law, of the blocks of ``compared`` in row-major order."""
-        residuals, passed, examples = (np.ravel(a) for a in compared)
-        tally.check_each(laws, residuals, examples.__getitem__, passed)
+        def example(k):
+            i, j = divmod(k, len(sources))
+            return tally.counterexample(None, got[i][j], want[i][j])
 
-    # (a) on the diagonal blocks of P.I, then (b) off it, row by row
-    numbers = range(1, count + 1)
-    cells = np.concatenate((np.arange(count) * (count + 1),
-                            np.flatnonzero(~np.eye(count, dtype=bool))))
-    record([f"a[{i}]" for i in numbers]
-           + [f"b[{i},{j}]" for i in numbers for j in numbers if i != j],
-           [a.ravel()[cells] for a in compare(cat.compose(stacked(), costacked()),
-                                              None, spaces, spaces)])
-    record(["c"], compare(cat.compose(costacked(), stacked()),
-                          cat.identity(dec.carrier), whole, whole))
+        tally.check_each(laws, residuals.ravel(), example, passed.ravel())
+
+    retract = cat.compose(stacked(), costacked())
+    check([f"retract[{i}]" for i in numbers], retract,
+          cat.identity(retract.target), spaces, [retract.source])
+    del retract
+    check(["c"], cat.compose(costacked(), stacked()), cat.identity(dec.carrier),
+          whole, whole)
     local_project = cat.stack([cat.compose(b.local, b.project) for b in blocks])
-    record(["d"], compare(cat.compose(costacked(), local_project), f, whole, whole))
-
-    # block i of P.f, a column, then block i of f.I, a row, for each i
-    project = compare(cat.compose(stacked(), f), local_project, spaces, whole)
+    check(["d"], cat.compose(costacked(), local_project), f, whole, whole)
+    check([f"intertwine_project[{i}]" for i in numbers],
+          cat.compose(stacked(), f), local_project, spaces, whole)
     del local_project
-    inject = compare(cat.compose(f, costacked()),
-                     cat.costack([cat.compose(b.inject, b.local) for b in blocks]),
-                     whole, spaces)
-    record([f"intertwine_{side}[{i}]" for i in numbers
-            for side in ("project", "inject")],
-           [np.hstack((p, i.T)) for p, i in zip(project, inject)])
+    check([f"intertwine_inject[{i}]" for i in numbers], cat.compose(f, costacked()),
+          cat.costack([cat.compose(b.inject, b.local) for b in blocks]),
+          whole, spaces)
     return tally.report()
 
 
@@ -681,33 +664,22 @@ def verify_quotient(quotient: EquitableQuotient, walk: ScalarMatrix,
     """The laws of an equitable quotient of ``walk``: stochastic reduced rows,
     edge-count conservation, averaging intertwines ``walk`` with the reduced
     walk, retracts the indicators and annihilates ``residual`` (see
-    :func:`residual_part`).  A residual passes at most ``tol.abs + tol.rel``."""
+    :func:`residual_part`).  Each is one check of two matrices, judged as
+    every matrix law is, cell by cell by ``Tolerance.close``."""
     n = len(quotient.partition.carrier)
     _require_endo("walk", walk, n)
     _require_endo("residual", residual, n)
-    if tol is None:
-        tol = Tolerance()
-    bound = tol.abs + tol.rel
-    average = quotient.average.values
-    tally = LawTally(MatrixCategory(walk.domain), tol)
-
-    def record(law: str, passed, residual: float = 0.0) -> None:
-        tally.check_batch(law, np.array([residual]), lambda i: None,
-                          np.array([passed]))
-
-    row_sums = quotient.reduced.values.sum(axis=1)
-    res = float(np.max(np.abs(row_sums - 1.0))) if row_sums.size else 0.0
-    record("stochastic_rows", res <= bound, res)
-    balance = np.array(quotient.cell_sizes)[:, None] * quotient.degrees
-    record("conservation", np.array_equal(balance, balance.T))
-    res = float(np.max(np.abs(average @ walk.values
-                              - quotient.reduced.values @ average)))
-    record("intertwine_average", res <= bound, res)
-    retract = average @ quotient.indicator.values
-    res = float(np.max(np.abs(retract - np.eye(len(quotient.partition.cells)))))
-    record("average_retracts_indicator", res <= bound, res)
-    res = float(np.max(np.abs(average @ residual.values)))
-    record("residual_annihilated", res <= bound, res)
+    tally = LawTally(MAT_R, tol)
+    average, reduced = quotient.average, quotient.reduced
+    cells = average.rows
+    tally.check("stochastic_rows", ScalarMatrix(reduced.values.sum(axis=1)[:, None]),
+                ScalarMatrix(np.ones((cells, 1))))
+    balance = ScalarMatrix(np.array(quotient.cell_sizes)[:, None] * quotient.degrees)
+    tally.check("conservation", balance, balance.transpose())
+    tally.check("intertwine_average", average @ walk, reduced @ average)
+    tally.check("average_retracts_indicator", average @ quotient.indicator,
+                MAT_R.identity(cells))
+    tally.check("residual_annihilated", average @ residual, MAT_R.zero(n, cells))
     return tally.report()
 
 

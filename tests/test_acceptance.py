@@ -293,7 +293,7 @@ def test_criterion_8_negative_paths(tmp_path, capsys):
         "--decomposition", str(bad_inject), "--seed", "7"])
     assert code == 1
     failing = {c["law"] for c in report["checks"] if not c["passed"]}
-    assert "a[1]" in failing
+    assert "retract[1]" in failing
 
     # corrupt the real fixture's second local entry
     payload = json.loads((FIXTURES / "decomps" / "line3_dec.json").read_text())

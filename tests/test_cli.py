@@ -23,7 +23,7 @@ class TestVerify:
         assert code == 0
         report = json.loads(out)
         assert report["passed"] is True
-        assert report["schema"] == "specat-report/1"
+        assert report["schema"] == "specat-report/2"
         assert report["timing_seconds"] is None
 
     def test_real_fixture_tight_tolerance(self, capsys):
@@ -275,6 +275,53 @@ class TestLaws:
         assert code == 0
         laws = {c["law"] for c in json.loads(out)["checks"]}
         assert "additive" in laws and "sum_via_biproduct" in laws
+
+    def test_functor_pass_over_the_pair_budget_exits_2_before_running(
+            self, capsys, monkeypatch):
+        # the exhaustive pass over chain:512 would check 1.4e11 pairs, for
+        # hours; neither it nor the law suite may start
+        from specat import cli, functors
+
+        def never(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(functors, "_run_exhaustive_pass", never)
+        monkeypatch.setattr(cli, "run_law_suite", never)
+        code = main(["laws", "--instance", "rel", "--lattice",
+                     "builtin:chain:512", "--functor", "builtin:upper:1",
+                     "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --functor: the exhaustive check over a 512-element "
+            "lattice needs 137707913216 pairs; at most 67108864 are "
+            "accepted\n")
+
+    @pytest.mark.parametrize("lattice,element,passes", [
+        ("b4", "a", 1), ("chain:8", "3/7", 1), ("chain:75", "1", 1),
+        ("chain:76", "1", 0)])
+    def test_functor_pass_runs_within_the_pair_budget(self, capsys, monkeypatch,
+                                                     lattice, element, passes):
+        # 2k^4 + 2k^3 + 2k^2 pairs: 64,136,250 at k = 75, 67,613,856 at 76
+        from specat import functors
+
+        calls = []
+        run_pass = functors._run_exhaustive_pass
+
+        def recorded(functor, tally, max_cells):
+            calls.append(len(functor.source.algebra.elements))
+            if calls[-1] <= 8:
+                run_pass(functor, tally, max_cells)
+
+        monkeypatch.setattr(functors, "_run_exhaustive_pass", recorded)
+        code = main(["laws", "--instance", "rel", "--lattice",
+                     f"builtin:{lattice}", "--functor",
+                     f"builtin:upper:{element}", "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == (0 if passes else 2)
+        assert len(calls) == passes
+        assert ("pairs; at most" in captured.err) is not bool(passes)
 
     @pytest.mark.parametrize("flag,value", [
         ("--max-size", "-2"), ("--max-size", "-1"),

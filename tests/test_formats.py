@@ -232,6 +232,27 @@ class TestSpellDistinct:
         assert _spell_distinct(values, str) == [["(-0+0j)", "0j", "-0j",
                                                  "(-0-0j)"]]
 
+    @pytest.mark.parametrize("cat", [MAT_R, MAT_NN, MAT_C])
+    def test_payloads_spell_zeros_without_a_sign(self, cat):
+        # BLAS kernels differ in the sign they give an exact zero, so a
+        # report spells every zero as +0; other values are left alone
+        parts = [-0.0, 0.0, -1.5, 2.0, 5e-324, -5e-324]
+        if cat.domain.nonnegative:
+            parts = [v for v in parts if math.copysign(1.0, v) > 0 or v == 0]
+        if cat.domain.is_complex:
+            values = [[complex(re, im) for im in parts] for re in parts]
+            want = [[str(complex(re + 0.0, im + 0.0)) for im in parts]
+                    for re in parts]
+        else:
+            values = [parts]
+            want = [[repr(v + 0.0) for v in parts]]
+        f = ScalarMatrix(values, cat.domain)
+        spell = (lambda v: v) if cat.domain.is_complex else repr
+        for entries in (cat.arrow_to_payload(f), cat.describe_arrow(f)["entries"]):
+            assert [[spell(v) for v in row] for row in entries] == want
+        assert "-0" not in canonical_json(cat.arrow_to_payload(f))
+        assert math.copysign(1.0, f.values.real[0, 0]) == -1.0
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32), st.integers(0, 4), st.integers(0, 4))
     def test_complex_arrows_are_described_entry_by_entry(self, seed, src, tgt):

@@ -322,6 +322,29 @@ def test_exhaustive_pass_matches_oracle_on_arbitrary_entrywise_maps(data):
                                data.draw(_small_cells(source)))
 
 
+@pytest.mark.parametrize("algebra", [BOOL, B4, chain(5), chain(8)],
+                         ids=["bool", "b4", "chain5", "chain8"])
+@pytest.mark.parametrize("max_cells", [1, 2, 3])
+def test_pair_count_is_what_the_exhaustive_pass_checks(algebra, max_cells,
+                                                       monkeypatch):
+    k = len(algebra.elements)
+    pairs = []
+    check_pairs = functors._check_pairs
+
+    def counting(T, tally, law, lefts, rights, *rest):
+        pairs.append(len(lefts.arrows) * len(rights.arrows))
+        return check_pairs(T, tally, law, lefts, rights, *rest)
+
+    monkeypatch.setattr(functors, "_check_pairs", counting)
+    check_cmon_functor_exhaustive(induced_functor(identity_hom(algebra)),
+                                  max_cells)
+    assert sum(pairs) == functors._exhaustive_pairs(k, max_cells)
+    if max_cells == 2:
+        # 2k^4 + 2k^3 + 2k^2
+        assert sum(pairs) == 2 * (k ** 4 + k ** 3 + k ** 2)
+        assert sum(pairs) == {2: 56, 4: 672, 5: 1550, 8: 9344}[k]
+
+
 @pytest.mark.parametrize("chunk", [1, functors._PAIRS_PER_CHUNK])
 @pytest.mark.parametrize("max_cells", [1, 2, 3])
 def test_exhaustive_pass_reports_broken_joins_like_the_oracle(max_cells, chunk,

@@ -2,7 +2,7 @@
 
 Each case reruns one ``specat`` command from the repository root and
 compares its stdout and exit code with the files under ``tests/golden/``.
-This pins the ``specat-report/1`` output across versions, not only across
+This pins the ``specat-report/2`` output across versions, not only across
 runs.  After a deliberate output change, regenerate the files with
 
     PYTHONPATH=src python -m tests.test_golden

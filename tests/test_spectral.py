@@ -136,7 +136,7 @@ class TestVerify:
         report = verify_decomposition(MAT_R, dec.arrow, bad)
         failed = {c.law for c in report.failures()}
         assert "d" in failed
-        assert "a[1]" not in failed and "c" not in failed
+        assert "retract[1]" not in failed and "c" not in failed
 
     def test_intertwining_reported(self):
         dec = path3_decomposition()
@@ -678,13 +678,23 @@ class TestVerifyQuotient:
                                  f"vertices, got 4x4"):
             verify_quotient(quotient, arrows["walk"], arrows["residual"])
 
-    def test_residual_is_judged_against_abs_plus_rel(self):
+    def test_residual_is_judged_by_tolerance_close(self):
+        # every law compares two matrices cell by cell as Tolerance.close
+        # does: |x - y| <= abs + rel * max(|x|, |y|), where y is zero here
         quotient, walk, residual = self.quotient_of(path(3))
         shifted = ScalarMatrix(residual.values + 0.25)
         res = float(np.max(np.abs(quotient.average.values @ shifted.values)))
-        # the relative part is added as it stands, not scaled by a magnitude
-        loose = verify_quotient(quotient, walk, shifted, Tolerance(0.0, res))
-        tight = verify_quotient(quotient, walk, shifted,
-                                Tolerance(0.0, float(np.nextafter(res, 0))))
-        assert loose.passed
-        assert [c.law for c in tight.failures()] == ["residual_annihilated"]
+        below = float(np.nextafter(res, 0))
+        for tol, passed in ((Tolerance(res, 0.0), True),
+                            (Tolerance(below, 0.0), False),
+                            (Tolerance(0.0, 1.0), True),
+                            (Tolerance(0.0, float(np.nextafter(1.0, 0))), False)):
+            report = verify_quotient(quotient, walk, shifted, tol)
+            assert [c.law for c in report.failures()] == (
+                [] if passed else ["residual_annihilated"])
+            check = report.checks[-1]
+            assert check.max_residual == res
+            if not passed:
+                assert check.counterexample["lhs"]["entries"] == (
+                    quotient.average.values @ shifted.values).tolist()
+                assert check.counterexample["rhs"]["entries"] == [[0.0] * 3] * 2

@@ -5,11 +5,12 @@
 generic ``SemiadditiveCategory`` defaults built from ``fold_biproduct``.
 So must ``compare_blocks``, which ``_GridCategory`` writes by comparing
 cells and reducing them block by block.  ``verify_decomposition`` and
-``fold_to_binary`` run on them and must give
-what the per-pair bodies in ``_oracles`` give, failing decompositions and
-counterexamples included.  Matrix entries are small integers, so every
-product and sum is exact whatever order BLAS adds in; only the sign of an
-exact zero may differ, which BLAS kernels choose by the shape of a product.
+``fold_to_binary`` run on them and must give what the per-pair bodies in
+``_oracles`` give, failing decompositions and counterexamples included;
+the verifier's retract[i] is the oracle's a[i] and b[i,j] folded over row
+band i.  Matrix entries are small integers, so every product and sum is
+exact whatever order BLAS adds in; only the sign of an exact zero may
+differ, which BLAS kernels choose by the shape of a product.
 """
 
 import random
@@ -27,6 +28,8 @@ from specat import (
     MAT_R,
     ArrowTypeError,
     Block,
+    LawCheck,
+    LawReport,
     LRelation,
     RelationCategory,
     ScalarMatrix,
@@ -192,12 +195,48 @@ def outcome(verify, cat, f, dec, tol):
 TOLERANCES = [None, Tolerance(0.0, 0.0), Tolerance(0.5, 0.0), Tolerance(0.0, 0.5)]
 
 
+def band_example(cat, dec, i) -> dict:
+    """Row band i of P.I and of the identity on its target, described."""
+    space = dec.blocks[i].space
+    lhs = cat.compose(dec.blocks[i].project,
+                      cat.costack([b.inject for b in dec.blocks]))
+    rhs = cat.costack([cat.identity(space) if j == i else cat.zero(b.space, space)
+                       for j, b in enumerate(dec.blocks)])
+    return {"lhs": cat.describe_arrow(lhs), "rhs": cat.describe_arrow(rhs)}
+
+
+def folded_oracle(cat, f, dec, tol):
+    """The per-pair oracle's report with a[i] and every b[i,j] folded into
+    one retract[i] entry per row band i of P.I: it fails if any of them
+    fails, its residual is theirs reduced by ``_residual_ufunc`` (max for
+    matrices, the count of differing cells for relations), and its
+    counterexample is the band.  The other entries are the oracle's, with
+    every intertwine_project[i] before every intertwine_inject[i]."""
+    report = verify_decomposition_slow(cat, f, dec, tol)
+    checks = {c.law: c.to_dict() for c in report.checks}
+    numbers = range(1, len(dec.blocks) + 1)
+    entries = []
+    for i in numbers:
+        row = [checks[f"a[{i}]"]] + [checks[f"b[{i},{j}]"] for j in numbers
+                                     if j != i]
+        passed = all(c["passed"] for c in row)
+        entries.append({
+            "law": f"retract[{i}]", "passed": passed, "trials": 1,
+            "max_residual": float(cat._residual_ufunc.reduce(
+                [c["max_residual"] for c in row])),
+            "counterexample": None if passed else band_example(cat, dec, i - 1)})
+    entries += [checks["c"], checks["d"]]
+    entries += [checks[f"intertwine_{side}[{i}]"]
+                for side in ("project", "inject") for i in numbers]
+    return LawReport([LawCheck(**entry) for entry in entries])
+
+
 @settings(max_examples=400, deadline=None)
 @given(case=planted_case(), tol=st.sampled_from(TOLERANCES))
 def test_stacked_verifier_matches_the_per_pair_oracle(case, tol):
     cat, f, dec = case
     assert (outcome(verify_decomposition, cat, f, dec, tol)
-            == outcome(verify_decomposition_slow, cat, f, dec, tol))
+            == outcome(folded_oracle, cat, f, dec, tol))
 
 
 def count_composes(monkeypatch) -> list:
@@ -256,7 +295,7 @@ def block_case(cat, count):
 
 
 def failing_projections(cat, dec):
-    """``dec`` with every projection zero: each a[i] fails, and c and d."""
+    """``dec`` with every projection zero: each retract[i] fails, and c and d."""
     return SpectralDecomposition(dec.carrier, [
         Block(b.space, cat.zero(dec.carrier, b.space), b.inject, b.local)
         for b in dec.blocks])
@@ -293,8 +332,23 @@ def test_verifier_compares_once_per_product_whatever_the_block_count(
             failing = len(report.failures())
             assert failing == (0 if case is dec else count + 2)
             assert calls["describe"] == 2 * failing
-            assert len(report.checks) == count * count + 2 * count + 2
+            assert len(report.checks) == 3 * count + 2
     assert len(kernels) == 1
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("count", [1, 2, 5, 20])
+def test_verifier_reports_one_entry_per_block(kind, count):
+    cat = KINDS[kind]
+    f, dec = block_case(cat, count)
+    numbers = range(1, count + 1)
+    laws = ([f"retract[{i}]" for i in numbers] + ["c", "d"]
+            + [f"intertwine_project[{i}]" for i in numbers]
+            + [f"intertwine_inject[{i}]" for i in numbers])
+    for case in (dec, failing_projections(cat, dec)):
+        report = verify_decomposition(cat, f, case)
+        assert [c.law for c in report.checks] == laws
+        assert len(laws) == 3 * count + 2
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
