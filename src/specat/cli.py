@@ -10,6 +10,7 @@ wall-clock timing is only included on request so determinism survives.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -252,21 +253,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check a decomposition against an endo-arrow")
     p.add_argument("--arrow", required=True)
     p.add_argument("--decomposition", required=True)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("separate", parents=[common, instance],
                        help="split an endo-arrow along its support components")
     p.add_argument("--arrow", required=True)
     p.add_argument("--zero-tol", type=float, default=None,
                    help="magnitude below which a matrix entry counts as zero")
-    p.set_defaults(func=cmd_separate)
 
     p = sub.add_parser("equitable", parents=[common],
                        help="equitable partition and reduced walk matrix of a graph")
     p.add_argument("--graph", required=True, help="whitespace edge list, 0-based")
     p.add_argument("--partition", default=None,
                    help="validate this partition instead of computing one")
-    p.set_defaults(func=cmd_equitable)
 
     p = sub.add_parser("laws", parents=[common, instance],
                        help="randomized law suite for an instance")
@@ -276,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--functor", default=None,
                    help="also check a hom-induced functor "
                         "(path or builtin:identity|upper:<element>)")
-    p.set_defaults(func=cmd_laws)
 
     p = sub.add_parser("functor", parents=[common],
                        help="map a decomposition through a lattice-hom functor")
@@ -286,9 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="path or builtin:identity|upper:<element>")
     p.add_argument("--arrow", required=True)
     p.add_argument("--decomposition", required=True)
-    p.set_defaults(func=cmd_functor)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept: building it takes about 1 ms."""
+    return build_parser()
 
 
 _JOB_FIELDS = ("subcommand", "instance", "lattice", "arrow", "decomposition",
@@ -319,11 +321,12 @@ def render_text(report: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # the handler is looked up per call, not kept by the parser
+    handler = globals()["cmd_" + args.subcommand]
     try:
         started = time.perf_counter()
-        passed, law_report, payload, dot = args.func(args)
+        passed, law_report, payload, dot = handler(args)
         elapsed = time.perf_counter() - started
         report = {
             "schema": SCHEMA,

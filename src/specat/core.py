@@ -328,12 +328,14 @@ def check_zero_object(cat: SemiadditiveCategory, candidate: Any,
     """Pass iff the zero endo-arrow on ``candidate`` equals its identity."""
     zero = cat.zero(candidate, candidate)
     ident = cat.identity(candidate)
+    residuals, passed = cat.compare_blocks(zero, ident, [ident.target],
+                                           [ident.source], tol)
     tally = LawTally(cat, tol)
     tally.check_batch(
-        "zero_object", np.array([cat.residual(zero, ident)]),
+        "zero_object", residuals[0],
         lambda i: {"identity": cat.describe_arrow(ident),
                    "zero": cat.describe_arrow(zero)},
-        np.array([cat.equal(zero, ident, tol)]))
+        passed[0])
     return tally.report()
 
 
@@ -669,8 +671,11 @@ class _PaddedBatches(_ListBatches):
 
     def compare(self, got: _Stack, want: _Stack,
                 tol: Tolerance | None) -> tuple[np.ndarray, np.ndarray]:
-        return (self.cat._residual_cells(got.values, want.values),
-                self.cat._equal_cells(got.values, want.values, tol))
+        # whole stacks at once: a banded pass per law costs more than it saves
+        cat, a, b = self.cat, got.values, want.values
+        return (cat._residual_ufunc.reduce(cat._cell_residual(a, b),
+                                           axis=(-2, -1), initial=0.0),
+                cat._cell_equal(a, b, tol).all(axis=(-2, -1)))
 
 
 class _GridCategory(SemiadditiveCategory):
@@ -697,8 +702,8 @@ class _GridCategory(SemiadditiveCategory):
       equal, ``_cell_equal(a, b, tol)``, and how far apart they are, as
       floats, ``_cell_residual(a, b)``; ``_residual_ufunc``: the ufunc that
       reduces the residuals of cells to the residual of the grid that holds
-      them.  Each comparison (per grid, per block, per trial of a batch) is
-      one of these reductions.
+      them.  Arrows are compared by :meth:`compare_blocks` (``equal`` and
+      ``residual`` are its one-block case), padded batches trial by trial.
     """
 
     def _blank_grid(self, *shape: int) -> np.ndarray:
@@ -845,26 +850,14 @@ class _GridCategory(SemiadditiveCategory):
                  f"{op}: the {name} stack to {ends[-1]} positions, not {size}")
         return ends
 
-    def _equal_cells(self, a: np.ndarray, b: np.ndarray,
-                     tol: Tolerance | None) -> np.ndarray:
-        """Per grid of the last two axes, whether ``a`` equals ``b``."""
-        return self._cell_equal(a, b, tol).all(axis=(-2, -1))
-
-    def _residual_cells(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Per grid of the last two axes, the residual of ``a`` against ``b``."""
-        return self._residual_ufunc.reduce(self._cell_residual(a, b),
-                                           axis=(-2, -1), initial=0.0)
-
     def equal(self, f: Arrow, g: Arrow, tol: Tolerance | None = None) -> bool:
         self._admit(f)
         self._admit(g)
-        return (f.source == g.source and f.target == g.target
-                and bool(self._equal_cells(f.values, g.values, tol)))
+        return parallel(f, g) and bool(
+            self.compare_blocks(f, g, [g.target], [g.source], tol)[1][0, 0])
 
     def residual(self, f: Arrow, g: Arrow) -> float:
-        self._admit(f)
-        self._admit(g)
-        return float(self._residual_cells(f.values, g.values))
+        return float(self.compare_blocks(f, g, [g.target], [g.source])[0][0, 0])
 
     def _batches(self) -> _PaddedBatches:
         return _PaddedBatches(self)
@@ -966,9 +959,24 @@ class LawTally:
     def check(self, law: str, got: Arrow, want: Arrow,
               inputs: dict | None = None) -> None:
         """One check of ``got == want``, computed from ``inputs`` if given."""
-        self.check_batch(law, np.array([self.cat.residual(got, want)]),
-                         lambda i: self.counterexample(inputs, got, want),
-                         np.array([self.cat.equal(got, want, self.tol)]))
+        self.check_blocks([law], got, want, [want.target], [want.source], inputs)
+
+    def check_blocks(self, laws: list[str], got: Arrow, want: Arrow, targets,
+                     sources, inputs: dict | None = None) -> None:
+        """Law ``laws[k]`` on block ``k``, row-major, of ``got == want`` as
+        ``cat.unstack`` cuts them, all compared by one ``cat.compare_blocks``.
+        Failures are described at once: the caller may drop ``got`` after."""
+        if not parallel(got, want):
+            raise ArrowTypeError(f"law {laws[0]}: the sides are not parallel")
+        residuals, passed = self.cat.compare_blocks(got, want, targets, sources,
+                                                    self.tol)
+        if not passed.all():
+            got, want = (self.cat.unstack(a, targets, sources) for a in (got, want))
+        for law, (i, j) in zip(laws, np.ndindex(passed.shape)):
+            totals = self._add(law, 1, float(residuals[i, j]), 0 if passed[i, j] else 1)
+            if totals is not None:
+                totals.counterexample = self.counterexample(inputs, got[i][j],
+                                                            want[i][j])
 
     def check_batch(self, law: str, residuals: np.ndarray,
                     counterexample: Callable[[int], dict],
@@ -985,18 +993,6 @@ class LawTally:
         if totals is not None:
             # the first failure: argmin finds the first False
             totals.counterexample = counterexample(int(passed.argmin()))
-
-    def check_each(self, laws: list[str], residuals: np.ndarray,
-                   counterexample: Callable[[int], dict],
-                   passed: np.ndarray) -> None:
-        """One check per law, in order: law ``laws[i]`` has the residual
-        ``residuals[i]`` and the verdict ``passed[i]``.  ``counterexample(i)``
-        is called as :meth:`check_batch` calls it."""
-        for i, (law, residual, ok) in enumerate(
-                zip(laws, residuals.tolist(), passed.tolist())):
-            totals = self._add(law, 1, residual, 0 if ok else 1)
-            if totals is not None:
-                totals.counterexample = counterexample(i)
 
     def _add(self, law: str, trials: int, residual: float,
              failures: int) -> _Totals | None:

@@ -25,6 +25,7 @@ from .relations import (
     b4,
     bool_algebra,
     chain,
+    decode_label,
     encode_label,
 )
 from .spectral import Block, Partition, SparseGraph, SpectralDecomposition
@@ -150,6 +151,8 @@ def _read_json(path) -> Any:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +309,8 @@ def decomposition_from_dict(payload: dict,
         raw_blocks = payload["blocks"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("decomposition JSON needs carrier and blocks") from exc
+    if not isinstance(raw_blocks, list):
+        raise ParseError("decomposition blocks must be a list")
     blocks = []
     for i, raw in enumerate(raw_blocks, start=1):
         try:
@@ -384,7 +389,7 @@ def load_graph_edges(path) -> SparseGraph:
 
 def partition_from_dict(payload: dict, carrier: tuple) -> Partition:
     try:
-        cells = [tuple(cell) for cell in payload["cells"]]
+        cells = [tuple(map(decode_label, cell)) for cell in payload["cells"]]
     except (KeyError, TypeError) as exc:
         raise ParseError("partition JSON needs a cells list") from exc
     return Partition(carrier, tuple(cells))
@@ -409,6 +414,8 @@ def hom_from_dict(payload: dict) -> LatticeHom:
         mapping = payload["map"]
     except (KeyError, TypeError) as exc:
         raise ParseError("hom JSON needs source, target, and map") from exc
+    if not isinstance(mapping, dict):
+        raise ParseError("hom map must be an object from source to target elements")
     source = (resolve_lattice(source_spec) if isinstance(source_spec, str)
               else lattice_from_dict(source_spec))
     target = (resolve_lattice(target_spec) if isinstance(target_spec, str)

@@ -89,7 +89,11 @@ class HeytingTable:
 
     @staticmethod
     def _table(table, k: int, which: str) -> np.ndarray:
-        arr = np.array(table, dtype=np.int16)
+        try:
+            arr = np.array(table, dtype=np.int16)
+        except ValueError as exc:
+            raise LatticeError(
+                f"{which} table must be {k}x{k}, got ragged rows") from exc
         if arr.shape != (k, k):
             raise LatticeError(f"{which} table must be {k}x{k}, got {arr.shape}")
         if arr.size and (arr.min() < 0 or arr.max() >= k):
@@ -211,12 +215,16 @@ class HeytingTable:
                           name: str = "custom") -> "HeytingTable":
         """Build from tables whose cells are element labels rather than indices."""
         pos = {str(e): i for i, e in enumerate(elements)}
-        try:
-            meet_idx = [[pos[str(v)] for v in row] for row in meet]
-            join_idx = [[pos[str(v)] for v in row] for row in join]
-        except KeyError as exc:
-            raise LatticeError(f"unknown lattice element {exc.args[0]!r}") from exc
-        return cls(elements, meet_idx, join_idx, name=name)
+
+        def indices(table, which: str) -> list:
+            try:
+                return [[pos[str(v)] for v in row] for row in table]
+            except KeyError as exc:
+                raise LatticeError(f"unknown lattice element {exc.args[0]!r}") from exc
+            except TypeError as exc:
+                raise LatticeError(f"{which} table must be a list of rows") from exc
+
+        return cls(elements, indices(meet, "meet"), indices(join, "join"), name=name)
 
 
 @functools.lru_cache(maxsize=None)
@@ -576,6 +584,9 @@ class RelationCategory(_GridCategory):
         return [[label(v) for v in row] for row in f.values.tolist()]
 
     def arrow_from_payload(self, payload, src, tgt) -> LRelation:
+        if not (isinstance(payload, list)
+                and all(isinstance(row, list) for row in payload)):
+            raise ParseError("relation grid must be a list of rows")
         if len(payload) != len(tgt):
             raise ParseError(
                 f"relation grid has {len(payload)} rows, expected {len(tgt)}")
@@ -648,6 +659,8 @@ def encode_label(label: Label):
 
 
 def decode_label(payload) -> Label:
+    if isinstance(payload, dict):
+        raise ParseError(f"a carrier label cannot be a JSON object, got {payload!r}")
     if isinstance(payload, list):
         return tuple(decode_label(part) for part in payload)
     return payload

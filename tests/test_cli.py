@@ -230,6 +230,19 @@ class TestEquitable:
         assert code == 0
 
 
+    @pytest.mark.parametrize("cells, label", [([[0, 1, 99]], "99"),
+                                              ([[0, [1]], [2]], "(1,)")],
+                             ids=["unknown", "nested"])
+    def test_partition_naming_an_unknown_label_exits_3(self, capsys, tmp_path,
+                                                       cells, label):
+        part = tmp_path / "p.json"
+        part.write_text(json.dumps({"cells": cells}))
+        code = main(["equitable", "--graph", str(FIXTURES / "graphs" / "path3.txt"),
+                     "--partition", str(part)])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: unknown carrier label {label}\n"
+
+
 class TestLaws:
     def test_rel_b4_seeded(self, capsys):
         code, out = run(capsys, "laws", "--instance", "rel-l",
@@ -532,3 +545,98 @@ class Testdeterminism:
         report1, report2 = json.loads(out1), json.loads(out2)
         assert report1["job"]["seed"] == 9
         assert report2["job"]["seed"] == 10
+
+
+DIAG2_ARROW = str(FIXTURES / "relations" / "b4_diag2_f.json")
+DIAG2_DEC = str(FIXTURES / "decomps" / "b4_diag2_dec.json")
+B4_TABLE = [["0", "0", "0", "0"], ["0", "a", "0", "a"], ["0", "0", "b", "b"],
+            ["0", "a", "b", "1"]]
+B4_JOIN = [["0", "a", "b", "1"], ["a", "a", "1", "1"], ["b", "1", "b", "1"],
+           ["1", "1", "1", "1"]]
+
+
+def relation_json(values, labels=("x",)) -> dict:
+    return {"source": list(labels), "target": list(labels), "values": values}
+
+
+def lattice_json(**tables) -> dict:
+    return {"elements": ["0", "a", "b", "1"], "meet": B4_TABLE, "join": B4_JOIN,
+            **tables}
+
+
+# (payload, argv with the payload's file as {}); each of these ended in a
+# traceback and exit 1 before its reader checked it
+MALFORMED = {
+    "relation-values-number": (relation_json(5), [
+        "verify", "--instance", "rel-l", "--lattice", "builtin:b4",
+        "--arrow", "{}", "--decomposition", DIAG2_DEC]),
+    "relation-row-number": (relation_json([5]), [
+        "verify", "--instance", "rel-l", "--lattice", "builtin:b4",
+        "--arrow", "{}", "--decomposition", DIAG2_DEC]),
+    "carrier-label-object": (relation_json([["0"]], [{"a": 1}]), [
+        "verify", "--instance", "rel-l", "--lattice", "builtin:b4",
+        "--arrow", "{}", "--decomposition", DIAG2_DEC]),
+    "lattice-join-number": (lattice_json(join=5), [
+        "laws", "--instance", "rel-l", "--lattice", "{}", "--trials", "1"]),
+    "lattice-meet-ragged": (lattice_json(meet=B4_TABLE[:3] + [["0", "a"]]), [
+        "laws", "--instance", "rel-l", "--lattice", "{}", "--trials", "1"]),
+    "decomposition-blocks-number": ({"carrier": ["c1", "c2"], "blocks": 5}, [
+        "verify", "--instance", "rel-l", "--lattice", "builtin:b4",
+        "--arrow", DIAG2_ARROW, "--decomposition", "{}"]),
+    "hom-map-number": ({"source": "builtin:b4", "target": "builtin:bool",
+                        "map": 5}, [
+        "functor", "--hom", "{}", "--arrow", DIAG2_ARROW,
+        "--decomposition", DIAG2_DEC]),
+    "json-too-deep": ("[" * 100000 + "]" * 100000, [
+        "verify", "--instance", "rel-l", "--lattice", "builtin:b4",
+        "--arrow", "{}", "--decomposition", DIAG2_DEC]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_exits_2_or_3_with_a_message(capsys, tmp_path, name):
+    payload, argv = MALFORMED[name]
+    path = tmp_path / "input.json"
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    code = main([str(path) if arg == "{}" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert code in (2, 3)
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_a_parser_built_once_prints_what_fresh_parsers_print(capsys):
+    """Consecutive calls share one parser; each prints the bytes and returns
+    the code that a call with a parser of its own does, an argparse error
+    and help included."""
+    from specat import cli
+
+    runs = [
+        ["laws", "--instance", "rel-l", "--lattice", "builtin:b4", "--trials", "3"],
+        ["equitable", "--graph", str(FIXTURES / "graphs" / "star4.txt")],
+        ["verify", "--instance", "nope", "--arrow", "a", "--decomposition", "d"],
+        ["separate", "--instance", "rel-l", "--lattice", "builtin:b4",
+         "--arrow", DIAG2_ARROW, "--format", "text"],
+        ["laws", "--help"],
+        ["laws", "--instance", "mat-r", "--trials", "2", "--seed", "5"],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        fresh.append(call(argv))
+    cli._parser.cache_clear()
+    shared = [call(argv) for argv in runs]
+    assert cli._parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, ("exit", 2), 0, ("exit", 0), 0]
+    assert "invalid choice: 'nope'" in fresh[2][2]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specat.core import LawTally
 from specat.matrices import MatrixSampler
@@ -30,6 +32,8 @@ from specat import (
     run_law_suite,
     sum_via_biproduct,
 )
+
+from .test_grid import CASES, TOLERANCES, moved_cells, obj, oracle_for, random_cells
 
 B4 = b4()
 BOOL = bool_algebra()
@@ -289,3 +293,86 @@ class TestLawTally:
         assert set(bare) == {"lhs", "rhs"}
         assert with_inputs["inputs"] == {"f": REL.describe_arrow(one)}
         assert no_inputs == dict(bare, inputs={})
+
+    def test_non_parallel_sides_raise_naming_the_law(self):
+        x, y = ("x",), ("y",)
+        tally = LawTally(REL)
+        for want in (REL.zero(y, x), REL.zero(x, ("z",)), REL.zero(("w",), y)):
+            with pytest.raises(ArrowTypeError,
+                               match="law swapped: the sides are not parallel"):
+                tally.check("swapped", REL.zero(x, y), want)
+        with pytest.raises(ArrowTypeError, match="law first: the sides"):
+            tally.check_blocks(["first", "second"], REL.zero(x, y),
+                               REL.zero(x, ("z",)), [y], [x])
+        with pytest.raises(ArrowTypeError, match="law mat: the sides"):
+            LawTally(MAT_R).check("mat", MAT_R.zero(2, 1), MAT_R.zero(1, 2))
+        assert tally.report().checks == []
+
+    def test_blocks_are_recorded_row_major_with_their_own_counterexamples(self):
+        targets, sources = [("a",), ("b", "c")], [("p",), ("q",)]
+        got = LRelation.from_labels(B4, ("p", "q"), ("a", "b", "c"),
+                                    [["0", "1"], ["0", "0"], ["b", "0"]])
+        want = REL_B4.zero(("p", "q"), ("a", "b", "c"))
+        tally = LawTally(REL_B4)
+        tally.check_blocks(["b00", "b01", "b10", "b11"], got, want, targets,
+                           sources, {"f": got})
+        tally.check_blocks(["b01", "b11"], want, want, [("a", "b", "c")], sources)
+        checks = tally.report().checks
+        assert [(c.law, c.passed, c.trials, c.max_residual) for c in checks] == [
+            ("b00", True, 1, 0.0), ("b01", False, 2, 1.0), ("b10", False, 1, 1.0),
+            ("b11", True, 2, 0.0)]
+        b01, b10 = checks[1].counterexample, checks[2].counterexample
+        assert b01["lhs"] == {"source": ["q"], "target": ["a"], "values": [["1"]]}
+        assert b01["rhs"] == {"source": ["q"], "target": ["a"], "values": [["0"]]}
+        assert b10["lhs"] == {"source": ["p"], "target": ["b", "c"],
+                              "values": [["0"], ["b"]]}
+        assert b01["inputs"] == b10["inputs"] == {"f": REL_B4.describe_arrow(got)}
+
+
+def tally_oracle_checks(cat, draws):
+    """``(law, got, want, inputs)`` checks over the arrows ``draws`` gives:
+    a pair of parallel arrows, and each with a few cells moved."""
+    checks = []
+    for k, (x, y, seed) in enumerate(draws):
+        rng = np.random.default_rng(seed)
+        values = random_cells(cat, rng, (len(y) if cat.exact else y,
+                                         len(x) if cat.exact else x))
+        f = cat._arrow(values, x, y)
+        g = cat._arrow(moved_cells(cat, rng, values), x, y)
+        h = cat._arrow(moved_cells(cat, rng, values), x, y)
+        law = f"law{k % 2}"
+        checks += [(law, f, f, None), (law, f, g, {"f": f}), ("moved", g, h, {}),
+                   (law, h, f, {"f": h, "g": f})]
+    return checks
+
+
+@settings(max_examples=150, deadline=None)
+@given(cat=st.sampled_from(CASES),
+       sizes=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                st.integers(0, 2 ** 16)), min_size=1, max_size=3),
+       tol=st.sampled_from(TOLERANCES + (Tolerance(0.0, 0.5),)))
+def test_tally_and_zero_object_match_the_per_instance_comparisons(cat, sizes, tol):
+    """``LawTally.check`` and ``check_zero_object`` report what a tally fed
+    each check's residual and verdict by the per-instance ``residual`` and
+    ``equal`` bodies they replaced reports, empty grids included."""
+    oracle = oracle_for(cat)
+    draws = [(obj(cat, m), obj(cat, n, "w"), seed) for m, n, seed in sizes]
+    checks = tally_oracle_checks(cat, draws)
+    got, want = LawTally(cat, tol), LawTally(cat, tol)
+    for law, a, b, inputs in checks:
+        got.check(law, a, b, inputs)
+        want.check_batch(law, np.array([oracle.residual(a, b)]),
+                         lambda i: want.counterexample(inputs, a, b),
+                         np.array([oracle.equal(a, b, tol)]))
+    assert got.report().to_dict() == want.report().to_dict()
+
+    for x, _, _ in draws:
+        zero, ident = cat.zero(x, x), cat.identity(x)
+        expected = LawTally(cat, tol)
+        expected.check_batch(
+            "zero_object", np.array([oracle.residual(zero, ident)]),
+            lambda i: {"identity": cat.describe_arrow(ident),
+                       "zero": cat.describe_arrow(zero)},
+            np.array([oracle.equal(zero, ident, tol)]))
+        assert (check_zero_object(cat, x, tol).to_dict()
+                == expected.report().to_dict())

@@ -181,19 +181,29 @@ def assert_same_values(got, want) -> None:
        seed=st.integers(0, 2 ** 16))
 def test_comparisons_from_cell_hooks_match_the_per_instance_kernels(
         cat, lead, rows, cols, tol, band_cells, seed):
-    """``_equal_cells`` and ``_residual_cells``, which the grid base derives
-    from the per-cell hooks, on grids with leading batch axes, and
-    ``compare_blocks`` block by block, give what each instance's own
-    per-grid kernels gave: values, dtype and shape."""
+    """The padded batches' ``compare`` on grids with leading batch axes,
+    ``equal`` and ``residual`` on each of those grids, and ``compare_blocks``
+    block by block, which the grid base derives from the per-cell hooks,
+    give what each instance's own per-grid kernels gave: values, dtype and
+    shape."""
     oracle = oracle_for(cat)
     rng = np.random.default_rng(seed)
     a = random_cells(cat, rng, (*lead, sum(rows), sum(cols)))
+    source, target = obj(cat, sum(cols), "s"), obj(cat, sum(rows), "t")
+    batches = cat._batches()
     for x, y in ((a, a), (a, moved_cells(cat, rng, a))):
         for p, q in ((x, y), (y, x)):
-            assert_same_values(cat._equal_cells(p, q, tol),
-                               oracle.equal_cells(p, q, tol))
-            assert_same_values(cat._residual_cells(p, q),
-                               oracle.residual_cells(p, q))
+            residuals, passed = batches.compare(
+                core._Stack(None, None, p), core._Stack(None, None, q), tol)
+            assert_same_values(passed, oracle.equal_cells(p, q, tol))
+            assert_same_values(residuals, oracle.residual_cells(p, q))
+            for i in np.ndindex(*lead):
+                f, g = (cat._arrow(v[i], source, target) for v in (p, q))
+                with mock.patch.object(core, "_BAND_CELLS", band_cells):
+                    equal, residual = cat.equal(f, g, tol), cat.residual(f, g)
+                assert equal is bool(oracle.equal_cells(p[i], q[i], tol))
+                assert type(residual) is float
+                assert residual == oracle.residual_cells(p[i], q[i])
 
     targets = [obj(cat, n, f"t{i}.") for i, n in enumerate(rows)]
     sources = [obj(cat, n, f"s{i}.") for i, n in enumerate(cols)]
@@ -212,6 +222,35 @@ def test_comparisons_from_cell_hooks_match_the_per_instance_kernels(
                                        for row in blocks])
         assert_same_values(passed, [[oracle.equal_cells(*pair, tol) for pair in row]
                                     for row in blocks])
+
+
+@pytest.mark.parametrize("cat, f, g, message", [
+    (MAT_R, ScalarMatrix([[1, 2]]), ScalarMatrix([[1, 2], [3, 5]]), "1x2 and 2x2"),
+    (MAT_R, ScalarMatrix([[1, 2, 3]]), ScalarMatrix([[1, 2], [3, 5]]), "1x3 and 2x2"),
+    (MAT_C, ScalarMatrix.zeros(2, 0, COMPLEX), ScalarMatrix.zeros(0, 2, COMPLEX),
+     "2x0 and 0x2"),
+    (RelationCategory(b4()), LRelation.zero(b4(), ("x",), ("y",)),
+     LRelation.zero(b4(), ("x",), ("y", "z")), "1x1 and 2x1"),
+], ids=["mat-broadcast", "mat-1x3", "mat-c-empty", "rel"])
+def test_residual_refuses_mismatched_grids(cat, f, g, message):
+    # numpy would broadcast the first pair to a residual of 3.0
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(ArrowTypeError, match="compare_blocks: the arrows' grids"):
+            cat.residual(a, b)
+    with pytest.raises(ArrowTypeError, match=message):
+        cat.residual(f, g)
+    assert cat.equal(f, g) is False
+
+
+def test_equal_shaped_relations_over_different_carriers_are_not_equal():
+    cat = RelationCategory(b4())
+    f = cat.identity(("a", "b"))
+    for g in (cat.identity(("c", "d")), cat._arrow(f.values, ("a", "b"), ("b", "a"))):
+        assert np.array_equal(f.values, g.values)
+        for tol in TOLERANCES:
+            assert cat.equal(f, g, tol) is False
+            assert cat.equal(g, f, tol) is False
+    assert cat.equal(f, cat.identity(("a", "b"))) is True
 
 
 @pytest.mark.parametrize("build", [

@@ -588,6 +588,21 @@ class TestReducedTransition:
             reduced_transition_matrix(adj, bad)
 
 
+class TestPartition:
+    @pytest.mark.parametrize("cells, label", [
+        (((0, 1, 99),), "99"), (((99, 0), (1, 2)), "99"), (((0,), (1, 2, "x")), "'x'"),
+        (((0, 1), (2, (1,))), r"\(1,\)")])
+    def test_unknown_label_is_named(self, cells, label):
+        with pytest.raises(PreconditionError, match=f"^unknown carrier label {label}$"):
+            Partition((0, 1, 2), cells)
+
+    def test_cells_are_sorted_into_carrier_order(self):
+        part = Partition(("a", "b", "c"), (("c", "a"), ("b",)))
+        assert part.cells == (("a", "c"), ("b",))
+        with pytest.raises(PreconditionError, match="appears in two cells"):
+            Partition(("a", "b"), (("b", "a"), ("a",)))
+
+
 class TestResidual:
     def test_reassembles_walk(self):
         adj = star(3)
