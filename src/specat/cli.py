@@ -119,16 +119,15 @@ def resolve_hom(spec: str, lattice_spec: str | None):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (passed, checks, payload, dot), where dot
-# builds the DOT text on demand, or is None when there is no graph output
+# subcommand handlers: each returns (report, payload, dot), where dot builds
+# the DOT text on demand, or is None when there is no graph output
 
 
 def cmd_verify(args):
     cat = make_category(args.instance, args.lattice)
     arrow = load_arrow(cat, args.arrow)
     dec = formats.load_decomposition_json(args.decomposition, cat)
-    report = verify_decomposition(cat, arrow, dec, resolve_tolerance(args))
-    return report.passed, report, {}, None
+    return verify_decomposition(cat, arrow, dec, resolve_tolerance(args)), {}, None
 
 
 def cmd_separate(args):
@@ -146,8 +145,7 @@ def cmd_separate(args):
         "decomposition": formats.decomposition_to_dict(dec, cat),
         "zero_tol": zero_tol,
     }
-    return (report.passed, report, payload,
-            lambda: formats.partitioned_dot(partition, arrow))
+    return report, payload, lambda: formats.partitioned_dot(partition, arrow)
 
 
 def cmd_equitable(args):
@@ -168,8 +166,7 @@ def cmd_equitable(args):
         "walk": walk.values.tolist(),
         "residual": residual.values.tolist(),
     }
-    return (report.passed, report, payload,
-            lambda: formats.partitioned_dot(partition, graph))
+    return report, payload, lambda: formats.partitioned_dot(partition, graph)
 
 
 def cmd_laws(args):
@@ -195,7 +192,7 @@ def cmd_laws(args):
         report = report.merged(check_cmon_functor(
             functor, functor.source.default_sampler(args.max_size),
             trials=args.trials, tol=tol, seed=seed))
-    return report.passed, report, {}, None
+    return report, {}, None
 
 
 def cmd_functor(args):
@@ -218,7 +215,7 @@ def cmd_functor(args):
         "image_arrow": formats.relation_to_dict(image),
         "image_decomposition": formats.decomposition_to_dict(mapped, target_cat),
     }
-    return report.passed, report, payload, None
+    return report, payload, None
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +323,12 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.subcommand]
     try:
         started = time.perf_counter()
-        passed, law_report, payload, dot = handler(args)
+        law_report, payload, dot = handler(args)
         elapsed = time.perf_counter() - started
         report = {
             "schema": SCHEMA,
             "job": _job_echo(args),
-            "passed": passed,
+            "passed": law_report.passed,
             "checks": law_report.to_dict()["checks"],
             "payload": payload,
             "timing_seconds": elapsed if args.timing else None,
@@ -349,7 +346,7 @@ def main(argv=None) -> int:
         if args.out:
             with open(args.out, "w") as handle:
                 handle.write(text)
-        return EXIT_PASS if passed else EXIT_FAIL
+        return EXIT_PASS if report["passed"] else EXIT_FAIL
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

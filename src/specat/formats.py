@@ -278,8 +278,8 @@ def resolve_lattice(spec: str) -> HeytingTable:
 def relation_from_dict(payload: dict, algebra: HeytingTable) -> LRelation:
     cat = RelationCategory(algebra)
     try:
-        source = cat.object_from_payload(payload["source"])
-        target = cat.object_from_payload(payload["target"])
+        source = cat.object_from_payload(payload["source"], "relation source")
+        target = cat.object_from_payload(payload["target"], "relation target")
         values = payload["values"]
     except (KeyError, TypeError) as exc:
         raise ParseError("relation JSON needs source, target, and values") from exc
@@ -305,7 +305,8 @@ def save_relation_json(rel: LRelation, path) -> None:
 def decomposition_from_dict(payload: dict,
                             cat: SemiadditiveCategory) -> SpectralDecomposition:
     try:
-        carrier = cat.object_from_payload(payload["carrier"])
+        carrier = cat.object_from_payload(payload["carrier"],
+                                          "decomposition carrier")
         raw_blocks = payload["blocks"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("decomposition JSON needs carrier and blocks") from exc
@@ -314,7 +315,8 @@ def decomposition_from_dict(payload: dict,
     blocks = []
     for i, raw in enumerate(raw_blocks, start=1):
         try:
-            space = cat.object_from_payload(raw["space"])
+            space = cat.object_from_payload(raw["space"],
+                                            f"decomposition block {i} space")
             project = cat.arrow_from_payload(raw["project"], carrier, space)
             inject = cat.arrow_from_payload(raw["inject"], space, carrier)
             local = cat.arrow_from_payload(raw["local"], space, space)

@@ -47,14 +47,6 @@ class ScalarDomain:
         to ``COMPLEX`` reads and writes its entries as ``COMPLEX`` does."""
         return bool(np.issubdtype(self.dtype, np.complexfloating))
 
-    @property
-    def zero(self):
-        return self.dtype(0)
-
-    @property
-    def one(self):
-        return self.dtype(1)
-
     def validate(self, values: np.ndarray) -> None:
         if not np.isfinite(values).all():
             raise ArrowTypeError(f"{self.name} matrix entries must be finite")
@@ -281,7 +273,9 @@ class MatrixCategory(_GridCategory):
         """Witness built from invertible basis changes on each factor.
 
         Inverses are computed only for monomial matrices; otherwise the caller
-        must pass them explicitly.
+        must pass them explicitly.  The basis changes are composed onto the
+        canonical witness's projections, and their inverses onto its
+        injections.
         """
         if f.rows != f.cols or g.rows != g.cols:
             raise ArrowTypeError("basis-change matrices must be square")
@@ -289,16 +283,11 @@ class MatrixCategory(_GridCategory):
             f_inv = monomial_inverse(f)
         if g_inv is None:
             g_inv = monomial_inverse(g)
-        m, n = f.rows, g.rows
-        pi1 = ScalarMatrix(
-            np.hstack([np.asarray(f.values), np.zeros((m, n))]), self.domain)
-        pi2 = ScalarMatrix(
-            np.hstack([np.zeros((n, m)), np.asarray(g.values)]), self.domain)
-        iota1 = ScalarMatrix(
-            np.vstack([np.asarray(f_inv.values), np.zeros((n, m))]), self.domain)
-        iota2 = ScalarMatrix(
-            np.vstack([np.zeros((m, n)), np.asarray(g_inv.values)]), self.domain)
-        return BiproductWitness(m, n, m + n, pi1, pi2, iota1, iota2)
+        w = self.canonical_biproduct(f.rows, g.rows)
+        witness = BiproductWitness(w.left, w.right, w.carrier, f @ w.pi1,
+                                   g @ w.pi2, w.iota1 @ f_inv, w.iota2 @ g_inv)
+        witness.validate()
+        return witness
 
     # bound in the class body, so a traced run times each instance's own
     equal = _GridCategory.equal
@@ -326,7 +315,10 @@ class MatrixCategory(_GridCategory):
     def describe_object(self, obj: int) -> int:
         return int(obj)
 
-    def object_from_payload(self, payload) -> int:
+    def object_from_payload(self, payload, field: str = "dimension") -> int:
+        # int() would read "2" and 2.9 as 2, and true as 1
+        if isinstance(payload, (bool, str, float)):
+            raise ParseError(f"{field} must be an integer, got {payload!r:.40}")
         return int(payload)
 
     def default_sampler(self, max_size: int | None = None) -> "MatrixSampler":

@@ -65,11 +65,15 @@ class HeytingTable:
     """
 
     __slots__ = ("name", "elements", "meet", "join", "implication",
-                 "bottom", "top", "_index", "_cuts")
+                 "bottom", "top", "_index", "_labels", "_cuts")
 
     def __init__(self, elements: Sequence[str], meet, join, *,
                  name: str = "custom"):
         self.name = name
+        # a string or an object would be read as its characters or its keys
+        if isinstance(elements, (str, dict)):
+            raise LatticeError(
+                f"lattice elements must be a list of labels, got {elements!r:.40}")
         self.elements = tuple(str(e) for e in elements)
         if len(set(self.elements)) != len(self.elements):
             raise LatticeError("lattice elements must be pairwise distinct")
@@ -79,6 +83,7 @@ class HeytingTable:
         self.meet = self._table(meet, k, "meet")
         self.join = self._table(join, k, "join")
         self._index = {label: i for i, label in enumerate(self.elements)}
+        self._labels = np.array(self.elements, dtype=object)
         self._check_lattice_laws()
         self.bottom = self._find_unit(self.join, "join")
         self.top = self._find_unit(self.meet, "meet")
@@ -109,6 +114,10 @@ class HeytingTable:
     def label(self, i: int) -> str:
         return self.elements[i]
 
+    def spell(self, indices: np.ndarray) -> list:
+        """The labels of an array of element indices, as nested lists."""
+        return self._labels.take(indices).tolist()
+
     def leq(self, i: int, j: int) -> bool:
         return self.meet[i, j] == i
 
@@ -137,12 +146,11 @@ class HeytingTable:
         return f"HeytingTable({self.name!r}, {len(self.elements)} elements)"
 
     def to_dict(self) -> dict:
-        label = self.label
         return {
             "name": self.name,
             "elements": list(self.elements),
-            "meet": [[label(v) for v in row] for row in self.meet.tolist()],
-            "join": [[label(v) for v in row] for row in self.join.tolist()],
+            "meet": self.spell(self.meet),
+            "join": self.spell(self.join),
         }
 
     # -- construction-time checks ------------------------------------------------
@@ -218,6 +226,9 @@ class HeytingTable:
 
         def indices(table, which: str) -> list:
             try:
+                # a string row would be read as its characters
+                if any(isinstance(row, (str, dict)) for row in table):
+                    raise TypeError(which)
                 return [[pos[str(v)] for v in row] for row in table]
             except KeyError as exc:
                 raise LatticeError(f"unknown lattice element {exc.args[0]!r}") from exc
@@ -521,9 +532,9 @@ class LRelation:
     __hash__ = None
 
     def __repr__(self) -> str:
-        grid = [[self.algebra.label(v) for v in row] for row in self.values.tolist()]
         return (f"LRelation({self.algebra.name!r}, source={self.source!r}, "
-                f"target={self.target!r}, values={grid!r})")
+                f"target={self.target!r}, "
+                f"values={self.algebra.spell(self.values)!r})")
 
 
 def tagged_union(left: Carrier, right: Carrier) -> Carrier:
@@ -580,8 +591,7 @@ class RelationCategory(_GridCategory):
     equal = _GridCategory.equal
 
     def arrow_to_payload(self, f: LRelation) -> list:
-        label = self.algebra.label
-        return [[label(v) for v in row] for row in f.values.tolist()]
+        return self.algebra.spell(f.values)
 
     def arrow_from_payload(self, payload, src, tgt) -> LRelation:
         if not (isinstance(payload, list)
@@ -611,7 +621,11 @@ class RelationCategory(_GridCategory):
     def describe_object(self, obj) -> list:
         return [encode_label(l) for l in obj]
 
-    def object_from_payload(self, payload) -> Carrier:
+    def object_from_payload(self, payload, field: str = "carrier") -> Carrier:
+        # a string or an object would be read as its characters or its keys
+        if isinstance(payload, (str, dict)):
+            raise ParseError(
+                f"{field} must be a list of labels, got {payload!r:.40}")
         return tuple(decode_label(l) for l in payload)
 
     def default_sampler(self, max_size: int | None = None) -> "RelationSampler":

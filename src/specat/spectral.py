@@ -149,7 +149,7 @@ def verify_decomposition(cat: SemiadditiveCategory, f: Arrow,
 
     tally = LawTally(cat, tol)
     blocks = dec.blocks
-    spaces = [b.space for b in blocks]
+    spaces = dec.spaces
     whole = [dec.carrier]
     numbers = range(1, len(blocks) + 1)
 

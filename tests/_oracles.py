@@ -311,6 +311,24 @@ def equitable_degrees_slow(adj, cells) -> np.ndarray:
     return degrees
 
 
+def spell_slow(algebra, values: np.ndarray) -> list[list[str]]:
+    """The labels of a grid of element indices, cell by cell."""
+    return [[algebra.label(v) for v in row] for row in values.tolist()]
+
+
+def generalized_matrix_witness_slow(cat, f: ScalarMatrix, g: ScalarMatrix,
+                                    f_inv: ScalarMatrix,
+                                    g_inv: ScalarMatrix) -> BiproductWitness:
+    """The witness of two basis changes laid out by hand: each basis change
+    beside a zero block, each inverse above or below one."""
+    m, n = f.rows, g.rows
+    pi1 = ScalarMatrix(np.hstack([f.values, np.zeros((m, n))]), cat.domain)
+    pi2 = ScalarMatrix(np.hstack([np.zeros((n, m)), g.values]), cat.domain)
+    iota1 = ScalarMatrix(np.vstack([f_inv.values, np.zeros((n, m))]), cat.domain)
+    iota2 = ScalarMatrix(np.vstack([np.zeros((m, n)), g_inv.values]), cat.domain)
+    return BiproductWitness(m, n, m + n, pi1, pi2, iota1, iota2)
+
+
 def canonical_json_slow(payload) -> str:
     """Report text straight from the stdlib's indented JSON encoder."""
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

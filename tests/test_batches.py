@@ -425,6 +425,23 @@ def test_raising_functor_raises_as_the_oracle_does(seed):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("trials", [1, 7, 40])
+def test_each_sampled_trial_maps_sixteen_arrows(trials):
+    # the sum f + g, f, g, the zero, the identity, the composite u.f, u, the
+    # six witness arrows on (x, y) and (d1, d2), a1, a2 and their block sum
+    induced = induced_functor(principal_filter_hom(b4(), "a"))
+    mapped = []
+
+    def counted(f):
+        mapped.append(f)
+        return induced.arrow_map(f)
+
+    functor = SemiadditiveFunctor("caller-supplied", induced.source,
+                                  induced.target, induced.object_map, counted)
+    assert check_cmon_functor(functor, trials=trials, exhaustive_cells=0).passed
+    assert len(mapped) == 16 * trials
+
+
 # ---------------------------------------------------------------------------
 # one tolerance rule
 

@@ -592,6 +592,73 @@ MALFORMED = {
         "--arrow", "{}", "--decomposition", DIAG2_DEC]),
 }
 
+LINE3_ARROW = str(FIXTURES / "matrices" / "line3_f.csv")
+LINE3_DEC = json.loads((FIXTURES / "decomps" / "line3_dec.json").read_text())
+DIAG2_DEC_JSON = json.loads((FIXTURES / "decomps" / "b4_diag2_dec.json").read_text())
+
+
+def edited(payload: dict, block: int | None = None, **fields) -> dict:
+    """A copy of ``payload`` with ``fields`` set on it, or on its block."""
+    copy = json.loads(json.dumps(payload))
+    (copy if block is None else copy["blocks"][block]).update(fields)
+    return copy
+
+
+# (payload, argv, exit code, start of the message); JSON of the wrong kind
+# where an object or a lattice is read: int() and tuple() read each of these,
+# and all but the decomposition carrier passed with exit 0
+WRONG_KIND = {
+    "relation-source-string": (
+        relation_json([["0", "0"], ["0", "0"]], "ab") | {"source": "ab"},
+        ["separate", "--instance", "rel-l", "--lattice", "builtin:b4",
+         "--arrow", "{}"], 2, "relation source must be a list of labels"),
+    "relation-target-object": (
+        relation_json([["0"]]) | {"target": {"x": 1}},
+        ["separate", "--instance", "rel-l", "--lattice", "builtin:b4",
+         "--arrow", "{}"], 2, "relation target must be a list of labels"),
+    "decomposition-carrier-string": (
+        edited(DIAG2_DEC_JSON, carrier="c1c2"),
+        ["verify", "--instance", "rel-l", "--lattice", "builtin:b4",
+         "--arrow", DIAG2_ARROW, "--decomposition", "{}"], 2,
+        "decomposition carrier must be a list of labels"),
+    "decomposition-space-string": (
+        edited(DIAG2_DEC_JSON, 0, space="s"),
+        ["verify", "--instance", "rel-l", "--lattice", "builtin:b4",
+         "--arrow", DIAG2_ARROW, "--decomposition", "{}"], 2,
+        "decomposition block 1 space must be a list of labels"),
+    "matrix-carrier-string": (
+        edited(LINE3_DEC, carrier="3"),
+        ["verify", "--instance", "mat-r", "--arrow", LINE3_ARROW,
+         "--decomposition", "{}"], 2,
+        "decomposition carrier must be an integer"),
+    "matrix-carrier-fraction": (
+        edited(LINE3_DEC, carrier=3.9),
+        ["verify", "--instance", "mat-r", "--arrow", LINE3_ARROW,
+         "--decomposition", "{}"], 2,
+        "decomposition carrier must be an integer"),
+    "matrix-space-bool": (
+        edited(LINE3_DEC, 1, space=True),
+        ["verify", "--instance", "mat-r", "--arrow", LINE3_ARROW,
+         "--decomposition", "{}"], 2,
+        "decomposition block 2 space must be an integer"),
+    "lattice-elements-string": (
+        {"elements": "01", "meet": [["0", "0"], ["0", "1"]],
+         "join": [["0", "1"], ["1", "1"]]},
+        ["laws", "--instance", "rel-l", "--lattice", "{}", "--trials", "1"],
+        3, "lattice elements must be a list of labels"),
+    "lattice-meet-rows-strings": (
+        {"elements": ["0", "1"], "meet": ["00", "01"],
+         "join": [["0", "1"], ["1", "1"]]},
+        ["laws", "--instance", "rel-l", "--lattice", "{}", "--trials", "1"],
+        3, "meet table must be a list of rows"),
+    "lattice-join-rows-strings": (
+        {"elements": ["0", "1"], "meet": [["0", "0"], ["0", "1"]],
+         "join": ["01", "11"]},
+        ["laws", "--instance", "rel-l", "--lattice", "{}", "--trials", "1"],
+        3, "join table must be a list of rows"),
+}
+MALFORMED.update((name, case[:2]) for name, case in WRONG_KIND.items())
+
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_input_exits_2_or_3_with_a_message(capsys, tmp_path, name):
@@ -604,6 +671,19 @@ def test_malformed_input_exits_2_or_3_with_a_message(capsys, tmp_path, name):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_KIND))
+def test_wrong_kind_json_is_refused_naming_what_was_read(capsys, tmp_path,
+                                                         name):
+    # carriers and dimensions are input errors, lattices invalid lattices
+    payload, argv, exit_code, message = WRONG_KIND[name]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code = main([str(path) if arg == "{}" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert code == exit_code
+    assert captured.err.startswith(f"error: {message}")
 
 
 def test_a_parser_built_once_prints_what_fresh_parsers_print(capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specat import (
     MAT_C,
@@ -14,7 +16,7 @@ from specat import (
 )
 from specat.matrices import COMPLEX, NONNEGATIVE
 
-from ._oracles import matmul_slow
+from ._oracles import generalized_matrix_witness_slow, matmul_slow
 
 
 def mat(rows, domain=None):
@@ -197,6 +199,67 @@ class TestGeneralizedWitness:
         g = mat([[4]])
         with pytest.raises(ArrowTypeError):
             MAT_R.generalized_biproduct(f, g)
+
+    @pytest.mark.parametrize("cat", [MAT_R, MAT_C, MAT_NN], ids=lambda c: c.name)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_witness_is_the_one_laid_out_by_hand(self, cat, data):
+        (f, f_inv), (g, g_inv) = (data.draw(basis_change(cat)) for _ in "fg")
+        got = cat.generalized_biproduct(f, g, f_inv, g_inv)
+        want = generalized_matrix_witness_slow(
+            cat, f, g, monomial_inverse(f) if f_inv is None else f_inv,
+            monomial_inverse(g) if g_inv is None else g_inv)
+        assert (got.left, got.right, got.carrier) == (want.left, want.right,
+                                                      want.carrier)
+        for name in ("pi1", "pi2", "iota1", "iota2"):
+            a, b = getattr(got, name), getattr(want, name)
+            # equal up to the sign of a zero, which == ignores
+            assert a.values.dtype == b.values.dtype and a == b
+        assert check_biproduct_axioms(cat, got).passed
+
+    @pytest.mark.parametrize("f,g,f_inv,g_inv", [
+        # a basis change or an inverse from another domain
+        (ScalarMatrix([[0, 2], [3, 0]], NONNEGATIVE), mat([[1]]), None, None),
+        (mat([[1]]), ScalarMatrix([[2j]], COMPLEX), None, None),
+        (mat([[2, 1], [1, 1]]), mat([[1]]),
+         ScalarMatrix([[1, -1], [-1, 2]], COMPLEX), None),
+        # an inverse of the wrong size
+        (mat([[2]]), mat([[1]]), mat([[0.5, 0]]), None),
+        (mat([[2]]), mat([[1]]), None, mat([[1], [0]])),
+    ], ids=["nonnegative-change", "complex-change", "complex-inverse",
+            "wide-inverse", "tall-inverse"])
+    def test_a_foreign_or_misshapen_basis_change_is_refused(self, f, g, f_inv,
+                                                            g_inv):
+        with pytest.raises(ArrowTypeError):
+            MAT_R.generalized_biproduct(f, g, f_inv, g_inv)
+
+
+@st.composite
+def basis_change(draw, cat):
+    """A basis change of up to 4 dimensions and its inverse: a monomial
+    matrix with power-of-two scalars and no inverse given, or (outside the
+    non-negative domain) a unit lower triangular one with small Gaussian
+    integer entries and its exact inverse."""
+    n = draw(st.integers(0, 4))
+    if cat.domain.nonnegative or draw(st.booleans()):
+        scalars = st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0])
+        if not cat.domain.nonnegative:
+            signs = [1, -1] + [1j, -1j] * cat.domain.is_complex
+            scalars = st.builds(lambda s, sign: s * sign, scalars,
+                                st.sampled_from(signs))
+        values = np.zeros((n, n), dtype=cat.domain.dtype)
+        values[np.arange(n), draw(st.permutations(range(n)))] = [
+            draw(scalars) for _ in range(n)]
+        return ScalarMatrix(values, cat.domain), None
+    entries = st.integers(-2, 2)
+    if cat.domain.is_complex:
+        entries = st.builds(complex, entries, entries)
+    values = np.eye(n, dtype=cat.domain.dtype)
+    for i, j in zip(*np.tril_indices(n, -1)):
+        values[i, j] = draw(entries)
+    # the inverse is unit lower triangular with integer entries too
+    inverse = np.round(np.linalg.inv(values))
+    return ScalarMatrix(values, cat.domain), ScalarMatrix(inverse, cat.domain)
 
 
 def test_reduced_action_reproduces_local_block():

@@ -3,7 +3,7 @@
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -44,6 +44,7 @@ from ._oracles import (
     random_matrix_slow,
     random_relation_slow,
     separate_components_slow,
+    spell_slow,
 )
 
 
@@ -105,6 +106,38 @@ def down_set_lattice(draw, max_points: int = 5):
     labels = ["{" + ",".join(str(i) for i in range(n) if s >> i & 1) + "}"
               for s in order]
     return HeytingTable(labels, meet, join, name=f"down-sets-{n}")
+
+
+SPELL_ALGEBRAS = (bool_algebra(), b4(), chain(64),
+                  product_lattice(chain(2), chain(3)))
+
+
+@st.composite
+def spelled_relation(draw):
+    algebra = draw(st.sampled_from(SPELL_ALGEBRAS))
+    return draw(relation_between(algebra, draw(carriers("a", 6)),
+                                 draw(carriers("b", 6))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spelled_relation())
+@example(LRelation(b4(), ("a0", "a1", "a2"), (), []))
+@example(LRelation(chain(64), (), ("b0", "b1"), [[], []]))
+def test_relations_are_spelled_as_the_cell_loop_spells_them(f):
+    want = spell_slow(f.algebra, f.values)
+    got = f.algebra.spell(f.values)
+    assert got == want
+    assert all(type(label) is str for row in got for label in row)
+    assert RelationCategory(f.algebra).arrow_to_payload(f) == want
+    assert repr(f) == (f"LRelation({f.algebra.name!r}, source={f.source!r}, "
+                       f"target={f.target!r}, values={want!r})")
+
+
+@pytest.mark.parametrize("algebra", SPELL_ALGEBRAS, ids=lambda a: a.name)
+def test_lattice_tables_are_spelled_as_the_cell_loop_spells_them(algebra):
+    table = algebra.to_dict()
+    assert table["meet"] == spell_slow(algebra, algebra.meet)
+    assert table["join"] == spell_slow(algebra, algebra.join)
 
 
 @st.composite
