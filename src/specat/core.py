@@ -239,9 +239,8 @@ class SemiadditiveCategory(ABC):
         """The arrow ``src -> tgt`` with the given entries; ParseError if malformed."""
         raise ParseError(f"cannot decode arrows for instance {self.name!r}")
 
-    def object_from_payload(self, payload: Any, field: str = "object") -> Any:
-        """The object that :meth:`describe_object` spells as ``payload``;
-        ``field`` names it in the ParseError raised for the wrong JSON kind."""
+    def object_from_payload(self, payload: Any) -> Any:
+        """The object that :meth:`describe_object` spells as ``payload``."""
         raise ParseError(f"cannot decode objects for instance {self.name!r}")
 
     @abstractmethod

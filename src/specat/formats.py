@@ -275,11 +275,19 @@ def resolve_lattice(spec: str) -> HeytingTable:
 # relations
 
 
+def _object(cat: SemiadditiveCategory, payload, field: str):
+    """``cat.object_from_payload(payload)``; its ParseError names ``field``."""
+    try:
+        return cat.object_from_payload(payload)
+    except ParseError as exc:
+        raise ParseError(f"{field}: {exc}") from exc
+
+
 def relation_from_dict(payload: dict, algebra: HeytingTable) -> LRelation:
     cat = RelationCategory(algebra)
     try:
-        source = cat.object_from_payload(payload["source"], "relation source")
-        target = cat.object_from_payload(payload["target"], "relation target")
+        source = _object(cat, payload["source"], "relation source")
+        target = _object(cat, payload["target"], "relation target")
         values = payload["values"]
     except (KeyError, TypeError) as exc:
         raise ParseError("relation JSON needs source, target, and values") from exc
@@ -305,8 +313,7 @@ def save_relation_json(rel: LRelation, path) -> None:
 def decomposition_from_dict(payload: dict,
                             cat: SemiadditiveCategory) -> SpectralDecomposition:
     try:
-        carrier = cat.object_from_payload(payload["carrier"],
-                                          "decomposition carrier")
+        carrier = _object(cat, payload["carrier"], "decomposition carrier")
         raw_blocks = payload["blocks"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("decomposition JSON needs carrier and blocks") from exc
@@ -315,8 +322,7 @@ def decomposition_from_dict(payload: dict,
     blocks = []
     for i, raw in enumerate(raw_blocks, start=1):
         try:
-            space = cat.object_from_payload(raw["space"],
-                                            f"decomposition block {i} space")
+            space = _object(cat, raw["space"], f"decomposition block {i} space")
             project = cat.arrow_from_payload(raw["project"], carrier, space)
             inject = cat.arrow_from_payload(raw["inject"], space, carrier)
             local = cat.arrow_from_payload(raw["local"], space, space)

@@ -225,13 +225,21 @@ class _Homset:
         self.arrows = [LRelation._derived(algebra, source, target, grid)
                        for grid in self.digits.astype(np.int16)]
         self.ends = functor.apply_object(source), functor.apply_object(target)
+        self._repeats: dict[int, tuple] = {}
         self.images = T.arrows([functor.apply_arrow(f) for f in self.arrows],
-                               *(T.repeat(end, len(codes)) for end in self.ends))
+                               *self._ends(T, len(codes)))
+
+    def _ends(self, T, count: int) -> tuple:
+        """The images of the endpoints, each repeated ``count`` times; every
+        full chunk of :func:`_check_pairs` asks for the same count."""
+        if count not in self._repeats:
+            self._repeats[count] = tuple(T.repeat(end, count)
+                                         for end in self.ends)
+        return self._repeats[count]
 
     def take(self, T, codes: np.ndarray):
         """The images of the relations with these codes, as a batch."""
-        return T.take(self.images, codes,
-                      *(T.repeat(end, len(codes)) for end in self.ends))
+        return T.take(self.images, codes, *self._ends(T, len(codes)))
 
 
 def _check_pairs(T, tally: LawTally, law: str, lefts: _Homset,
@@ -387,12 +395,13 @@ def _check_functor_chunk(functor: SemiadditiveFunctor, tally: LawTally, S,
     FD2 = T.objects([a.target for a in i_a2])
     FCD = T.objects([a.source for a in i_pi1_d])
 
+    Ff = T.arrows(i_f, FX, FY)
     check("additive", T.arrows(i_total, FX, FY),
-          T.add(T.arrows(i_f, FX, FY), T.arrows(i_g, FX, FY)), "f g")
+          T.add(Ff, T.arrows(i_g, FX, FY)), "f g")
     check("zero_arrow", T.arrows(i_zero, FX, FY), T.zero(FX, FY), "")
     check("identity", T.arrows(i_ident, FX, FX), T.identity(FX), "")
     check("composition", T.arrows(i_composite, FX, FW),
-          T.compose(T.arrows(i_u, FY, FW), T.arrows(i_f, FX, FY)), "f u")
+          T.compose(T.arrows(i_u, FY, FW), Ff), "f u")
 
     wit_t, gamma = _check_transport(
         T, check, FX, FY, FC, T.arrows(i_pi1, FC, FX), T.arrows(i_pi2, FC, FY),

@@ -315,10 +315,11 @@ class MatrixCategory(_GridCategory):
     def describe_object(self, obj: int) -> int:
         return int(obj)
 
-    def object_from_payload(self, payload, field: str = "dimension") -> int:
+    def object_from_payload(self, payload) -> int:
         # int() would read "2" and 2.9 as 2, and true as 1
         if isinstance(payload, (bool, str, float)):
-            raise ParseError(f"{field} must be an integer, got {payload!r:.40}")
+            raise ParseError(
+                f"a dimension must be an integer, got {payload!r:.40}")
         return int(payload)
 
     def default_sampler(self, max_size: int | None = None) -> "MatrixSampler":

@@ -621,11 +621,11 @@ class RelationCategory(_GridCategory):
     def describe_object(self, obj) -> list:
         return [encode_label(l) for l in obj]
 
-    def object_from_payload(self, payload, field: str = "carrier") -> Carrier:
+    def object_from_payload(self, payload) -> Carrier:
         # a string or an object would be read as its characters or its keys
         if isinstance(payload, (str, dict)):
             raise ParseError(
-                f"{field} must be a list of labels, got {payload!r:.40}")
+                f"a carrier must be a list of labels, got {payload!r:.40}")
         return tuple(decode_label(l) for l in payload)
 
     def default_sampler(self, max_size: int | None = None) -> "RelationSampler":
