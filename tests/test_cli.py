@@ -684,6 +684,7 @@ def test_wrong_kind_json_is_refused_naming_what_was_read(capsys, tmp_path,
     code = main([str(path) if arg == "{}" else arg for arg in argv])
     captured = capsys.readouterr()
     assert code == exit_code
+    assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
     assert "Traceback" not in captured.err
 
