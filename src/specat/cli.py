@@ -209,8 +209,7 @@ def cmd_functor(args):
         "hom": {
             "source": hom.source.name,
             "target": hom.target.name,
-            "map": {hom.source.label(i): hom.target.label(v)
-                    for i, v in enumerate(hom.mapping)},
+            "map": dict(zip(hom.source.elements, hom.target.spell(hom.mapping))),
         },
         "image_arrow": formats.relation_to_dict(image),
         "image_decomposition": formats.decomposition_to_dict(mapped, target_cat),

@@ -459,13 +459,12 @@ def partitioned_dot(partition: Partition, arrow) -> str:
             lines.append(f"    {_dot_name(label)};")
         lines.append("  }")
     if isinstance(arrow, LRelation):
-        label = arrow.algebra.label
         targets, sources = np.nonzero(arrow.values != arrow.algebra.bottom)
-        for t, s in zip(targets.tolist(), sources.tolist()):
+        labels = arrow.algebra.spell(arrow.values[targets, sources])
+        for t, s, label in zip(targets.tolist(), sources.tolist(), labels):
             lines.append(
                 f"  {_dot_name(arrow.source[s])} -> "
-                f"{_dot_name(arrow.target[t])} "
-                f'[label="{label(int(arrow.values[t, s]))}"];')
+                f'{_dot_name(arrow.target[t])} [label="{label}"];')
     elif isinstance(arrow, SparseGraph):
         for t, s in zip(arrow.rows().tolist(), arrow.indices.tolist()):
             lines.append(f'  {_dot_name(s)} -> {_dot_name(t)} [label="1"];')

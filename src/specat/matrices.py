@@ -320,6 +320,8 @@ class MatrixCategory(_GridCategory):
         if isinstance(payload, (bool, str, float)):
             raise ParseError(
                 f"a dimension must be an integer, got {payload!r:.40}")
+        if int(payload) < 0:
+            raise ParseError(f"a dimension must be non-negative, got {payload}")
         return int(payload)
 
     def default_sampler(self, max_size: int | None = None) -> "MatrixSampler":

@@ -54,6 +54,14 @@ def as_carrier(labels: Iterable[Label]) -> Carrier:
     return carrier
 
 
+def _read_labels(index: dict, grid) -> list:
+    """The indices of a sequence of label sequences, read as ``index[str(v)]``."""
+    try:  # only a string equal to a key is found without str(): both agree
+        return [[index[v] for v in row] for row in grid]
+    except (KeyError, TypeError):
+        return [[index[str(v)] for v in row] for row in grid]
+
+
 class HeytingTable:
     """A finite complete Heyting algebra given by explicit meet/join tables.
 
@@ -229,7 +237,7 @@ class HeytingTable:
                 # a string row would be read as its characters
                 if any(isinstance(row, (str, dict)) for row in table):
                     raise TypeError(which)
-                return [[pos[str(v)] for v in row] for row in table]
+                return _read_labels(pos, table)
             except KeyError as exc:
                 raise LatticeError(f"unknown lattice element {exc.args[0]!r}") from exc
             except TypeError as exc:
@@ -469,8 +477,8 @@ class LRelation:
 
     @classmethod
     def from_labels(cls, algebra: HeytingTable, source, target, grid) -> "LRelation":
-        idx = [[algebra.index(v) for v in row] for row in grid]
-        return cls(algebra, source, target, idx)
+        rows = [list(row) for row in grid]  # the reader may pass over them twice
+        return cls(algebra, source, target, _read_labels(algebra._index, rows))
 
     @classmethod
     def from_pairs(cls, algebra: HeytingTable, source, target,
@@ -601,7 +609,7 @@ class RelationCategory(_GridCategory):
             raise ParseError(
                 f"relation grid has {len(payload)} rows, expected {len(tgt)}")
         try:
-            grid = [[self.algebra.index(v) for v in row] for row in payload]
+            grid = _read_labels(self.algebra._index, payload)
         except KeyError as exc:
             raise ParseError(f"unknown lattice element {exc.args[0]!r}") from exc
         for i, row in enumerate(grid):
@@ -609,7 +617,9 @@ class RelationCategory(_GridCategory):
                 raise ParseError(
                     f"relation grid row {i} has {len(row)} entries, "
                     f"expected {len(src)}")
-        return LRelation(self.algebra, src, tgt, grid)
+        values = np.array(grid, dtype=np.int16).reshape(len(tgt), len(src))
+        return LRelation._derived(  # every cell came from the index
+            self.algebra, as_carrier(src), as_carrier(tgt), values)
 
     def describe_arrow(self, f: LRelation) -> dict:
         return {

@@ -316,6 +316,27 @@ def spell_slow(algebra, values: np.ndarray) -> list[list[str]]:
     return [[algebra.label(v) for v in row] for row in values.tolist()]
 
 
+def relation_from_payload_slow(algebra, payload, src, tgt) -> LRelation:
+    """A JSON relation grid read cell by cell, each label through
+    ``algebra.index``, and checked again by the validating constructor."""
+    if not (isinstance(payload, list)
+            and all(isinstance(row, list) for row in payload)):
+        raise ParseError("relation grid must be a list of rows")
+    if len(payload) != len(tgt):
+        raise ParseError(
+            f"relation grid has {len(payload)} rows, expected {len(tgt)}")
+    try:
+        grid = [[algebra.index(v) for v in row] for row in payload]
+    except KeyError as exc:
+        raise ParseError(f"unknown lattice element {exc.args[0]!r}") from exc
+    for i, row in enumerate(grid):
+        if len(row) != len(src):
+            raise ParseError(
+                f"relation grid row {i} has {len(row)} entries, "
+                f"expected {len(src)}")
+    return LRelation(algebra, src, tgt, grid)
+
+
 def generalized_matrix_witness_slow(cat, f: ScalarMatrix, g: ScalarMatrix,
                                     f_inv: ScalarMatrix,
                                     g_inv: ScalarMatrix) -> BiproductWitness:

@@ -606,7 +606,8 @@ def edited(payload: dict, block: int | None = None, **fields) -> dict:
 
 # (payload, argv, exit code, start of the message); JSON of the wrong kind
 # where an object or a lattice is read: int() and tuple() read each of these,
-# and all but the decomposition carrier passed with exit 0
+# and all but the decomposition carrier passed with exit 0; a negative
+# dimension was read too, and failed later naming a block shape
 WRONG_KIND = {
     "relation-source-string": (
         relation_json([["0", "0"], ["0", "0"]], "ab") | {"source": "ab"},
@@ -638,6 +639,11 @@ WRONG_KIND = {
         ["verify", "--instance", "mat-r", "--arrow", LINE3_ARROW,
          "--decomposition", "{}"], 2,
         "decomposition carrier: a dimension must be an integer"),
+    "matrix-carrier-negative": (
+        edited(LINE3_DEC, carrier=-1),
+        ["verify", "--instance", "mat-r", "--arrow", LINE3_ARROW,
+         "--decomposition", "{}"], 2,
+        "decomposition carrier: a dimension must be non-negative, got -1"),
     "matrix-space-bool": (
         edited(LINE3_DEC, 1, space=True),
         ["verify", "--instance", "mat-r", "--arrow", LINE3_ARROW,

@@ -13,6 +13,7 @@ from specat import (
     MAT_NN,
     MAT_R,
     REL,
+    ArrowTypeError,
     LRelation,
     MatrixCategory,
     ParseError,
@@ -404,7 +405,7 @@ class TestPayloadCodecs:
         key = "entries" if isinstance(cat, MatrixCategory) else "values"
         assert cat.describe_arrow(f)[key] == cat.arrow_to_payload(f)
 
-    @pytest.mark.parametrize("cat, payload, src, tgt, message", [
+    @pytest.mark.parametrize("cat, payload, src, tgt, outcome", [
         (MAT_R, [[1.0, 2.0]], 1, 2, "matrix block must be 2x1, got (1, 2)"),
         (MAT_R, [], 3, 2, "matrix block must be 2x3, got (0,)"),
         (MAT_R, [[]], 0, 0, "matrix block must be 0x0, got (1, 0)"),
@@ -421,11 +422,35 @@ class TestPayloadCodecs:
         (RelationCategory(B4), [["a", "b"]], ("x",), ("y",),
          "relation grid row 0 has 2 entries, expected 1"),
         (REL, [[True]], ("x",), ("y",), "unknown lattice element 'True'"),
+        pytest.param(RelationCategory(B4), [["c", "a"], ["a"]], ("x", "w"),
+                     ("y", "z"), "unknown lattice element 'c'",
+                     id="labels-before-row-lengths"),
+        pytest.param(REL, [[1]], ("x",), ("y",), [["1"]], id="number-as-label"),
+        pytest.param(RelationCategory(B4), [[["a"]]], ("x",), ("y",),
+                     ParseError("unknown lattice element \"['a']\""),
+                     id="list-as-label"),
+        pytest.param(RelationCategory(B4), [["a", "b"]], ("x", "x"), ("y",),
+                     ArrowTypeError("carrier labels must be pairwise distinct: "
+                                    "('x', 'x')"),
+                     id="duplicate-carrier-label"),
+        pytest.param(RelationCategory(B4), [], ("x",), (), [], id="no-targets"),
+        pytest.param(RelationCategory(B4), [[], []], (), ("y", "z"), [[], []],
+                     id="no-sources"),
     ])
-    def test_malformed_payload_messages(self, cat, payload, src, tgt, message):
-        with pytest.raises(ParseError) as err:
+    def test_malformed_payload_messages(self, cat, payload, src, tgt, outcome):
+        """A string is the message of the ParseError raised, an exception the
+        one raised, and a list the labels the grid reads as."""
+        if isinstance(outcome, list):
+            got = cat.arrow_from_payload(payload, src, tgt)
+            assert got.values.shape == (len(tgt), len(src))
+            assert cat.arrow_to_payload(got) == outcome
+            return
+        if isinstance(outcome, str):
+            outcome = ParseError(outcome)
+        with pytest.raises(type(outcome)) as err:
             cat.arrow_from_payload(payload, src, tgt)
-        assert str(err.value) == message
+        assert type(err.value) is type(outcome)
+        assert str(err.value) == str(outcome)
 
     def test_matrix_without_rows_reads_from_empty_list(self):
         assert MAT_R.arrow_from_payload([], 3, 0) == MAT_R.zero(3, 0)

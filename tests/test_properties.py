@@ -43,6 +43,7 @@ from ._oracles import (
     lattice_law_violation_slow,
     random_matrix_slow,
     random_relation_slow,
+    relation_from_payload_slow,
     separate_components_slow,
     spell_slow,
 )
@@ -138,6 +139,71 @@ def test_lattice_tables_are_spelled_as_the_cell_loop_spells_them(algebra):
     table = algebra.to_dict()
     assert table["meet"] == spell_slow(algebra, algebra.meet)
     assert table["join"] == spell_slow(algebra, algebra.join)
+
+
+@st.composite
+def relation_payload(draw):
+    """A JSON relation grid over one of the spelled algebras: mostly labels,
+    sometimes mixed with the numbers, bools, nulls, lists and unknown labels
+    that are read through ``str``, with rows of the wrong length now and then
+    and carriers that may repeat a label."""
+    algebra = draw(st.sampled_from(SPELL_ALGEBRAS))
+    cells = st.sampled_from(algebra.elements)
+    if draw(st.booleans()):
+        cells = st.one_of(cells, st.integers(-1, 2),
+                          st.sampled_from([0.0, 1.0, 0.5, -0.0]), st.booleans(),
+                          st.none(), st.lists(st.sampled_from(["a", 1]), max_size=2),
+                          st.sampled_from(["zz", "True", "None"]))
+
+    def carrier() -> tuple:
+        return tuple(draw(st.lists(st.sampled_from("pqrs"), max_size=4,
+                                   unique=draw(st.integers(0, 3)) > 0)))
+
+    def length(n: int) -> int:
+        return max(n + draw(st.sampled_from([0, 0, 0, 0, 0, 0, 1, -1])), 0)
+
+    src, tgt = carrier(), carrier()
+    widths = [length(len(src)) for _ in range(length(len(tgt)))]
+    payload = [draw(st.lists(cells, min_size=w, max_size=w)) for w in widths]
+    return algebra, payload, src, tgt
+
+
+def _read_or_raise(read):
+    try:
+        return read()
+    except Exception as exc:
+        return exc
+
+
+@settings(max_examples=400, deadline=None)
+@given(relation_payload())
+@example((b4(), [[1, "a"], [None, "b"]], ("p", "q"), ("r", "s")))
+@example((b4(), [["a", "b"]], ("p", "p"), ("r",)))
+@example((bool_algebra(), [[["1"]]], ("p",), ("r",)))
+def test_relation_grids_are_read_as_the_cell_loop_reads_them(case):
+    """``arrow_from_payload`` reads every grid to the relation, or the error,
+    of the cell-by-cell reader, without the validating constructor."""
+    algebra, payload, src, tgt = case
+    want = _read_or_raise(
+        lambda: relation_from_payload_slow(algebra, payload, src, tgt))
+    built, init = [], LRelation.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    with mock.patch.object(LRelation, "__init__", counting_init):
+        got = _read_or_raise(
+            lambda: RelationCategory(algebra).arrow_from_payload(payload, src, tgt))
+    assert built == []
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want)
+        return
+    assert (got.source, got.target) == (want.source, want.target)
+    assert got.values.dtype == want.values.dtype
+    assert np.array_equal(got.values, want.values)
+    assert not got.values.flags.writeable and not want.values.flags.writeable
 
 
 @st.composite

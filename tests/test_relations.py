@@ -161,6 +161,12 @@ class TestLRelation:
         with pytest.raises(ArrowTypeError):
             f | g
 
+    def test_labels_are_read_from_one_shot_rows(self):
+        # a label that is not a string sends the reader over the rows again
+        f = LRelation.from_labels(B4, ("x",), ("y", "z"),
+                                  (iter([v]) for v in (1, "a")))
+        assert f == brel(("x",), ("y", "z"), [["1"], ["a"]])
+
     def test_duplicate_carrier_labels_rejected(self):
         with pytest.raises(ArrowTypeError):
             LRelation.zero(B4, ("x", "x"), ("y",))
