@@ -704,6 +704,14 @@ class _GridCategory(SemiadditiveCategory):
       reduces the residuals of cells to the residual of the grid that holds
       them.  Arrows are compared by :meth:`compare_blocks` (``equal`` and
       ``residual`` are its one-block case), padded batches trial by trial.
+
+    A product with a selection is a gather (:meth:`_product`).  ``g`` is a
+    row selection when each of its rows holds at most one non-blank cell
+    and that cell is the unit; then ``g.f`` is ``f``'s rows gathered, a
+    blank row where ``g``'s row is blank.  A column selection ``f`` gathers
+    ``g``'s columns the same way.  The unit is neutral and the blank
+    absorbing, so the gather is the kernel's product cell for cell (for
+    matrices, up to the sign of a zero).
     """
 
     def _blank_grid(self, *shape: int) -> np.ndarray:
@@ -755,6 +763,21 @@ class _GridCategory(SemiadditiveCategory):
         return self._arrow(
             values, f.source if cols is None else self._sub_object(f.source, cols),
             f.target if rows is None else self._sub_object(f.target, rows))
+
+    def _selections(self, obj: Any, positions: list[int]) -> tuple[Any, Arrow, Arrow]:
+        """The object at ``positions`` of ``obj``, the projection onto it and
+        the injection back: the rows and the columns of ``obj``'s identity at
+        ``positions``, laid out as :meth:`restrict` lays them out."""
+        space = self._sub_object(obj, positions)
+
+        def rows() -> np.ndarray:
+            grid = self._blank_grid(len(positions), self._size(obj))
+            grid[np.arange(len(positions)), positions] = self._unit
+            return grid
+
+        # numpy gathers columns into the transpose of a row-major grid
+        return (space, self._arrow(rows(), obj, space),
+                self._arrow(rows().T, space, obj))
 
     # Block operations by concatenation.  Every arrow is admitted before its
     # grid is copied: numpy would cast a foreign arrow's cells silently.
@@ -861,6 +884,58 @@ class _GridCategory(SemiadditiveCategory):
 
     def _batches(self) -> _PaddedBatches:
         return _PaddedBatches(self)
+
+    @staticmethod
+    def _product(g: np.ndarray, f: np.ndarray, blank, unit,
+                 kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+        """The grid of ``g`` after ``f``: a gather when ``g`` is a row
+        selection or ``f`` a column selection, else ``kernel(g, f)``.  A
+        gather is a fresh C-ordered grid of the operands' dtype, as the
+        kernels give; empty grids go to the kernel."""
+        if g.size and f.size:
+            rows = _selected(g, blank, unit)
+            if rows is not None:
+                return _gather(f, rows, 0, blank)
+            cols = _selected(f.T, blank, unit)
+            if cols is not None:
+                return _gather(g, cols, 1, blank)
+        return kernel(g, f)
+
+
+def _selected(grid: np.ndarray, blank, unit) -> np.ndarray | None:
+    """Per row of ``grid``, the column of its one non-blank cell, or -1 for
+    a blank row; None unless every such cell is the unit.  The first row is
+    checked alone, then bands of about ``_BAND_CELLS`` cells, so a dense
+    grid is left after its first row and any other grid that is no
+    selection at the first band that shows it."""
+    first = np.flatnonzero(grid[0] != blank)
+    if len(first) > 1 or (len(first) and grid[0, first[0]] != unit):
+        return None
+    rows, cols = grid.shape
+    where = np.empty(rows, np.intp)
+    band = max(1, _BAND_CELLS // cols)
+    for r0 in range(0, rows, band):
+        part = grid[r0:r0 + band]
+        marked = part != blank
+        count = marked.sum(axis=1)
+        if count.max() > 1:
+            return None
+        at = marked.argmax(axis=1)
+        if not (part[np.arange(len(part)), at][count == 1] == unit).all():
+            return None
+        where[r0:r0 + band] = np.where(count == 1, at, -1)
+    return where
+
+
+def _gather(grid: np.ndarray, lines: np.ndarray, axis: int, blank) -> np.ndarray:
+    """``grid``'s rows (axis 0) or columns (axis 1) at ``lines``, blank
+    where a line is -1, as a fresh C-ordered grid (``np.take`` lays it out
+    so; ``grid[:, lines]`` would come out column-major)."""
+    out = np.take(grid, lines, axis=axis)
+    empty = lines < 0
+    if empty.any():
+        out.swapaxes(0, axis)[empty] = blank
+    return out
 
 
 # A block comparison takes its grids a band of rows of about this many cells

@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import ParseError, SemiadditiveCategory
+from .core import ParseError, SemiadditiveCategory, _GridCategory
 from .functors import LatticeHom
 from .matrices import ScalarDomain, ScalarMatrix, _spell_distinct
 from .relations import (
@@ -323,6 +323,8 @@ def decomposition_from_dict(payload: dict,
     for i, raw in enumerate(raw_blocks, start=1):
         try:
             space = _object(cat, raw["space"], f"decomposition block {i} space")
+            if i == 1:
+                _require_carrier_width(cat, carrier, raw["project"])
             project = cat.arrow_from_payload(raw["project"], carrier, space)
             inject = cat.arrow_from_payload(raw["inject"], space, carrier)
             local = cat.arrow_from_payload(raw["local"], space, space)
@@ -332,6 +334,19 @@ def decomposition_from_dict(payload: dict,
     if not blocks:
         raise ParseError("decomposition needs at least one block")
     return SpectralDecomposition(carrier, tuple(blocks))
+
+
+def _require_carrier_width(cat: SemiadditiveCategory, carrier, project) -> None:
+    """ParseError naming the carrier when the first row of ``project``, block
+    1's projection as read from JSON, is not as wide as the carrier: reading
+    the block would blame the block's shape, and a huge carrier would be
+    spelled out in it."""
+    if (isinstance(cat, _GridCategory) and isinstance(project, list) and project
+            and isinstance(project[0], list)
+            and len(project[0]) != cat._size(carrier)):
+        width = len(project[0])
+        raise ParseError(f"decomposition carrier: block 1's project has {width} "
+                         f"columns, so the carrier must have {width} positions")
 
 
 def decomposition_to_dict(dec: SpectralDecomposition,

@@ -136,7 +136,9 @@ class ScalarMatrix:
             raise ArrowTypeError(
                 f"cannot compose: left has {self.cols} columns, "
                 f"right has {other.rows} rows")
-        return self._checked(self.values @ other.values)
+        return self._checked(MatrixCategory._product(
+            self.values, other.values, MatrixCategory._blank,
+            MatrixCategory._unit, np.matmul))
 
     def __add__(self, other: "ScalarMatrix") -> "ScalarMatrix":
         _check_domains(self.domain, other.domain)

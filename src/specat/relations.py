@@ -512,9 +512,11 @@ class LRelation:
             raise ArrowTypeError(
                 f"cannot compose: middle carriers differ "
                 f"({self.source!r} vs {other.target!r})")
+        algebra = self.algebra
         return LRelation._derived(
-            self.algebra, other.source, self.target,
-            self.algebra._cuts.compose(self.values, other.values))
+            algebra, other.source, self.target,
+            _GridCategory._product(self.values, other.values, algebra.bottom,
+                                   algebra.top, algebra._cuts.compose))
 
     def __or__(self, other: "LRelation") -> "LRelation":
         """Pointwise join of parallel relations."""

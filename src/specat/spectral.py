@@ -372,8 +372,8 @@ def _split_support(cat: SemiadditiveCategory, f: Arrow, support: np.ndarray,
                    labels: tuple) -> tuple[Partition, SpectralDecomposition]:
     """Blocks of an endo-arrow along the components of its symmetrized
     ``support`` mask, whose positions ``labels`` names: selections are
-    sub-arrows of the carrier identity, locals principal sub-arrows of ``f``.
-    An empty carrier gives one block on the zero object."""
+    built from each cell's positions, locals are principal sub-arrows of
+    ``f``.  An empty carrier gives one block on the zero object."""
     carrier = f.source
     if not labels:
         zero = cat.zero(carrier, carrier)
@@ -381,12 +381,10 @@ def _split_support(cat: SemiadditiveCategory, f: Arrow, support: np.ndarray,
                 SpectralDecomposition(carrier, (Block(carrier, zero, zero, zero),),
                                       arrow=f))
     cells = _component_cells(_support_graph(support))
-    ident = cat.identity(carrier)
     blocks = []
     for cell in cells:
-        project = cat.restrict(ident, cell, None)
-        blocks.append(Block(project.target, project, cat.restrict(ident, None, cell),
-                            cat.restrict(f, cell, cell)))
+        space, project, inject = cat._selections(carrier, cell)
+        blocks.append(Block(space, project, inject, cat.restrict(f, cell, cell)))
     partition = Partition(labels, tuple(tuple(labels[i] for i in cell)
                                         for cell in cells))
     return partition, SpectralDecomposition(carrier, tuple(blocks), arrow=f)

@@ -564,6 +564,27 @@ def detect_blocks_slow(f: ScalarMatrix, zero_tol: float | None = None):
     return partition, SpectralDecomposition(n, tuple(blocks), arrow=f)
 
 
+def split_support_by_restrict(cat, f: Arrow, support: np.ndarray, labels: tuple):
+    """``spectral._split_support`` restricting the carrier identity twice
+    per cell, once to the cell's rows and once to its columns."""
+    carrier = f.source
+    if not labels:
+        zero = cat.zero(carrier, carrier)
+        return (Partition((), ()),
+                SpectralDecomposition(carrier, (Block(carrier, zero, zero, zero),),
+                                      arrow=f))
+    cells = _component_cells(_support_graph(support))
+    ident = cat.identity(carrier)
+    blocks = []
+    for cell in cells:
+        project = cat.restrict(ident, cell, None)
+        blocks.append(Block(project.target, project, cat.restrict(ident, None, cell),
+                            cat.restrict(f, cell, cell)))
+    partition = Partition(labels, tuple(tuple(labels[i] for i in cell)
+                                        for cell in cells))
+    return partition, SpectralDecomposition(carrier, tuple(blocks), arrow=f)
+
+
 def verify_decomposition_slow(cat, f: Arrow, dec: SpectralDecomposition,
                               tol=None) -> LawReport:
     """``verify_decomposition`` with one compose or more per block pair

@@ -607,7 +607,8 @@ def edited(payload: dict, block: int | None = None, **fields) -> dict:
 # (payload, argv, exit code, start of the message); JSON of the wrong kind
 # where an object or a lattice is read: int() and tuple() read each of these,
 # and all but the decomposition carrier passed with exit 0; a negative
-# dimension was read too, and failed later naming a block shape
+# dimension was read too, and failed later naming a block shape, as a huge
+# one did, spelling all its digits
 WRONG_KIND = {
     "relation-source-string": (
         relation_json([["0", "0"], ["0", "0"]], "ab") | {"source": "ab"},
@@ -644,6 +645,12 @@ WRONG_KIND = {
         ["verify", "--instance", "mat-r", "--arrow", LINE3_ARROW,
          "--decomposition", "{}"], 2,
         "decomposition carrier: a dimension must be non-negative, got -1"),
+    "matrix-carrier-huge": (
+        edited(LINE3_DEC, carrier=10 ** 30),
+        ["verify", "--instance", "mat-r", "--arrow", LINE3_ARROW,
+         "--decomposition", "{}"], 2,
+        "decomposition carrier: block 1's project has 3 columns, so the "
+        "carrier must have 3 positions"),
     "matrix-space-bool": (
         edited(LINE3_DEC, 1, space=True),
         ["verify", "--instance", "mat-r", "--arrow", LINE3_ARROW,

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specat import (
     MAT_C,
@@ -35,6 +37,7 @@ from specat import (
     verify_quotient,
     walk_matrix,
 )
+from specat.formats import decomposition_to_dict
 from specat.matrices import COMPLEX, REAL
 
 from ._oracles import (
@@ -45,7 +48,9 @@ from ._oracles import (
     refines,
     relation_support_edges,
     set_partitions,
+    split_support_by_restrict,
 )
+from .test_grid import assert_same_arrow
 
 B4 = b4()
 BOOL = bool_algebra()
@@ -713,3 +718,42 @@ class TestVerifyQuotient:
                 assert check.counterexample["lhs"]["entries"] == (
                     quotient.average.values @ shifted.values).tolist()
                 assert check.counterexample["rhs"]["entries"] == [[0.0] * 3] * 2
+
+
+SPLIT_KINDS = (REL, REL_B4, RelationCategory(chain(64)), MAT_R, MAT_C, MAT_NN)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cat=st.sampled_from(SPLIT_KINDS), n=st.integers(0, 9),
+       density=st.sampled_from([0.0, 0.1, 0.3, 1.0]), seed=st.integers(0, 2 ** 16))
+def test_split_selections_are_the_restricted_identity(cat, n, density, seed):
+    """``separate_components`` and ``detect_blocks`` build each block's
+    selections from its cell: they equal the rows and the columns of the
+    restricted carrier identity in values, dtype, strides and endpoints,
+    and the decomposition verifies and serializes as that one does."""
+    rng = np.random.default_rng(seed)
+    nonzero = rng.random((n, n)) < density
+    if cat.exact:
+        labels = tuple(f"v{i}" for i in range(n))
+        cells = np.where(nonzero, rng.integers(0, len(cat.algebra.elements), (n, n)),
+                         cat.algebra.bottom)
+        f = LRelation(cat.algebra, labels, labels, cells)
+        support = f.values != cat.algebra.bottom
+        partition, dec = separate_components(f)
+    else:
+        f = ScalarMatrix(np.where(nonzero, rng.uniform(0.5, 2.0, (n, n)), 0.0),
+                         cat.domain)
+        support = np.abs(f.values) > 1e-9
+        partition, dec = detect_blocks(f)
+        labels = tuple(range(n))
+    want_partition, want = split_support_by_restrict(cat, f, support, labels)
+    assert partition == want_partition
+    assert dec.carrier == want.carrier and len(dec.blocks) == len(want.blocks)
+    for got_block, want_block in zip(dec.blocks, want.blocks):
+        assert got_block.space == want_block.space
+        for name in ("project", "inject", "local"):
+            assert_same_arrow(getattr(got_block, name), getattr(want_block, name),
+                              fresh=False)
+    assert (verify_decomposition(cat, f, dec).to_dict()
+            == verify_decomposition(cat, f, want).to_dict())
+    assert decomposition_to_dict(dec, cat) == decomposition_to_dict(want, cat)

@@ -44,7 +44,7 @@ from specat import (
     separate_components,
     verify_decomposition,
 )
-from specat import core
+from specat import core, relations
 
 from ._oracles import fold_to_binary_slow, verify_decomposition_slow
 from .test_grid import assert_same_arrow, foreign_arrow, foreign_message, obj
@@ -275,6 +275,70 @@ def test_verifier_makes_five_plus_two_composes_per_block(monkeypatch, kind,
     calls.clear()
     verify_decomposition_slow(cat, f, dec)
     assert len(calls) == count * count + 7 * count
+
+
+def count_dense_kernels(monkeypatch) -> list:
+    """Counts every call of the dense product kernels by name: the level
+    cuts' product for relations, ``np.matmul`` for matrices (the level
+    cuts run ``np.matmul`` too)."""
+    calls = []
+    cuts, matmul = relations._LevelCuts.compose, np.matmul
+
+    def counted_cuts(self, g, f):
+        calls.append("cuts")
+        return cuts(self, g, f)
+
+    def counted_matmul(*args, **kwargs):
+        calls.append("matmul")
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(relations._LevelCuts, "compose", counted_cuts)
+    monkeypatch.setattr(np, "matmul", counted_matmul)
+    return calls
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_verifying_a_split_decomposition_runs_no_dense_kernel(monkeypatch, kind,
+                                                              count):
+    """Every product the verifier forms has a selection on one side, so
+    each is a gather; the 5 + 2B composes stay 5 + 2B, failing projections
+    included."""
+    cat = KINDS[kind]
+    f, dec = block_case(cat, count)
+    composes = count_composes(monkeypatch)
+    kernels = count_dense_kernels(monkeypatch)
+    for case, passed in ((dec, True), (failing_projections(cat, dec), False)):
+        composes.clear()
+        assert verify_decomposition(cat, f, case).passed is passed
+        assert len(composes) == 5 + 2 * count
+    assert kernels == []
+
+
+@pytest.mark.parametrize("kind, flaw", [
+    (kind, flaw) for kind in sorted(KINDS) for flaw in ("two units", "other value")
+    if not (kind == "rel" and flaw == "other value")])
+def test_a_near_selection_takes_the_dense_kernel(monkeypatch, kind, flaw):
+    """A projection with a second unit in a row, or a cell that is neither
+    blank nor the unit (2.0 for matrices, ``a`` or another middle element
+    for relations), is no selection: its product runs the kernel once."""
+    cat = KINDS[kind]
+    _, dec = block_case(cat, 2)
+    project = dec.blocks[0].project
+    values = project.values.copy()
+    if flaw == "two units":
+        values[0, :] = cat._unit
+    else:
+        values[values == cat._unit] = 2.0 if not cat.exact else min(
+            set(range(len(cat.algebra.elements))) - {cat._blank, cat._unit})
+    near = cat._arrow(values, project.source, project.target)
+    units = cat._arrow(np.full((4, 3), cat._unit, cat._dtype),
+                       obj(cat, 3, "x"), project.source)
+    kernels = count_dense_kernels(monkeypatch)
+    project @ units
+    assert kernels == []
+    near @ units
+    assert kernels.count("cuts" if cat.exact else "matmul") == 1
 
 
 def block_case(cat, count):
