@@ -47,7 +47,8 @@ from specat import (
 from specat import core, relations
 
 from ._oracles import fold_to_binary_slow, verify_decomposition_slow
-from .test_grid import assert_same_arrow, foreign_arrow, foreign_message, obj
+from .test_grid import (assert_same_arrow, foreign_arrow, foreign_message, obj,
+                        other_value)
 
 KINDS = {
     "rel": RelationCategory(bool_algebra()),
@@ -329,8 +330,7 @@ def test_a_near_selection_takes_the_dense_kernel(monkeypatch, kind, flaw):
     if flaw == "two units":
         values[0, :] = cat._unit
     else:
-        values[values == cat._unit] = 2.0 if not cat.exact else min(
-            set(range(len(cat.algebra.elements))) - {cat._blank, cat._unit})
+        values[values == cat._unit] = other_value(cat)
     near = cat._arrow(values, project.source, project.target)
     units = cat._arrow(np.full((4, 3), cat._unit, cat._dtype),
                        obj(cat, 3, "x"), project.source)
