@@ -159,12 +159,13 @@ def cmd_equitable(args):
     walk = walk_matrix(graph)
     residual = residual_part(walk, quotient)
     report = verify_quotient(quotient, walk, residual, resolve_tolerance(args))
+    # the grids stay arrays: canonical_json spells them from their bits
     payload = {
         "cells": [list(cell) for cell in partition.cells],
-        "degrees": quotient.degrees.tolist(),
-        "reduced": quotient.reduced.values.tolist(),
-        "walk": walk.values.tolist(),
-        "residual": residual.values.tolist(),
+        "degrees": quotient.degrees,
+        "reduced": quotient.reduced.values,
+        "walk": walk.values,
+        "residual": residual.values,
     }
     return report, payload, lambda: formats.partitioned_dot(partition, graph)
 

@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import ParseError, SemiadditiveCategory, _GridCategory
+from .core import _BAND_CELLS, ParseError, SemiadditiveCategory, _GridCategory
 from .functors import LatticeHom
 from .matrices import ScalarDomain, ScalarMatrix, _spell_distinct
 from .relations import (
@@ -42,19 +42,37 @@ def canonical_json(payload: Any) -> str:
     with ``str.join``.  Anything else (tuples, subclasses, other key types,
     unknown objects) goes to the stdlib encoder at the same depth, so its
     text and its exceptions are json's own.
+
+    A numpy array may stand anywhere in ``payload``, and is written as its
+    ``tolist()`` would be.  A non-empty 2-d ``ndarray`` of bools, integers
+    or floats of at most 8 bytes is spelled from its bits, a band of about
+    ``core._BAND_CELLS`` cells at a time, without building the lists; every
+    other array goes through ``tolist()``, so a complex or object array
+    raises json's own error.
     """
     out: list[str] = []
     try:
         _encode(payload, 0, out)
     except RecursionError:
         # too deep or circular: json decides which, with its own exception
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _FALLBACK.encode(payload) + "\n"
     out.append("\n")
     return "".join(out)
 
 
 _INDENT = "  "
-_FALLBACK = json.JSONEncoder(sort_keys=True, indent=2)
+
+
+class _Encoder(json.JSONEncoder):
+    """The stdlib encoder, reading a numpy array as its ``tolist()``."""
+
+    def default(self, o):
+        if isinstance(o, np.ndarray):
+            return o.tolist()
+        return super().default(o)
+
+
+_FALLBACK = _Encoder(sort_keys=True, indent=2)
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -81,8 +99,42 @@ def _encode(obj, level: int, out: list) -> None:
         _encode_list(obj, level, out)
     elif type(obj) is dict and obj and set(map(type, obj)) == {str}:
         _encode_dict(obj, level, out)
+    elif isinstance(obj, np.ndarray):
+        _encode_array(obj, level, out)
     else:
         out.append(_FALLBACK.encode(obj).replace("\n", "\n" + _INDENT * level))
+
+
+def _spell_item(value) -> str:
+    return _SPELL[type(value)](value)
+
+
+def _encode_array(obj: np.ndarray, level: int, out: list) -> None:
+    """``obj.tolist()``'s text.  A 2-d grid whose ``tolist()`` holds bools,
+    ints or floats is spelled from its bits, one band of rows at a time, so
+    no list of the whole grid and no list of all its cells' text is held."""
+    if not (type(obj) is np.ndarray and obj.ndim == 2 and obj.size
+            and obj.dtype.kind in "biuf" and obj.dtype.itemsize <= 8):
+        _encode(obj.tolist(), level, out)
+        return
+    band = max(1, _BAND_CELLS // obj.shape[1])
+    _layout_grid((_spell_distinct(obj[i:i + band], _spell_item)
+                  for i in range(0, len(obj), band)), level, out)
+
+
+def _layout_grid(bands, level: int, out: list) -> None:
+    """A non-empty grid laid out as json's indent lays it out, from bands of
+    rows of spelled cells."""
+    outer = "\n" + _INDENT * level
+    inner = outer + _INDENT
+    row = inner + _INDENT
+    cells = ("," + row).join
+    between = inner + "]," + inner + "[" + row
+    sep = "[" + inner + "[" + row
+    for band in bands:
+        out += (sep, between.join(map(cells, band)))
+        sep = between
+    out.append(inner + "]" + outer + "]")
 
 
 def _spell_rows(rows: list, kinds: set) -> list:
@@ -90,7 +142,7 @@ def _spell_rows(rows: list, kinds: set) -> list:
     distinct value is spelled once: floats are keyed by bit pattern, so
     -0.0 and 0.0 stay apart and every NaN reads ``NaN``."""
     if kinds not in _BULK:
-        return [[_SPELL[type(v)](v) for v in row] for row in rows]
+        return [[_spell_item(v) for v in row] for row in rows]
     (kind,) = kinds
     if kind is float:
         return _spell_distinct(np.array(rows, dtype=np.float64), _floatstr)
@@ -113,10 +165,7 @@ def _encode_list(obj: list, level: int, out: list) -> None:
         leaves = set(map(type, itertools.chain.from_iterable(obj)))
         if leaves <= _SPELL.keys():
             # a rectangular grid of scalars
-            row = inner + _INDENT
-            body = (inner + "]," + inner + "[" + row).join(
-                map(("," + row).join, _spell_rows(obj, leaves)))
-            out += ("[" + inner + "[" + row, body, inner + "]" + outer + "]")
+            _layout_grid([_spell_rows(obj, leaves)], level, out)
             return
     sep = "[" + inner
     for item in obj:

@@ -355,6 +355,18 @@ def canonical_json_slow(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def listed(payload):
+    """``payload`` with every numpy array, inside dicts, lists and tuples at
+    any depth, replaced by its ``tolist()``: what the stdlib encoder reads."""
+    if isinstance(payload, np.ndarray):
+        return payload.tolist()
+    if isinstance(payload, dict):
+        return {key: listed(value) for key, value in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return [listed(value) for value in payload]
+    return payload
+
+
 def matrix_from_payload_slow(payload, complex_: bool) -> np.ndarray:
     """A JSON matrix block read the way text is: each entry through str()."""
     parse = complex if complex_ else float

@@ -6,6 +6,7 @@ import pytest
 
 from specat.cli import main
 
+from ._oracles import canonical_json_slow, listed
 from .conftest import FIXTURES
 
 
@@ -241,6 +242,74 @@ class TestEquitable:
                      "--partition", str(part)])
         assert code == 3
         assert capsys.readouterr().err == f"error: unknown carrier label {label}\n"
+
+
+def _edge_text(edges) -> str:
+    return "".join(f"{u} {v}\n" for u, v in edges)
+
+
+def _equitable_graphs() -> dict:
+    """Edge lists of the fixture graphs and of generated connected graphs,
+    each with a partition to validate or None; a 150-vertex path gives
+    walk and residual grids of more than one band, and its discrete
+    partition degrees and reduced grids of more than one band."""
+    rng = np.random.default_rng(20)
+    graphs = {path.stem: (path.read_text(), None)
+              for path in sorted((FIXTURES / "graphs").glob("*.txt"))}
+    path = _edge_text((i, i + 1) for i in range(149))
+    graphs["path150"] = (path, None)
+    graphs["path150-discrete"] = (path, [[v] for v in range(150)])
+    graphs["cycle12"] = (_edge_text((i, (i + 1) % 12) for i in range(12)), None)
+    graphs["tree40"] = (_edge_text((v, int(rng.integers(v)))
+                                   for v in range(1, 40)), None)
+    graphs["grid5x6"] = (_edge_text(
+        [(6 * r + c, 6 * r + c + 1) for r in range(5) for c in range(5)]
+        + [(6 * r + c, 6 * r + c + 6) for r in range(4) for c in range(6)]),
+        None)
+    tree = [(v, int(rng.integers(v))) for v in range(1, 30)]
+    extra = [tuple(map(int, rng.integers(30, size=2))) for _ in range(25)]
+    graphs["random30"] = (_edge_text(tree + extra), None)
+    return graphs
+
+
+EQUITABLE_GRAPHS = _equitable_graphs()
+
+
+class TestEquitableReportEncoding:
+    @pytest.mark.parametrize("name", sorted(EQUITABLE_GRAPHS))
+    def test_output_is_the_stdlib_encoding_of_the_handler_result(
+            self, capsys, tmp_path, name):
+        """Every format prints what the handler's result gives through the
+        stdlib encoder (json), ``render_text`` or the DOT builder, and the
+        payload's four grids reach the encoder as arrays."""
+        from specat import cli
+
+        edges, cells = EQUITABLE_GRAPHS[name]
+        graph = tmp_path / "g.txt"
+        graph.write_text(edges)
+        argv = ["equitable", "--graph", str(graph)]
+        if cells is not None:
+            part = tmp_path / "p.json"
+            part.write_text(json.dumps({"cells": cells}))
+            argv += ["--partition", str(part)]
+        for fmt in ("json", "text", "dot"):
+            args = cli._parser().parse_args([*argv, "--format", fmt])
+            law_report, payload, dot = cli.cmd_equitable(args)
+            for key in ("degrees", "reduced", "walk", "residual"):
+                assert type(payload[key]) is np.ndarray, key
+            report = {
+                "schema": cli.SCHEMA,
+                "job": cli._job_echo(args),
+                "passed": law_report.passed,
+                "checks": law_report.to_dict()["checks"],
+                "payload": payload,
+                "timing_seconds": None,
+            }
+            want = {"json": lambda: canonical_json_slow(listed(report)),
+                    "text": lambda: cli.render_text(report),
+                    "dot": dot}[fmt]()
+            code, out = run(capsys, *argv, "--format", fmt)
+            assert (code, out) == (0 if law_report.passed else 1, want)
 
 
 class TestLaws:

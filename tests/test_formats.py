@@ -50,6 +50,7 @@ from specat.matrices import _matrix_from_payload, _spell_distinct
 from ._oracles import (
     canonical_json_slow,
     complex_payload_slow,
+    listed,
     load_matrix_csv_slow,
     matrix_from_payload_slow,
 )
@@ -675,3 +676,98 @@ class TestCanonicalJson:
                 payload = [payload]
             assert _outcome(canonical_json, payload) == \
                 _outcome(canonical_json_slow, payload)
+
+
+# numpy arrays in a payload, against the stdlib encoder on their tolist()
+
+_INT64 = np.iinfo(np.int64)
+_ARRAY_VALUES = {
+    np.float64: _FLOATS,
+    np.float32: st.floats(width=32),
+    np.float16: st.floats(width=16),
+    np.int64: st.one_of(st.sampled_from([_INT64.min, _INT64.max, 0, -1]),
+                        st.integers(_INT64.min, _INT64.max)),
+    np.uint8: st.integers(0, 255),
+    np.uint64: st.integers(0, 2**64 - 1),
+    np.bool_: st.booleans(),
+    np.complex128: st.complex_numbers(),
+    object: _SCALARS,
+}
+# 0xk, kx0, 0-d, 1-d and 3-d arrays go through tolist(); the last three are
+# grids of more than one band
+_SHAPES = st.one_of(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.sampled_from([(1, 1), (1, 9), (9, 1), (0, 3), (3, 0), (), (0,), (5,),
+                     (2, 3, 2), (0, 2, 2), (3, 20000), (200, 200), (16385, 1)]))
+
+
+class _Sub(np.ndarray):
+    pass
+
+
+_LAYOUTS = {
+    "C": lambda a: a,
+    "F": np.asfortranarray,
+    "reversed": lambda a: a[::-1] if a.ndim else a,
+    "big-endian": lambda a: a.astype(a.dtype.newbyteorder(">")),
+    "subclass": lambda a: a.view(_Sub),
+}
+
+
+@st.composite
+def _arrays(draw):
+    """An array of one dtype, its cells drawn from a few values."""
+    dtype = draw(st.sampled_from(list(_ARRAY_VALUES)))
+    pool = draw(st.lists(_ARRAY_VALUES[dtype], min_size=1, max_size=5))
+    values = np.empty(len(pool), dtype=dtype)
+    values[:] = pool
+    shape = draw(_SHAPES)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    picks = rng.integers(len(pool), size=math.prod(shape))
+    return _LAYOUTS[draw(st.sampled_from(list(_LAYOUTS)))](
+        values[picks].reshape(shape))
+
+
+_ARRAY_PAYLOADS = st.recursive(
+    st.one_of(_arrays(), _SCALARS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=3),
+        st.dictionaries(st.integers(), inner, max_size=2)),
+    max_leaves=6)
+
+
+class TestCanonicalJsonArrays:
+    @settings(max_examples=250, deadline=None)
+    @given(_ARRAY_PAYLOADS)
+    def test_matches_stdlib_encoder_on_tolist(self, payload):
+        assert _outcome(canonical_json, payload) == \
+            _outcome(canonical_json_slow, listed(payload))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 20000), (200, 200),
+                                       (16384, 1), (16385, 1), (1, 16385)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint8, np.bool_])
+    def test_grids_of_many_bands(self, shape, dtype):
+        specials = {np.float64: [-0.0, 0.0, math.nan, math.inf, -math.inf,
+                                 5e-324, 0.1],
+                    np.int64: [_INT64.min, _INT64.max, 0, 7],
+                    np.uint8: [0, 1, 255], np.bool_: [False, True]}[dtype]
+        rng = np.random.default_rng(math.prod(shape))
+        grid = np.array(specials, dtype=dtype)[
+            rng.integers(len(specials), size=shape)]
+        payload = {"deep": [{"grid": grid}, [grid[:1]]], "grid": grid}
+        assert canonical_json(payload) == canonical_json_slow(listed(payload))
+
+    @pytest.mark.parametrize("grid", [
+        np.array([[1 + 2j, 0j]]),
+        np.array([[object(), 1.0]], dtype=object),
+        np.array([[np.float64(1.0), np.int64(2)]], dtype=object),
+        np.ones((2, 2), dtype=np.longdouble),
+    ], ids=["complex", "object", "numpy-scalars", "longdouble"])
+    def test_same_exceptions(self, grid):
+        for payload in (grid, {"a": [grid]}, (grid,), {1: grid}):
+            assert isinstance(_outcome(canonical_json_slow, listed(payload)),
+                              tuple)
+            assert _outcome(canonical_json, payload) == \
+                _outcome(canonical_json_slow, listed(payload))
