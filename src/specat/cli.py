@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 import time
@@ -56,6 +57,12 @@ SCHEMA = "specat-report/2"
 # 2^26 (k = 75) take about 6 s, chain:512 (input may name it) would take hours
 _MAX_FUNCTOR_PAIRS = 1 << 26
 
+# `laws --max-size`: the samplers build each arrow's cells as a Python list,
+# so an oversized bound exhausts memory before numpy could raise.  At 512,
+# `laws --trials 1` on mat-c, and on rel-l chain:64 with --functor, took at
+# most 9 s and 185 MB over seeds 0-7 (under a 1 GiB address-space limit)
+_MAX_SAMPLE_SIZE = 512
+
 
 def make_category(instance: str, lattice_spec: str | None):
     if instance == "mat-r":
@@ -96,6 +103,16 @@ def resolve_tolerance(args) -> Tolerance:
         abs=args.tol_abs if args.tol_abs is not None else DEFAULT_TOL_ABS,
         rel=args.tol_rel if args.tol_rel is not None else DEFAULT_TOL_REL,
     )
+
+
+def check_tolerances(args) -> None:
+    """ParseError unless each tolerance flag given is finite and non-negative:
+    a NaN tolerance fails every comparison and an infinite one passes all."""
+    for key in ("tol_abs", "tol_rel", "zero_tol"):
+        value = getattr(args, key, None)
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise ParseError(f"--{key.replace('_', '-')} must be finite and "
+                             f"non-negative, got {value}")
 
 
 def resolve_hom(spec: str, lattice_spec: str | None):
@@ -175,6 +192,9 @@ def cmd_laws(args):
         raise ParseError(f"--trials must be at least 1, got {args.trials}")
     if args.max_size is not None and args.max_size < 0:
         raise ParseError(f"--max-size must be non-negative, got {args.max_size}")
+    if args.max_size is not None and args.max_size > _MAX_SAMPLE_SIZE:
+        raise ParseError(f"--max-size must be at most {_MAX_SAMPLE_SIZE}, "
+                         f"got {args.max_size}")
     cat = make_category(args.instance, args.lattice)
     if args.functor:
         hom = resolve_hom(args.functor, args.lattice)
@@ -322,6 +342,7 @@ def main(argv=None) -> int:
     # the handler is looked up per call, not kept by the parser
     handler = globals()["cmd_" + args.subcommand]
     try:
+        check_tolerances(args)
         started = time.perf_counter()
         law_report, payload, dot = handler(args)
         elapsed = time.perf_counter() - started

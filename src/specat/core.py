@@ -693,9 +693,10 @@ class _GridCategory(SemiadditiveCategory):
       if it is no object; ``_size(obj)``: its number of grid positions;
     - ``_carrier(left, right)``: the biproduct carrier, ``left``'s positions
       first; ``_sub_object(obj, positions)``: the object at those positions;
-    - ``_arrow(values, src, tgt)``: the arrow holding the fresh grid
-      ``values``, unchecked; ``_admit(f)``: the per-arrow operations'
-      ArrowTypeError unless ``f`` is an arrow of this instance;
+    - ``_arrow(values, src, tgt)``: the arrow holding the grid ``values``,
+      read-only, and written by nothing, unchecked; ``_admit(f)``: the
+      per-arrow operations' ArrowTypeError unless ``f`` is an arrow of this
+      instance;
     - cell kernels on grids with the same leading batch axes, if any:
       ``_compose_cells(g, f)`` and ``_add_cells(f, g)``;
     - comparison cell by cell, on arrays that broadcast: whether cells are
@@ -767,17 +768,13 @@ class _GridCategory(SemiadditiveCategory):
     def _selections(self, obj: Any, positions: list[int]) -> tuple[Any, Arrow, Arrow]:
         """The object at ``positions`` of ``obj``, the projection onto it and
         the injection back: the rows and the columns of ``obj``'s identity at
-        ``positions``, laid out as :meth:`restrict` lays them out."""
+        ``positions``, laid out as :meth:`restrict` lays them out.  Both
+        arrows hold one grid: the injection's is the projection's ``.T``."""
         space = self._sub_object(obj, positions)
-
-        def rows() -> np.ndarray:
-            grid = self._blank_grid(len(positions), self._size(obj))
-            grid[np.arange(len(positions)), positions] = self._unit
-            return grid
-
+        grid = self._blank_grid(len(positions), self._size(obj))
+        grid[np.arange(len(positions)), positions] = self._unit
         # numpy gathers columns into the transpose of a row-major grid
-        return (space, self._arrow(rows(), obj, space),
-                self._arrow(rows().T, space, obj))
+        return space, self._arrow(grid, obj, space), self._arrow(grid.T, space, obj)
 
     # Block operations by concatenation.  Every arrow is admitted before its
     # grid is copied: numpy would cast a foreign arrow's cells silently.

@@ -110,7 +110,8 @@ class ScalarMatrix:
     def _derived(cls, values: np.ndarray, domain: ScalarDomain) -> "ScalarMatrix":
         """A matrix built by the package itself, skipping the copy and checks.
 
-        ``values`` must be a fresh 2-d array of the domain's dtype whose
+        ``values`` must be a 2-d array of the domain's dtype, read-only, and
+        written by nothing (it may be a view another arrow holds), whose
         entries the domain accepts; callers that combine entries arithmetically
         run ``domain.validate`` first, since finite entries can overflow.
         """

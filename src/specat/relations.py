@@ -459,7 +459,8 @@ class LRelation:
         """A relation built by the package itself, skipping the checks.
 
         The carriers must already be checked and ``values`` must be an int16
-        grid of in-range elements that nothing else writes to.
+        grid of in-range elements, read-only, and written by nothing (it may
+        be a view another arrow holds).
         """
         rel = cls.__new__(cls)
         rel.algebra, rel.source, rel.target = algebra, source, target

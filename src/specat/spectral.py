@@ -134,9 +134,11 @@ def verify_decomposition(cat: SemiadditiveCategory, f: Arrow,
     of the locals: (a) and (b) read P.I = id, (c) I.P = id, (d) I.(L.P) = f,
     and the intertwining P.f = L.P and f.I = I.L.  Those five products are
     one compose each; L.P and I.L are formed block by block, so B blocks
-    take 5 + 2B composes.  Each product is compared with its right-hand
-    side once, by ``LawTally.check_blocks``, and is dropped before the next
-    product is formed.  The report holds one entry per block, 3B + 2 of
+    take 5 + 2B composes.  P and I are built once per call; P is dropped
+    after P.f, its last use, so f.I is formed with I the one stacked grid
+    alive.  Each product is compared with its right-hand side once, by
+    ``LawTally.check_blocks``, and is dropped before the next product is
+    formed.  The report holds one entry per block, 3B + 2 of
     them: retract[i], row band i of P.I, which is (a) and (b) for block i;
     c; d; then intertwine_project[i], row band i of P.f, and
     intertwine_inject[i], column band i of f.I.
@@ -153,26 +155,21 @@ def verify_decomposition(cat: SemiadditiveCategory, f: Arrow,
     whole = [dec.carrier]
     numbers = range(1, len(blocks) + 1)
 
-    # P and I are stacked anew for each product rather than held
-    def stacked():
-        return cat.stack([b.project for b in blocks])
-
-    def costacked():
-        return cat.costack([b.inject for b in blocks])
-
-    retract = cat.compose(stacked(), costacked())
+    project = cat.stack([b.project for b in blocks])
+    inject = cat.costack([b.inject for b in blocks])
+    retract = cat.compose(project, inject)
     tally.check_blocks([f"retract[{i}]" for i in numbers], retract,
                        cat.identity(retract.target), spaces, [retract.source])
     del retract
-    tally.check_blocks(["c"], cat.compose(costacked(), stacked()),
+    tally.check_blocks(["c"], cat.compose(inject, project),
                        cat.identity(dec.carrier), whole, whole)
     local_project = cat.stack([cat.compose(b.local, b.project) for b in blocks])
-    tally.check_blocks(["d"], cat.compose(costacked(), local_project), f, whole, whole)
+    tally.check_blocks(["d"], cat.compose(inject, local_project), f, whole, whole)
     tally.check_blocks([f"intertwine_project[{i}]" for i in numbers],
-                       cat.compose(stacked(), f), local_project, spaces, whole)
-    del local_project
+                       cat.compose(project, f), local_project, spaces, whole)
+    del project, local_project
     tally.check_blocks([f"intertwine_inject[{i}]" for i in numbers],
-                       cat.compose(f, costacked()),
+                       cat.compose(f, inject),
                        cat.costack([cat.compose(b.inject, b.local) for b in blocks]),
                        whole, spaces)
     return tally.report()

@@ -407,6 +407,7 @@ class TestLaws:
 
     @pytest.mark.parametrize("flag,value", [
         ("--max-size", "-2"), ("--max-size", "-1"),
+        ("--max-size", "513"), ("--max-size", "100000"),
         ("--trials", "0"), ("--trials", "-5")])
     def test_out_of_range_bounds_exit_2_naming_the_flag(self, capsys, flag,
                                                          value):
@@ -415,6 +416,23 @@ class TestLaws:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith(f"error: {flag} must be")
+
+    @pytest.mark.parametrize("instance", [
+        ["mat-c"],
+        ["rel-l", "--lattice", "builtin:chain:64", "--functor", "builtin:identity"]])
+    def test_an_oversized_max_size_is_refused_before_drawing(self, capsys,
+                                                             monkeypatch, instance):
+        # the samplers build an arrow's cells as a Python list, past numpy's
+        # allocation checks, so the bound is checked before the first draw
+        from specat import matrices, relations
+
+        for sampler in (matrices.MatrixSampler, relations.RelationSampler):
+            monkeypatch.setattr(sampler, "random_object", None)
+        code = main(["laws", "--instance", *instance, "--max-size", "100000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --max-size must be at most 512, got 100000\n"
 
     @pytest.mark.parametrize("max_size", [0, 1, 2])
     @pytest.mark.parametrize("instance", [
@@ -769,6 +787,51 @@ def test_wrong_kind_json_is_refused_naming_what_was_read(capsys, tmp_path,
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
     assert "Traceback" not in captured.err
+
+
+TOLERANCE_JOBS = {
+    "verify": ["verify", "--instance", "mat-r", "--arrow", LINE3_ARROW,
+               "--decomposition", str(FIXTURES / "decomps" / "line3_dec.json")],
+    "separate": ["separate", "--instance", "mat-r", "--arrow", LINE3_ARROW],
+    "equitable": ["equitable", "--graph", str(FIXTURES / "graphs" / "path3.txt")],
+    "laws": ["laws", "--instance", "rel", "--trials", "2"],
+    "functor": ["functor", "--lattice", "builtin:b4", "--hom", "builtin:upper:a",
+                "--arrow", DIAG2_ARROW, "--decomposition", DIAG2_DEC],
+}
+
+
+@pytest.mark.parametrize("job,flag,value", [
+    *[(job, "--tol-abs", value) for job, value in
+      zip(TOLERANCE_JOBS, ("-1", "nan", "inf", "-inf", "-1e-300"))],
+    *[(job, "--tol-rel", value) for job, value in
+      zip(TOLERANCE_JOBS, ("nan", "-1", "-inf", "inf", "NaN"))],
+    ("separate", "--zero-tol", "nan"), ("separate", "--zero-tol", "-0.5"),
+    ("separate", "--zero-tol", "inf")])
+def test_tolerance_flags_must_be_finite_and_non_negative(capsys, job, flag,
+                                                         value):
+    """A NaN tolerance fails every comparison (and splits a matrix into
+    singletons), a negative one fails exact agreement and an infinite one
+    passes anything: each exits 2 naming the flag.  argparse reads ``-inf``
+    as an option unless it is joined to its flag."""
+    code = main([*TOLERANCE_JOBS[job], f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: {flag} must be finite and non-negative, "
+                            f"got {float(value)}\n")
+
+
+@pytest.mark.parametrize("job", sorted(TOLERANCE_JOBS))
+@pytest.mark.parametrize("value", ["0", "-0", "1e-300", "1e300"])
+def test_finite_non_negative_tolerances_are_accepted(capsys, job, value):
+    flags = ["--tol-abs", value, "--tol-rel", value]
+    if job == "separate":
+        flags += ["--zero-tol", value]
+    code = main([*TOLERANCE_JOBS[job], *flags])
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    assert captured.err == ""
+    assert json.loads(captured.out)["job"]["tol_abs"] == float(value)
 
 
 def test_a_parser_built_once_prints_what_fresh_parsers_print(capsys):

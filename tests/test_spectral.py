@@ -730,7 +730,8 @@ def test_split_selections_are_the_restricted_identity(cat, n, density, seed):
     """``separate_components`` and ``detect_blocks`` build each block's
     selections from its cell: they equal the rows and the columns of the
     restricted carrier identity in values, dtype, strides and endpoints,
-    and the decomposition verifies and serializes as that one does."""
+    each injection's grid is its projection's ``.T`` view, and the
+    decomposition verifies and serializes as that one does."""
     rng = np.random.default_rng(seed)
     nonzero = rng.random((n, n)) < density
     if cat.exact:
@@ -754,6 +755,10 @@ def test_split_selections_are_the_restricted_identity(cat, n, density, seed):
         for name in ("project", "inject", "local"):
             assert_same_arrow(getattr(got_block, name), getattr(want_block, name),
                               fresh=False)
+        if n:  # an empty carrier's one block holds a single zero arrow
+            project, inject = got_block.project.values, got_block.inject.values
+            assert np.shares_memory(inject, project)
+            assert inject.strides == project.T.strides
     assert (verify_decomposition(cat, f, dec).to_dict()
             == verify_decomposition(cat, f, want).to_dict())
     assert decomposition_to_dict(dec, cat) == decomposition_to_dict(want, cat)

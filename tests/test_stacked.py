@@ -278,6 +278,27 @@ def test_verifier_makes_five_plus_two_composes_per_block(monkeypatch, kind,
     assert len(calls) == count * count + 7 * count
 
 
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_verifier_builds_p_and_i_once(monkeypatch, kind, count):
+    """One verify stacks twice, P and then L.P, and costacks twice, I and
+    then I.L, whether blocks pass or fail."""
+    cat = KINDS[kind]
+    cls = type(cat)
+    f, dec = block_case(cat, count)
+    calls = []
+    for name in ("stack", "costack"):
+        def counted(self, arrows, name=name, method=getattr(cls, name)):
+            calls.append(name)
+            return method(self, arrows)
+
+        monkeypatch.setattr(cls, name, counted)
+    for case, passed in ((dec, True), (failing_projections(cat, dec), False)):
+        calls.clear()
+        assert verify_decomposition(cat, f, case).passed is passed
+        assert calls == ["stack", "costack", "stack", "costack"]
+
+
 def count_dense_kernels(monkeypatch) -> list:
     """Counts every call of the dense product kernels by name: the level
     cuts' product for relations, ``np.matmul`` for matrices (the level
@@ -421,7 +442,8 @@ def test_verifier_drops_every_product_before_forming_the_last(monkeypatch,
     """P.I, I.P, L.P, I.(L.P) and P.f are all freed by the time f.I is
     composed, whether blocks pass or fail (zero projections fail a, c and
     d; zero locals fail d and the intertwining): a failing block is
-    described when its product is compared, not kept for later."""
+    described when its product is compared, not kept for later.  Of the
+    stacked grids, P, I and L.P, only I is still alive then."""
     cat = KINDS[kind]
     cls = type(cat)
     compose, stack, costack = cls.compose, cls.stack, cls.costack
@@ -444,7 +466,9 @@ def test_verifier_drops_every_product_before_forming_the_last(monkeypatch,
         def tracked_compose(self, g, h):
             if g is f:  # f.I
                 at_last.append((len(products),
-                                sum(ref() is not None for ref in products)))
+                                sum(ref() is not None for ref in products),
+                                [ref() is h.values for ref in stacked
+                                 if ref() is not None]))
             out = compose(self, g, h)
             if h is f or any(ref() is v for ref in stacked
                              for v in (g.values, h.values)):
@@ -458,7 +482,7 @@ def test_verifier_drops_every_product_before_forming_the_last(monkeypatch,
         report = verify_decomposition(cat, f, case)
         monkeypatch.undo()
         assert report.passed is (case is dec)
-        assert at_last == [(5, 0)]
+        assert at_last == [(5, 0, [True])] and len(stacked) == 4
 
 
 # ---------------------------------------------------------------------------
