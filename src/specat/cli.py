@@ -149,6 +149,8 @@ def cmd_verify(args):
 
 def cmd_separate(args):
     cat = make_category(args.instance, args.lattice)
+    if not isinstance(cat, MatrixCategory) and args.zero_tol is not None:
+        raise ParseError("--zero-tol applies only to matrix instances")
     arrow = load_arrow(cat, args.arrow)
     if isinstance(cat, MatrixCategory):
         zero_tol = args.zero_tol if args.zero_tol is not None else DEFAULT_TOL_ABS

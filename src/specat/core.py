@@ -226,13 +226,15 @@ class SemiadditiveCategory(ABC):
 
     @abstractmethod
     def describe_arrow(self, f: Arrow) -> dict:
-        """JSON-safe payload from which the arrow can be rebuilt."""
+        """Payload from which the arrow can be rebuilt, as
+        ``formats.canonical_json`` encodes it: lists, or numpy grids."""
 
     @abstractmethod
     def describe_object(self, obj: Any) -> Any: ...
 
     def arrow_to_payload(self, f: Arrow) -> Any:
-        """JSON-safe entries of ``f``, as decoded by :meth:`arrow_from_payload`."""
+        """Entries of ``f`` that ``formats.canonical_json`` encodes, as
+        decoded by :meth:`arrow_from_payload`, also from their JSON text."""
         raise ParseError(f"cannot encode arrows for instance {self.name!r}")
 
     def arrow_from_payload(self, payload: Any, src: Any, tgt: Any) -> Arrow:

@@ -48,7 +48,8 @@ def canonical_json(payload: Any) -> str:
     or floats of at most 8 bytes is spelled from its bits, a band of about
     ``core._BAND_CELLS`` cells at a time, without building the lists; every
     other array goes through ``tolist()``, so a complex or object array
-    raises json's own error.
+    raises json's own error.  Real and non-negative matrix payloads, and
+    the equitable report's grids, arrive as such float arrays.
     """
     out: list[str] = []
     try:

@@ -204,8 +204,11 @@ def monomial_inverse(m: ScalarMatrix) -> ScalarMatrix:
 
 
 def _matrix_from_payload(payload, domain: ScalarDomain) -> np.ndarray:
-    """JSON numbers convert straight to the domain's dtype; anything else
-    (strings, bools, nulls) is read as text, so bools stay rejected."""
+    """JSON numbers, and an integer or float array, convert straight to the
+    domain's dtype; anything else (strings, bools, nulls, and arrays of
+    them) is read as text, so bools stay rejected."""
+    if isinstance(payload, np.ndarray) and payload.dtype.kind in "iuf":
+        return np.array(payload, dtype=domain.dtype)
     if set(map(type, itertools.chain.from_iterable(payload))) <= {int, float}:
         try:
             return np.array(payload, dtype=domain.dtype)
@@ -295,13 +298,19 @@ class MatrixCategory(_GridCategory):
     # bound in the class body, so a traced run times each instance's own
     equal = _GridCategory.equal
 
-    def arrow_to_payload(self, f: ScalarMatrix) -> list:
-        # adding 0 turns -0.0 into 0.0 and leaves every other value alone:
-        # BLAS kernels differ in the sign they give an exact zero
+    def arrow_to_payload(self, f: ScalarMatrix) -> np.ndarray | list:
+        """A fresh float64 copy of a real or non-negative grid, which
+        ``formats.canonical_json`` spells from its bits with the bytes of its
+        ``tolist()``; a complex grid as rows of ``str`` of its entries.
+
+        Adding 0 turns -0.0 into 0.0 and leaves every other value alone:
+        BLAS kernels differ in the sign they give an exact zero, and a
+        report spells no signed zero.
+        """
         values = f.values + 0
         if self.domain.is_complex or np.iscomplexobj(values):
             return _spell_distinct(values, str)
-        return values.tolist()
+        return values
 
     def arrow_from_payload(self, payload, src: int, tgt: int) -> ScalarMatrix:
         arr = _matrix_from_payload(payload, self.domain)
@@ -313,6 +322,7 @@ class MatrixCategory(_GridCategory):
         return ScalarMatrix(arr, self.domain)
 
     def describe_arrow(self, f: ScalarMatrix) -> dict:
+        """Shape and entries; the entries are :meth:`arrow_to_payload`'s."""
         return {"rows": f.rows, "cols": f.cols, "entries": self.arrow_to_payload(f)}
 
     def describe_object(self, obj: int) -> int:

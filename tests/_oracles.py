@@ -400,6 +400,16 @@ def complex_payload_slow(values: np.ndarray) -> list[list[str]]:
     return [[str(v) for v in row] for row in values.tolist()]
 
 
+def matrix_payload_slow(cat, f: ScalarMatrix) -> list:
+    """A matrix arrow's report entries as lists: the grid plus 0, so that
+    no zero keeps its sign, through ``tolist()``, or for complex entries
+    each through ``str``."""
+    values = f.values + 0
+    if cat.domain.is_complex or np.iscomplexobj(values):
+        return complex_payload_slow(values)
+    return values.tolist()
+
+
 def random_relation_slow(sampler, rng, src, tgt) -> LRelation:
     """A sampled relation drawn cell by cell with ``rng.randrange``."""
     algebra = sampler.algebra

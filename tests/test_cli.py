@@ -834,6 +834,21 @@ def test_finite_non_negative_tolerances_are_accepted(capsys, job, value):
     assert json.loads(captured.out)["job"]["tol_abs"] == float(value)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--instance", "rel-l", "--lattice", "builtin:b4", "--arrow", DIAG2_ARROW,
+     "--zero-tol", "5"],
+    ["--instance", "rel", "--arrow", "no-such-arrow.json", "--zero-tol", "0"],
+], ids=["rel-l", "before-the-arrow-is-read"])
+def test_zero_tol_is_refused_on_relation_instances(capsys, argv):
+    """A relation's support is its non-bottom cells, so no threshold applies:
+    the flag was echoed in the job and ignored."""
+    code = main(["separate", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --zero-tol applies only to matrix instances\n"
+
+
 def test_a_parser_built_once_prints_what_fresh_parsers_print(capsys):
     """Consecutive calls share one parser; each prints the bytes and returns
     the code that a call with a parser of its own does, an argparse error

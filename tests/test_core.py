@@ -33,6 +33,7 @@ from specat import (
     sum_via_biproduct,
 )
 
+from ._oracles import listed
 from .test_grid import CASES, TOLERANCES, moved_cells, obj, oracle_for, random_cells
 
 B4 = b4()
@@ -52,8 +53,8 @@ class TestZeroObject:
         report = check_zero_object(MAT_R, 1)
         assert not report.passed
         (failure,) = report.failures()
-        assert failure.counterexample["identity"]["entries"] == [[1.0]]
-        assert failure.counterexample["zero"]["entries"] == [[0.0]]
+        assert listed(failure.counterexample["identity"]["entries"]) == [[1.0]]
+        assert listed(failure.counterexample["zero"]["entries"]) == [[0.0]]
 
     def test_report_names_the_identity_and_the_zero_arrow(self):
         cell = {"source": ["x"], "target": ["x"]}
@@ -75,7 +76,8 @@ class TestBiproductAxioms:
         assert "a" in failed
         # doubling the injection doubles the retract
         a_check = next(c for c in report.checks if c.law == "a")
-        assert a_check.counterexample["lhs"]["entries"] == [[2.0, 0.0], [0.0, 2.0]]
+        assert (listed(a_check.counterexample["lhs"]["entries"])
+                == [[2.0, 0.0], [0.0, 2.0]])
         assert set(a_check.counterexample) == {"lhs", "rhs"}
         assert [c.law for c in report.checks] == ["a", "b", "c", "d", "e"]
 
@@ -364,7 +366,7 @@ def test_tally_and_zero_object_match_the_per_instance_comparisons(cat, sizes, to
         want.check_batch(law, np.array([oracle.residual(a, b)]),
                          lambda i: want.counterexample(inputs, a, b),
                          np.array([oracle.equal(a, b, tol)]))
-    assert got.report().to_dict() == want.report().to_dict()
+    assert listed(got.report().to_dict()) == listed(want.report().to_dict())
 
     for x, _, _ in draws:
         zero, ident = cat.zero(x, x), cat.identity(x)
@@ -374,5 +376,5 @@ def test_tally_and_zero_object_match_the_per_instance_comparisons(cat, sizes, to
             lambda i: {"identity": cat.describe_arrow(ident),
                        "zero": cat.describe_arrow(zero)},
             np.array([oracle.equal(zero, ident, tol)]))
-        assert (check_zero_object(cat, x, tol).to_dict()
-                == expected.report().to_dict())
+        assert (listed(check_zero_object(cat, x, tol).to_dict())
+                == listed(expected.report().to_dict()))

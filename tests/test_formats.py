@@ -14,6 +14,7 @@ from specat import (
     MAT_R,
     REL,
     ArrowTypeError,
+    Block,
     LRelation,
     MatrixCategory,
     ParseError,
@@ -21,6 +22,7 @@ from specat import (
     RelationCategory,
     ScalarDomain,
     ScalarMatrix,
+    SpectralDecomposition,
     b4,
     bool_algebra,
     chain,
@@ -53,6 +55,7 @@ from ._oracles import (
     listed,
     load_matrix_csv_slow,
     matrix_from_payload_slow,
+    matrix_payload_slow,
 )
 from .test_spectral import path3_decomposition
 
@@ -251,7 +254,7 @@ class TestSpellDistinct:
         f = ScalarMatrix(values, cat.domain)
         spell = (lambda v: v) if cat.domain.is_complex else repr
         for entries in (cat.arrow_to_payload(f), cat.describe_arrow(f)["entries"]):
-            assert [[spell(v) for v in row] for row in entries] == want
+            assert [[spell(v) for v in row] for row in listed(entries)] == want
         assert "-0" not in canonical_json(cat.arrow_to_payload(f))
         assert math.copysign(1.0, f.values.real[0, 0]) == -1.0
 
@@ -404,7 +407,8 @@ class TestPayloadCodecs:
         assert again == f
         assert again.values.dtype == f.values.dtype
         key = "entries" if isinstance(cat, MatrixCategory) else "values"
-        assert cat.describe_arrow(f)[key] == cat.arrow_to_payload(f)
+        assert (listed(cat.describe_arrow(f)[key])
+                == listed(cat.arrow_to_payload(f)))
 
     @pytest.mark.parametrize("cat, payload, src, tgt, outcome", [
         (MAT_R, [[1.0, 2.0]], 1, 2, "matrix block must be 2x1, got (1, 2)"),
@@ -455,6 +459,180 @@ class TestPayloadCodecs:
 
     def test_matrix_without_rows_reads_from_empty_list(self):
         assert MAT_R.arrow_from_payload([], 3, 0) == MAT_R.zero(3, 0)
+
+
+# matrix payloads as arrays, against the lists they replaced
+
+MATRIX_INSTANCES = (MAT_R, MAT_NN, MAT_C)
+_PAYLOAD_PARTS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -3.0,
+                     0.5, 2.0**53]),
+    st.integers(-2**53, 2**53).map(float),
+    st.floats(allow_nan=False, allow_infinity=False))
+# 0xk and kx0 grids among the rest
+_PAYLOAD_SHAPES = st.one_of(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.sampled_from([(0, 3), (3, 0), (0, 0), (1, 9), (9, 1)]))
+
+
+@st.composite
+def _payload_grid(draw, cat, shape):
+    """A grid ``cat`` accepts, of few distinct values: -0.0 stays -0.0 in
+    the non-negative domain, every other value is made non-negative."""
+    pool = draw(st.lists(_PAYLOAD_PARTS, min_size=1, max_size=5))
+    if cat.domain.nonnegative:
+        pool = [v if v == 0 else abs(v) for v in pool]
+    if cat.domain.is_complex:
+        pool = [complex(v, draw(st.sampled_from(pool))) for v in pool]
+    cells = [draw(st.sampled_from(pool)) for _ in range(math.prod(shape))]
+    return np.array(cells, dtype=cat.domain.dtype).reshape(shape)
+
+
+@st.composite
+def _matrix_arrows(draw, cat=None, shape=None):
+    """An arrow of a matrix instance whose grid is C- or F-ordered."""
+    cat = cat or draw(st.sampled_from(MATRIX_INSTANCES))
+    values = draw(_payload_grid(cat, shape or draw(_PAYLOAD_SHAPES)))
+    if draw(st.booleans()):
+        values = np.asfortranarray(values)
+    return cat, ScalarMatrix(values, cat.domain)
+
+
+@st.composite
+def _matrix_decompositions(draw):
+    """A one- or two-block decomposition of grids drawn as above."""
+    cat = draw(st.sampled_from(MATRIX_INSTANCES))
+    carrier = draw(st.integers(0, 4))
+    blocks = []
+    for space in draw(st.lists(st.integers(0, 3), min_size=1, max_size=2)):
+        arrows = [draw(_matrix_arrows(cat, shape))[1] for shape in
+                  ((space, carrier), (carrier, space), (space, space))]
+        blocks.append(Block(space, *arrows))
+    return cat, SpectralDecomposition(carrier, tuple(blocks))
+
+
+def _bits(grid):
+    """The bits, dtype and shape of an array or of an arrow's grid."""
+    values = getattr(grid, "values", grid)
+    return values.tobytes(), values.dtype, values.shape
+
+
+def _read_outcome(read, *args):
+    """The bits, dtype and shape read, or the type and text of the error."""
+    try:
+        return _bits(read(*args))
+    except Exception as exc:  # the exception must match as well
+        return type(exc), str(exc)
+
+
+def _decomposition_outcome(payload, cat):
+    try:
+        dec = decomposition_from_dict(payload, cat)
+    except Exception as exc:  # the exception must match as well
+        return type(exc), str(exc)
+    return dec.carrier, [(b.space, _bits(b.project), _bits(b.inject),
+                          _bits(b.local)) for b in dec.blocks]
+
+
+class TestMatrixPayloadArrays:
+    @settings(max_examples=300, deadline=None)
+    @given(_matrix_arrows())
+    def test_payloads_encode_as_the_lists_they_replace(self, case):
+        cat, f = case
+        slow = matrix_payload_slow(cat, f)
+        assert canonical_json(cat.arrow_to_payload(f)) == canonical_json_slow(slow)
+        assert canonical_json(cat.describe_arrow(f)) == canonical_json_slow(
+            {"rows": f.rows, "cols": f.cols, "entries": slow})
+
+    @settings(max_examples=150, deadline=None)
+    @given(_matrix_decompositions())
+    def test_decompositions_encode_as_the_lists_they_replace(self, case):
+        cat, dec = case
+        slow = {"carrier": dec.carrier, "blocks": [
+            {"space": b.space, "project": matrix_payload_slow(cat, b.project),
+             "inject": matrix_payload_slow(cat, b.inject),
+             "local": matrix_payload_slow(cat, b.local)} for b in dec.blocks]}
+        assert (canonical_json(decomposition_to_dict(dec, cat))
+                == canonical_json_slow(slow))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_matrix_arrows())
+    def test_real_payloads_are_fresh_arrays_and_complex_ones_text(self, case):
+        cat, f = case
+        for payload in (cat.arrow_to_payload(f), cat.describe_arrow(f)["entries"]):
+            if cat.domain.is_complex:
+                assert type(payload) is list
+                assert all(type(row) is list for row in payload)
+                assert all(type(v) is str for row in payload for v in row)
+                continue
+            assert type(payload) is np.ndarray
+            assert payload.dtype == np.float64 and payload.shape == f.values.shape
+            assert not np.shares_memory(payload, f.values)
+            assert not np.signbit(payload[payload == 0]).any()
+            assert np.array_equal(payload, f.values)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_matrix_decompositions())
+    def test_decompositions_round_trip_in_both_forms(self, case):
+        cat, dec = case
+        payload = decomposition_to_dict(dec, cat)
+        got = _decomposition_outcome(payload, cat)
+        assert got == _decomposition_outcome(listed(payload), cat)
+        want = [(b.space, _bits(b.project.values + 0), _bits(b.inject.values + 0),
+                 _bits(b.local.values + 0)) for b in dec.blocks]
+        assert got == (dec.carrier, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(MATRIX_INSTANCES), _PAYLOAD_SHAPES,
+           st.sampled_from([np.float64, np.int64, np.uint64]), st.data())
+    def test_array_payloads_read_as_their_lists(self, cat, shape, dtype, data):
+        if dtype is np.float64:
+            grid = data.draw(_payload_grid(MAT_NN if cat.domain.nonnegative
+                                           else MAT_R, shape))
+        else:
+            info = np.iinfo(dtype)
+            cells = data.draw(st.lists(
+                st.one_of(st.sampled_from([info.min, info.max, 0, 1]),
+                          st.integers(info.min, info.max)),
+                min_size=math.prod(shape), max_size=math.prod(shape)))
+            grid = np.array(cells, dtype=dtype).reshape(shape)
+        if data.draw(st.booleans()):
+            grid = np.asfortranarray(grid)
+        rows, cols = shape
+        assert (_read_outcome(cat.arrow_from_payload, grid, cols, rows)
+                == _read_outcome(cat.arrow_from_payload, listed(grid), cols, rows))
+        got = _matrix_from_payload(grid, cat.domain)
+        want = matrix_from_payload_slow(grid, cat.domain.is_complex)
+        assert got.dtype == want.dtype and got.shape == grid.shape
+        assert got.tobytes() == want.reshape(grid.shape).tobytes()
+        assert not np.shares_memory(got, grid)
+        blocks = {"carrier": cols, "blocks": [
+            {"space": rows, "project": grid, "inject": grid.T,
+             "local": np.zeros((rows, rows), dtype)}]}
+        assert (_decomposition_outcome(blocks, cat)
+                == _decomposition_outcome(listed(blocks), cat))
+
+    @pytest.mark.parametrize("cat", MATRIX_INSTANCES)
+    @pytest.mark.parametrize("grid, message", [
+        (np.array([[True, False]]), "bad {} entry 'True'"),
+        (np.array([[False]]), "bad {} entry 'False'"),
+        (np.array([["1.5", "x"]]), "bad {} entry 'x'"),
+        (np.array([[1.0, None]], dtype=object), "bad {} entry 'None'"),
+        (np.array([[10**400]], dtype=object),
+         "{} entry out of range: int too large to convert to float"),
+        (np.array([["2.5", "-0"]]), None),
+        (np.array([[0.5, 2]], dtype=object), None),
+    ], ids=["bool", "false", "str", "object-none", "object-huge", "str-numbers",
+            "object-numbers"])
+    def test_other_arrays_read_as_text_like_their_lists(self, cat, grid, message):
+        """Bool, string and object arrays keep the text path: they read as
+        their lists read, and bools stay rejected."""
+        rows, cols = grid.shape
+        got = _read_outcome(cat.arrow_from_payload, grid, cols, rows)
+        assert got == _read_outcome(cat.arrow_from_payload, grid.tolist(), cols,
+                                    rows)
+        if message is not None:
+            assert got == (ParseError, message.format(cat.domain.name))
 
 
 class TestGraphAndPartition:

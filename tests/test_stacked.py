@@ -46,7 +46,7 @@ from specat import (
 )
 from specat import core, relations
 
-from ._oracles import fold_to_binary_slow, verify_decomposition_slow
+from ._oracles import fold_to_binary_slow, listed, verify_decomposition_slow
 from .test_grid import (assert_same_arrow, foreign_arrow, foreign_message, obj,
                         other_value)
 
@@ -188,7 +188,7 @@ def zero_signs_ignored(value):
 def outcome(verify, cat, f, dec, tol):
     """The report as a dict, or the type and text of the error raised."""
     try:
-        return zero_signs_ignored(verify(cat, f, dec, tol).to_dict())
+        return zero_signs_ignored(listed(verify(cat, f, dec, tol).to_dict()))
     except ArrowTypeError as exc:
         return type(exc), str(exc)
 
