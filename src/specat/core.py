@@ -297,6 +297,12 @@ class SemiadditiveCategory(ABC):
         shape = (len(targets), len(sources))
         return residuals.reshape(shape), passed.reshape(shape)
 
+    def _equal_each(self, fs: list, gs: list, axis: int) -> list[bool]:
+        """Whether ``fs[i]`` equals ``gs[i]``, as :meth:`equal` judges them
+        with its default tolerance; each side's arrows share their source
+        (``axis`` 0) or their target (``axis`` 1)."""
+        return [self.equal(f, g) for f, g in zip(fs, gs)]
+
     def _batches(self) -> "_ListBatches":
         """This instance's arrow algebra on batches, for the law checkers."""
         return _ListBatches(self)
@@ -696,7 +702,9 @@ class _GridCategory(SemiadditiveCategory):
     - ``_carrier(left, right)``: the biproduct carrier, ``left``'s positions
       first; ``_sub_object(obj, positions)``: the object at those positions;
     - ``_arrow(values, src, tgt)``: the arrow holding the grid ``values``,
-      read-only, and written by nothing, unchecked; ``_admit(f)``: the
+      read-only, and written by nothing, unchecked;
+      ``_selection_arrow(selection, src, tgt)``: the arrow holding a
+      :class:`_Selection` instead (see below); ``_admit(f)``: the
       per-arrow operations' ArrowTypeError unless ``f`` is an arrow of this
       instance;
     - cell kernels on grids with the same leading batch axes, if any:
@@ -708,13 +716,34 @@ class _GridCategory(SemiadditiveCategory):
       them.  Arrows are compared by :meth:`compare_blocks` (``equal`` and
       ``residual`` are its one-block case), padded batches trial by trial.
 
-    A product with a selection is a gather (:meth:`_product`).  ``g`` is a
-    row selection when each of its rows holds at most one non-blank cell
-    and that cell is the unit; then ``g.f`` is ``f``'s rows gathered, a
-    blank row where ``g``'s row is blank.  A column selection ``f`` gathers
-    ``g``'s columns the same way.  The unit is neutral and the blank
-    absorbing, so the gather is the kernel's product cell for cell (for
-    matrices, up to the sign of a zero).
+    **Selections.**  A grid is a row selection when each of its rows holds
+    at most one non-blank cell and that cell is the unit; a column
+    selection likewise by columns.  A product with one is a gather
+    (:meth:`_product`): ``g.f`` is ``f``'s rows gathered by the row
+    selection ``g``, a blank row where ``g``'s row is blank, and ``g.f``
+    is ``g``'s columns gathered by the column selection ``f``.  The unit is
+    neutral and the blank absorbing, so the gather is the kernel's product
+    cell for cell (for matrices, up to the sign of a zero).
+
+    An arrow may carry its selection form privately, in ``_form``: a
+    :class:`_Selection`, the position of each row's unit (or each
+    column's), -1 for a blank line.  Every other arrow reads ``_form`` as
+    ``None``.  The form is set where the positions are known, never found
+    by scanning: by :meth:`_selections` (the blocks a split builds),
+    :meth:`identity`, :meth:`canonical_biproduct` and the instances'
+    payload readers.  Forms are closed under the operations the verifier
+    forms: a stack of row selections is a row selection (positions
+    concatenated), a costack of column selections is a column selection,
+    and a composite of two row selections is one too (index maps
+    composed).  :meth:`compare_blocks` compares two row selections by their
+    positions.  Any other operation reads the grid.
+
+    An arrow with a form is of a private subclass of the instance's arrow
+    class whose ``values`` is built from the form on first read, once: the
+    grid a dense arrow would hold, with the same dtype, bits and read-only
+    flag, C-ordered (a split's injection and a canonical injection keep the
+    transposed layout they have always had).  Ordinary arrows keep
+    ``values`` as a plain slot.
     """
 
     def _blank_grid(self, *shape: int) -> np.ndarray:
@@ -724,12 +753,11 @@ class _GridCategory(SemiadditiveCategory):
             values.fill(self._blank)
         return values
 
-    def _unit_grid(self, rows: int, cols: int, k: int = 0) -> np.ndarray:
-        """A blank grid with the unit cell at (j, j + k), as ``np.eye`` lays it."""
-        values = self._blank_grid(rows, cols)
-        j = np.arange(max(0, -k), min(rows, cols - k))
-        values[j, j + k] = self._unit
-        return values
+    def _made(self, grid, src: Any, tgt: Any) -> Arrow:
+        """The arrow holding ``grid``, a :class:`_Selection` or a grid."""
+        if isinstance(grid, _Selection):
+            return self._selection_arrow(grid, src, tgt)
+        return self._arrow(grid, src, tgt)
 
     def zero(self, src: Any, tgt: Any) -> Arrow:
         src, tgt = self._object(src), self._object(tgt)
@@ -739,20 +767,22 @@ class _GridCategory(SemiadditiveCategory):
     def identity(self, obj: Any) -> Arrow:
         obj = self._object(obj)
         n = self._size(obj)
-        return self._arrow(self._unit_grid(n, n), obj, obj)
+        return self._selection_arrow(_Selection(self, np.arange(n), 0, (n, n)),
+                                     obj, obj)
 
     def canonical_biproduct(self, left: Any, right: Any) -> BiproductWitness:
         left, right = self._object(left), self._object(right)
         carrier = self._carrier(left, right)
         m, n = self._size(left), self._size(right)
-        p1, p2 = self._unit_grid(m, m + n), self._unit_grid(n, m + n, m)
+        p1 = _Selection(self, np.arange(m), 0, (m, m + n))
+        p2 = _Selection(self, np.arange(m, m + n), 0, (n, m + n))
         # an injection is a copy of its projection's transpose, laid out as
         # numpy copies it: the layout decides how BLAS rounds a product
         return BiproductWitness(
-            left, right, carrier, self._arrow(p1, carrier, left),
-            self._arrow(p2, carrier, right),
-            self._arrow(np.array(p1.T), left, carrier),
-            self._arrow(np.array(p2.T), right, carrier))
+            left, right, carrier, self._selection_arrow(p1, carrier, left),
+            self._selection_arrow(p2, carrier, right),
+            self._selection_arrow(p1.transposed(copy=True), left, carrier),
+            self._selection_arrow(p2.transposed(copy=True), right, carrier))
 
     def restrict(self, f: Arrow, rows, cols) -> Arrow:
         """The sub-arrow of ``f`` on these target rows and source columns;
@@ -771,12 +801,14 @@ class _GridCategory(SemiadditiveCategory):
         """The object at ``positions`` of ``obj``, the projection onto it and
         the injection back: the rows and the columns of ``obj``'s identity at
         ``positions``, laid out as :meth:`restrict` lays them out.  Both
-        arrows hold one grid: the injection's is the projection's ``.T``."""
+        carry the positions as their form and share one grid, if it is ever
+        built: the injection's is the projection's ``.T``."""
         space = self._sub_object(obj, positions)
-        grid = self._blank_grid(len(positions), self._size(obj))
-        grid[np.arange(len(positions)), positions] = self._unit
+        project = _Selection(self, np.array(positions, np.intp), 0,
+                             (len(positions), self._size(obj)))
         # numpy gathers columns into the transpose of a row-major grid
-        return space, self._arrow(grid, obj, space), self._arrow(grid.T, space, obj)
+        return (space, self._selection_arrow(project, obj, space),
+                self._selection_arrow(project.transposed(), space, obj))
 
     # Block operations by concatenation.  Every arrow is admitted before its
     # grid is copied: numpy would cast a foreign arrow's cells silently.
@@ -797,14 +829,28 @@ class _GridCategory(SemiadditiveCategory):
         return np.concatenate([f.values for f in arrows], axis,
                               out=np.empty(shape, self._dtype))
 
+    def _laid(self, arrows, axis: int):
+        """The arrows' grids joined along ``axis``: a :class:`_Selection`
+        of their positions concatenated when each carries a form that is a
+        selection along ``axis`` (rows for 0, columns for 1), else
+        :meth:`_joined`'s grid."""
+        forms = [f._form for f in arrows]
+        if all(form is not None for form in forms):
+            lines = [form.along(axis) for form in forms]
+            if all(line is not None for line in lines):
+                shape = list(forms[0].shape)
+                shape[axis] = sum(form.shape[axis] for form in forms)
+                return _Selection(self, np.concatenate(lines), axis, tuple(shape))
+        return self._joined(arrows, axis)
+
     def stack(self, arrows) -> Arrow:
         arrows = _family(arrows, "stack", "arrows")
         self._admit_all(arrows)
         source = arrows[0].source
         _require(all(f.source == source for f in arrows),
                  "stack: arrows must share their source")
-        return self._arrow(self._joined(arrows, 0), source,
-                           self._stacked([f.target for f in arrows]))
+        return self._made(self._laid(arrows, 0), source,
+                          self._stacked([f.target for f in arrows]))
 
     def costack(self, arrows) -> Arrow:
         arrows = _family(arrows, "costack", "arrows")
@@ -812,8 +858,8 @@ class _GridCategory(SemiadditiveCategory):
         target = arrows[0].target
         _require(all(f.target == target for f in arrows),
                  "costack: arrows must share their target")
-        return self._arrow(self._joined(arrows, 1),
-                           self._stacked([f.source for f in arrows]), target)
+        return self._made(self._laid(arrows, 1),
+                          self._stacked([f.source for f in arrows]), target)
 
     def block_sum(self, arrows) -> Arrow:
         arrows = _family(arrows, "block_sum", "arrows")
@@ -842,28 +888,82 @@ class _GridCategory(SemiadditiveCategory):
     def compare_blocks(self, got: Arrow, want: Arrow, targets, sources,
                        tol: Tolerance | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Every cell compared, a band of rows at a time, then reduced block
-        by block: residuals by ``_residual_ufunc``, verdicts by logical and."""
+        by block: residuals by ``_residual_ufunc``, verdicts by logical and.
+        Two arrows that carry forms are compared by their positions."""
         self._admit(got)
         self._admit(want)
         targets = _family(targets, "compare_blocks", "targets")
         sources = _family(sources, "compare_blocks", "sources")
-        rows, cols = got.values.shape
-        _require(want.values.shape == (rows, cols),
+        rows, cols = _grid_shape(got)
+        _require(_grid_shape(want) == (rows, cols),
                  f"compare_blocks: the arrows' grids are {rows}x{cols} and "
-                 "{}x{}".format(*want.values.shape))
-        row_cut = _cut(self._ends(targets, rows, "compare_blocks", "targets"))
-        col_cut = _cut(self._ends(sources, cols, "compare_blocks", "sources"))
-        residuals = np.empty((rows, len(sources)))
-        passed = np.empty((rows, len(sources)), bool)
+                 "{}x{}".format(*_grid_shape(want)))
+        return self._compare(
+            _held(got), _held(want),
+            self._ends(targets, rows, "compare_blocks", "targets"),
+            self._ends(sources, cols, "compare_blocks", "sources"), tol)
+
+    def _compare(self, got, want, row_ends: list[int], col_ends: list[int],
+                 tol: Tolerance | None) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`compare_blocks` of two grids or :class:`_Selection` forms,
+        cut into blocks after ``row_ends`` and ``col_ends``."""
+        if isinstance(got, _Selection) and isinstance(want, _Selection):
+            compared = self._compare_selections(got, want, row_ends, col_ends, tol)
+            if compared is not None:
+                return compared
+        got, want = (a.grid() if isinstance(a, _Selection) else a for a in (got, want))
+        rows, cols = got.shape
+        row_cut, col_cut = _cut(row_ends), _cut(col_ends)
+        residuals = np.empty((rows, len(col_ends)))
+        passed = np.empty((rows, len(col_ends)), bool)
         band = max(1, _BAND_CELLS // max(cols, 1))
         for r0 in range(0, rows, band):
-            a, b = got.values[r0:r0 + band], want.values[r0:r0 + band]
+            a, b = got[r0:r0 + band], want[r0:r0 + band]
             residuals[r0:r0 + band] = _per_block(
                 self._residual_ufunc, self._cell_residual(a, b), col_cut, 1, 0.0)
             passed[r0:r0 + band] = _per_block(
                 np.logical_and, self._cell_equal(a, b, tol), col_cut, 1, True)
         return (_per_block(self._residual_ufunc, residuals, row_cut, 0, 0.0),
                 _per_block(np.logical_and, passed, row_cut, 0, True))
+
+    def _compare_selections(self, got: "_Selection", want: "_Selection",
+                            row_ends: list[int], col_ends: list[int],
+                            tol: Tolerance | None):
+        """:meth:`_compare` by positions, in O(rows + cols + blocks), when
+        both forms are row selections; else None.
+
+        Only four pairs of cells occur: unit against unit, unit against
+        blank, blank against unit and blank against blank.  The cell hooks
+        judge those four once, and each block takes the verdicts of the
+        pairs it holds and the residuals of the cells that differ, one by
+        one.  A cell compared with an equal one has residual 0 in every
+        instance; if the hooks said otherwise, the grids are compared."""
+        g, w = got.along(0), want.along(0)
+        if g is None or w is None:
+            return None
+        blank, unit = self._blank, self._unit
+        cells = np.array([[unit, unit, blank, blank], [unit, blank, unit, blank]],
+                         self._dtype)
+        equal = np.asarray(self._cell_equal(cells[0], cells[1], tol), bool)
+        residual = np.asarray(self._cell_residual(cells[0], cells[1]), float)
+        if residual[0] or residual[3]:
+            return None
+        row_block = np.searchsorted(row_ends, np.arange(len(g)), side="right")
+        width = len(col_ends)
+        differ = g != w
+        pairs = ((g >= 0) & ~differ, (g >= 0) & differ, (w >= 0) & differ)
+        blocks = [row_block[hit] * width
+                  + np.searchsorted(col_ends, at[hit], side="right")
+                  for hit, at in zip(pairs, (g, g, w))]
+        sizes = np.diff(row_ends, prepend=0)[:, None] * np.diff(col_ends, prepend=0)
+        counts = [np.bincount(block, minlength=sizes.size) for block in blocks]
+        counts.append(sizes.ravel() - sum(counts))
+        passed = np.logical_and.reduce(
+            [equal[k] | (count == 0) for k, count in enumerate(counts)])
+        residuals = np.zeros(sizes.size)
+        for k in (1, 2):
+            self._residual_ufunc.at(residuals, blocks[k], residual[k])
+        return residuals.reshape(sizes.shape), passed.reshape(sizes.shape)
 
     def _ends(self, objects, size: int, op: str, name: str) -> list[int]:
         """Where each of ``objects`` ends along a side of ``size`` positions."""
@@ -884,21 +984,186 @@ class _GridCategory(SemiadditiveCategory):
     def _batches(self) -> _PaddedBatches:
         return _PaddedBatches(self)
 
+    def _equal_each(self, fs: list, gs: list, axis: int) -> list[bool]:
+        """The grid form of the default: when the pairs are parallel and
+        each side's grids fit side by side along ``axis``, all pairs are
+        compared by one :meth:`_compare` of the two sides laid out, without
+        stacking their objects."""
+        self._admit_all(fs)
+        self._admit_all(gs)
+        shapes = [_grid_shape(f) for f in fs]
+        if not (all(map(parallel, fs, gs))
+                and all(_grid_shape(g) == shape for g, shape in zip(gs, shapes))
+                and len({shape[1 - axis] for shape in shapes}) == 1):
+            return super()._equal_each(fs, gs, axis)
+        ends = list(accumulate(shape[axis] for shape in shapes))
+        whole = [shapes[0][1 - axis]]
+        cut = (ends, whole) if axis == 0 else (whole, ends)
+        return self._compare(self._laid(fs, axis), self._laid(gs, axis), *cut,
+                             None)[1].ravel().tolist()
+
     @staticmethod
-    def _product(g: np.ndarray, f: np.ndarray, blank, unit,
-                 kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-        """The grid of ``g`` after ``f``: a gather when ``g`` is a row
-        selection or ``f`` a column selection, else ``kernel(g, f)``.  A
+    def _product(g, f, blank, unit,
+                 kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+        """The grid of the arrow ``g`` after the arrow ``f``.
+
+        Two forms that compose give a :class:`_Selection`.  Otherwise the
+        product is a gather when ``g`` is a row selection or ``f`` a column
+        selection, else ``kernel(g, f)``: a form says which it is, and the
+        grid of an arrow without one is scanned (:func:`_selected`).  A
         gather is a fresh C-ordered grid of the operands' dtype, as the
         kernels give; empty grids go to the kernel."""
-        if g.size and f.size:
-            rows = _selected(g, blank, unit)
-            if rows is not None:
-                return _gather(f, rows, 0, blank)
-            cols = _selected(f.T, blank, unit)
-            if cols is not None:
-                return _gather(g, cols, 1, blank)
-        return kernel(g, f)
+        g_form, f_form = g._form, f._form
+        rows, mid = _grid_shape(g)
+        if not (rows and mid and _grid_shape(f)[1]):
+            return kernel(g.values, f.values)
+        if g_form is not None and f_form is not None:
+            product = g_form.compose(f_form)
+            if product is not None:
+                return product
+        lines = _selected(g.values, blank, unit) if g_form is None else g_form.along(0)
+        if lines is not None:
+            return _gather(f.values, lines, 0, blank)
+        lines = _selected(f.values.T, blank, unit) if f_form is None else f_form.along(1)
+        if lines is not None:
+            return _gather(g.values, lines, 1, blank)
+        return kernel(g.values, f.values)
+
+
+_UNKNOWN = object()
+
+
+class _Selection:
+    """A grid of blank cells and units, at most one unit on each line along
+    ``axis`` (each row for 0, each column for 1), held by its positions.
+
+    ``lines[i]`` is the position across line ``i`` of its unit, or -1 if
+    the line is blank; ``shape`` is the grid's.  ``cat`` gives the cells'
+    dtype, blank and unit.  :meth:`along` reads the positions along the
+    other axis too, when the grid is a selection that way as well.  The
+    grid is built on first use and kept: by ``build()`` if given, else
+    C-ordered from the positions.
+    """
+
+    __slots__ = ("cat", "lines", "axis", "shape", "_build", "_grid", "_across")
+
+    def __init__(self, cat: _GridCategory, lines: np.ndarray, axis: int,
+                 shape: tuple[int, int], build: Callable | None = None) -> None:
+        self.cat = cat
+        self.lines = lines
+        self.axis = axis
+        self.shape = shape
+        self._build = build
+        self._grid = None
+        self._across = _UNKNOWN
+
+    def along(self, axis: int) -> np.ndarray | None:
+        """Per line along ``axis``, the position of its unit or -1; None if
+        some line along ``axis`` holds two units."""
+        if axis == self.axis:
+            return self.lines
+        if self._across is _UNKNOWN:
+            self._across = _inverted(self.lines, self.shape[axis])
+        return self._across
+
+    def transposed(self, copy: bool = False) -> "_Selection":
+        """The transposed selection, whose grid is a view of this one's
+        ``.T``, or the copy ``np.array`` makes of it."""
+        def build() -> np.ndarray:
+            grid = self.grid().T
+            if copy:
+                grid = np.array(grid)
+                grid.flags.writeable = False
+            return grid
+
+        return _Selection(self.cat, self.lines, 1 - self.axis, self.shape[::-1],
+                          build)
+
+    def compose(self, other: "_Selection") -> "_Selection | None":
+        """This selection after ``other``, if both are row selections: row
+        ``i`` is ``other``'s row at this one's position ``i``, so the index
+        maps compose; else None."""
+        rows, inner = self.along(0), other.along(0)
+        if rows is None or inner is None:
+            return None
+        lines = np.full(len(rows), -1, np.intp)
+        hit = rows >= 0
+        lines[hit] = inner[rows[hit]]
+        return _Selection(self.cat, lines, 0, (self.shape[0], other.shape[1]))
+
+    def grid(self) -> np.ndarray:
+        """The read-only grid, built once."""
+        if self._grid is None:
+            if self._build is not None:
+                grid = self._build()
+            else:
+                grid = self.cat._blank_grid(*self.shape)
+                hit = np.flatnonzero(self.lines >= 0)
+                at = (hit, self.lines[hit]) if self.axis == 0 else (self.lines[hit], hit)
+                grid[at] = self.cat._unit
+                grid.flags.writeable = False
+            self._grid = grid
+        return self._grid
+
+
+def _inverted(lines: np.ndarray, size: int) -> np.ndarray | None:
+    """For each of ``size`` positions, the line whose unit is there, or -1;
+    None if two lines have their unit at the same position."""
+    hit = np.flatnonzero(lines >= 0)
+    at = lines[hit]
+    if np.bincount(at, minlength=size).max(initial=0) > 1:
+        return None
+    inverse = np.full(size, -1, np.intp)
+    inverse[at] = hit
+    return inverse
+
+
+class _SelectionArrow:
+    """Mixin of the private arrow classes whose arrows carry a form: the
+    grid is built from the form the first time ``values`` is read.  A
+    concrete class lists the public arrow class after this one and adds a
+    ``_form`` slot."""
+
+    __slots__ = ()
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._form.grid()
+
+
+def _grid_shape(f) -> tuple[int, int]:
+    """The shape of ``f``'s grid, without building it from a form."""
+    return f.values.shape if f._form is None else f._form.shape
+
+
+def _held(f):
+    """``f``'s form if it carries one, else its grid."""
+    return f.values if f._form is None else f._form
+
+
+def _unit_lines(grid: list, width: int, blank, unit) -> np.ndarray | None:
+    """Per row of a grid given as lists, the position of its one entry
+    equal to ``unit``, or -1 for a row all ``blank``; None unless every row
+    is a list of ``width`` entries, all ``blank`` but at most one ``unit``,
+    and the grid has a cell.  Counting and finding run in C, one pass each
+    per row."""
+    if not (grid and width):
+        return None
+    lines = []
+    for row in grid:
+        if type(row) is not list or len(row) != width:
+            return None
+        blanks = row.count(blank)
+        if blanks == width:
+            lines.append(-1)
+        elif blanks != width - 1:
+            return None
+        else:
+            try:
+                lines.append(row.index(unit))
+            except ValueError:
+                return None
+    return np.array(lines, np.intp)
 
 
 def _selected(grid: np.ndarray, blank, unit) -> np.ndarray | None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import _BAND_CELLS, ParseError, SemiadditiveCategory, _GridCategory
 from .functors import LatticeHom
-from .matrices import ScalarDomain, ScalarMatrix, _spell_distinct
+from .matrices import ScalarDomain, ScalarMatrix, _read_rows, _spell_distinct
 from .relations import (
     HeytingTable,
     LRelation,
@@ -217,14 +217,12 @@ def load_matrix_csv(path, domain: ScalarDomain) -> ScalarMatrix:
     that is as Python's ``float()`` or ``complex()`` would, and every row
     must have as many entries as the first.
 
-    The kept lines are parsed by one ``np.loadtxt`` call.  numpy's grammar
-    is not Python's, so the entry-by-entry loop runs instead whenever numpy
-    refuses the text, and then gives the value or the ``ParseError`` it
-    always gave: numpy refuses spellings Python accepts (``1_0``, ``j``,
-    ``1+2J``, non-ASCII digits), and its message for a ragged row lacks the
-    line number.  numpy's complex reader is looser in one place, reading
-    ``1++2j`` and ``1+-2j``, which ``complex()`` rejects; complex text with
-    ``++`` or ``+-`` therefore goes to the loop as well.
+    The kept lines are read by one ``np.loadtxt`` call
+    (:func:`matrices._read_rows`, which the decomposition reader shares).
+    numpy's grammar is not Python's, so the entry-by-entry loop runs
+    instead whenever numpy refuses the text, and then gives the value or
+    the ``ParseError`` it always gave; numpy's message for a ragged row
+    would also lack the line number.
     """
     text = _read_text(path)
     numbered = []
@@ -234,13 +232,7 @@ def load_matrix_csv(path, domain: ScalarDomain) -> ScalarMatrix:
             numbered.append((lineno, line))
     if not numbered:
         raise ParseError(f"{path}: no matrix rows found")
-    values = None
-    if not (domain.is_complex and ("++" in text or "+-" in text)):
-        try:
-            values = np.loadtxt([line for _, line in numbered], delimiter=",",
-                                dtype=domain.dtype, comments=None, ndmin=2)
-        except ValueError:
-            pass
+    values = _read_rows([line for _, line in numbered], domain)
     if values is None:
         values = _parse_rows(path, numbered, domain)
     return ScalarMatrix(values, domain)

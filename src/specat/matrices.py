@@ -26,6 +26,9 @@ from .core import (
     Tolerance,
     UnsupportedDomainError,
     _GridCategory,
+    _Selection,
+    _SelectionArrow,
+    _unit_lines,
 )
 
 
@@ -76,6 +79,8 @@ class ScalarMatrix:
     """Immutable dense matrix; as an arrow it maps its columns to its rows."""
 
     __slots__ = ("values", "domain")
+    # no selection form (see ``core._GridCategory``); _SelectionMatrix has one
+    _form = None
 
     def __init__(self, values, domain: ScalarDomain = REAL):
         arr = np.array(values, dtype=domain.dtype)
@@ -137,9 +142,11 @@ class ScalarMatrix:
             raise ArrowTypeError(
                 f"cannot compose: left has {self.cols} columns, "
                 f"right has {other.rows} rows")
-        return self._checked(MatrixCategory._product(
-            self.values, other.values, MatrixCategory._blank,
-            MatrixCategory._unit, np.matmul))
+        product = MatrixCategory._product(self, other, MatrixCategory._blank,
+                                          MatrixCategory._unit, np.matmul)
+        if isinstance(product, _Selection):
+            return _SelectionMatrix._of(product, self.domain)
+        return self._checked(product)
 
     def __add__(self, other: "ScalarMatrix") -> "ScalarMatrix":
         _check_domains(self.domain, other.domain)
@@ -181,6 +188,27 @@ class ScalarMatrix:
                 f"domain={self.domain.name!r})")
 
 
+class _SelectionMatrix(_SelectionArrow, ScalarMatrix):
+    """A matrix held by its selection form (see ``core._GridCategory``)."""
+
+    __slots__ = ("_form",)
+
+    @classmethod
+    def _of(cls, form: _Selection, domain: ScalarDomain) -> "_SelectionMatrix":
+        mat = cls.__new__(cls)
+        mat._form = form
+        mat.domain = domain
+        return mat
+
+    @property
+    def rows(self) -> int:
+        return self._form.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self._form.shape[1]
+
+
 def is_monomial(m: ScalarMatrix) -> bool:
     """True when the matrix is square with exactly one nonzero per row and column."""
     if m.rows != m.cols:
@@ -203,19 +231,74 @@ def monomial_inverse(m: ScalarMatrix) -> ScalarMatrix:
     return ScalarMatrix(inv, m.domain)
 
 
-def _matrix_from_payload(payload, domain: ScalarDomain) -> np.ndarray:
+def _read_rows(lines: list[str], domain: ScalarDomain) -> np.ndarray | None:
+    """Lines of comma-separated entries as a grid, read by one ``np.loadtxt``
+    call; None where numpy refuses them, and the caller then reads them
+    entry by entry with ``domain.parse``, as Python's ``float()`` or
+    ``complex()`` would.
+
+    numpy's grammar is not Python's: it refuses spellings Python accepts
+    (``1_0``, ``j``, ``1+2J``, non-ASCII digits).  Its complex reader is
+    looser in one place, reading ``1++2j`` and ``1+-2j``, which
+    ``complex()`` rejects; complex text with ``++`` or ``+-`` is therefore
+    refused here.
+    """
+    if domain.is_complex and any("++" in line or "+-" in line for line in lines):
+        return None
+    try:
+        return np.loadtxt(lines, delimiter=",", dtype=domain.dtype,
+                          comments=None, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _entry_kinds(payload) -> set:
+    """The types of the entries of a grid given as rows."""
+    return set(map(type, itertools.chain.from_iterable(payload)))
+
+
+def _matrix_from_payload(payload, domain: ScalarDomain,
+                         kinds: set | None = None) -> np.ndarray:
     """JSON numbers, and an integer or float array, convert straight to the
     domain's dtype; anything else (strings, bools, nulls, and arrays of
-    them) is read as text, so bools stay rejected."""
+    them) is read as text, so bools stay rejected.  ``kinds`` is
+    :func:`_entry_kinds` of ``payload``, if the caller has it.
+
+    Rows of strings are read in bulk by :func:`_read_rows` when they are
+    rectangular and no entry holds a comma or a line break; otherwise, or
+    where numpy refuses them, one ``domain.parse`` call per entry gives the
+    value or the ``ParseError``."""
     if isinstance(payload, np.ndarray) and payload.dtype.kind in "iuf":
         return np.array(payload, dtype=domain.dtype)
-    if set(map(type, itertools.chain.from_iterable(payload))) <= {int, float}:
+    if kinds is None:
+        kinds = _entry_kinds(payload)
+    if kinds <= {int, float}:
         try:
             return np.array(payload, dtype=domain.dtype)
         except OverflowError as exc:
             raise ParseError(f"{domain.name} entry out of range: {exc}") from exc
+    if kinds == {str} and type(payload) is list:
+        values = _read_text_rows(payload, domain)
+        if values is not None:
+            return values
     return np.array([[domain.parse(str(v)) for v in row] for row in payload],
                     dtype=domain.dtype)
+
+
+def _read_text_rows(rows: list, domain: ScalarDomain) -> np.ndarray | None:
+    """:func:`_read_rows` of rows of strings joined by commas, if each row
+    is a list of as many entries as the first, at least one, none holding a
+    comma or a line break, and no line is blank (numpy would skip it, with
+    a warning if all are); else None."""
+    width = len(rows[0]) if rows and type(rows[0]) is list else 0
+    if not width or any(type(row) is not list for row in rows):
+        return None
+    lines = [",".join(row) for row in rows]
+    if any(line.count(",") != width - 1 or "\n" in line or "\r" in line
+           or line.isspace() or not line for line in lines):
+        return None
+    values = _read_rows(lines, domain)
+    return values if values is not None and values.shape == (len(rows), width) else None
 
 
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -313,7 +396,18 @@ class MatrixCategory(_GridCategory):
         return values
 
     def arrow_from_payload(self, payload, src: int, tgt: int) -> ScalarMatrix:
-        arr = _matrix_from_payload(payload, self.domain)
+        """A grid of integer 0s and 1s with at most one 1 per row is read
+        by its positions, as a selection (see ``core._GridCategory``):
+        ``list.count`` and ``list.index`` find each row's 1 in C."""
+        kinds = None
+        if type(payload) is list:
+            kinds = _entry_kinds(payload)
+            if kinds == {int} and len(payload) == tgt:
+                lines = _unit_lines(payload, src, 0, 1)
+                if lines is not None:
+                    return self._selection_arrow(
+                        _Selection(self, lines, 0, (tgt, src)), src, tgt)
+        arr = _matrix_from_payload(payload, self.domain, kinds)
         if arr.shape == (0,) and tgt == 0:
             arr = arr.reshape(0, src)  # [] is how a matrix with no rows reads
         if arr.ndim != 2 or arr.shape != (tgt, src):
@@ -359,6 +453,9 @@ class MatrixCategory(_GridCategory):
 
     def _arrow(self, values: np.ndarray, src: int, tgt: int) -> ScalarMatrix:
         return ScalarMatrix._derived(values, self.domain)
+
+    def _selection_arrow(self, form: _Selection, src: int, tgt: int) -> ScalarMatrix:
+        return _SelectionMatrix._of(form, self.domain)
 
     def _admit(self, f: ScalarMatrix) -> None:
         _check_domains(self.domain, f.domain)

@@ -41,6 +41,9 @@ from .core import (
     PreconditionError,
     Tolerance,
     _GridCategory,
+    _Selection,
+    _SelectionArrow,
+    _unit_lines,
 )
 
 Label = Any
@@ -433,6 +436,8 @@ class LRelation:
     """
 
     __slots__ = ("algebra", "source", "target", "values")
+    # no selection form (see ``core._GridCategory``); _SelectionRelation has one
+    _form = None
 
     def __init__(self, algebra: HeytingTable, source: Iterable[Label],
                  target: Iterable[Label], values):
@@ -514,10 +519,12 @@ class LRelation:
                 f"cannot compose: middle carriers differ "
                 f"({self.source!r} vs {other.target!r})")
         algebra = self.algebra
-        return LRelation._derived(
-            algebra, other.source, self.target,
-            _GridCategory._product(self.values, other.values, algebra.bottom,
-                                   algebra.top, algebra._cuts.compose))
+        product = _GridCategory._product(self, other, algebra.bottom, algebra.top,
+                                         algebra._cuts.compose)
+        if isinstance(product, _Selection):
+            return _SelectionRelation._of(algebra, other.source, self.target,
+                                          product)
+        return LRelation._derived(algebra, other.source, self.target, product)
 
     def __or__(self, other: "LRelation") -> "LRelation":
         """Pointwise join of parallel relations."""
@@ -546,6 +553,20 @@ class LRelation:
         return (f"LRelation({self.algebra.name!r}, source={self.source!r}, "
                 f"target={self.target!r}, "
                 f"values={self.algebra.spell(self.values)!r})")
+
+
+class _SelectionRelation(_SelectionArrow, LRelation):
+    """A relation held by its selection form (see ``core._GridCategory``)."""
+
+    __slots__ = ("_form",)
+
+    @classmethod
+    def _of(cls, algebra: HeytingTable, source: Carrier, target: Carrier,
+            form: _Selection) -> "_SelectionRelation":
+        rel = cls.__new__(cls)
+        rel.algebra, rel.source, rel.target = algebra, source, target
+        rel._form = form
+        return rel
 
 
 def tagged_union(left: Carrier, right: Carrier) -> Carrier:
@@ -611,6 +632,15 @@ class RelationCategory(_GridCategory):
         if len(payload) != len(tgt):
             raise ParseError(
                 f"relation grid has {len(payload)} rows, expected {len(tgt)}")
+        # a grid of bottom labels with at most one top label per row is read
+        # by its positions, as a selection (see core._GridCategory)
+        labels = self.algebra.elements
+        lines = _unit_lines(payload, len(src), labels[self._blank],
+                            labels[self._unit])
+        if lines is not None:
+            return self._selection_arrow(
+                _Selection(self, lines, 0, (len(tgt), len(src))),
+                as_carrier(src), as_carrier(tgt))
         try:
             grid = _read_labels(self.algebra._index, payload)
         except KeyError as exc:
@@ -656,6 +686,10 @@ class RelationCategory(_GridCategory):
 
     def _arrow(self, values: np.ndarray, src: Carrier, tgt: Carrier) -> LRelation:
         return LRelation._derived(self.algebra, src, tgt, values)
+
+    def _selection_arrow(self, form: _Selection, src: Carrier,
+                         tgt: Carrier) -> LRelation:
+        return _SelectionRelation._of(self.algebra, src, tgt, form)
 
     def _admit(self, f: LRelation) -> None:
         _check_algebras(self.algebra, f.algebra)

@@ -134,9 +134,16 @@ def verify_decomposition(cat: SemiadditiveCategory, f: Arrow,
     of the locals: (a) and (b) read P.I = id, (c) I.P = id, (d) I.(L.P) = f,
     and the intertwining P.f = L.P and f.I = I.L.  Those five products are
     one compose each; L.P and I.L are formed block by block, so B blocks
-    take 5 + 2B composes.  P and I are built once per call; P is dropped
-    after P.f, its last use, so f.I is formed with I the one stacked grid
-    alive.  Each product is compared with its right-hand side once, by
+    take 5 + 2B composes.  P and I are built once per call.
+
+    When the blocks' projections and injections carry their selection
+    forms, as a split's blocks and blocks read from 0/1 grids do (see
+    ``core._GridCategory``), P and I are held as positions, O(n) each, and
+    no n x n grid of them is built: P.I and I.P compose index maps and are
+    compared with the identity position by position, and P.f, L.P,
+    I.(L.P) and f.I are gathers that read the positions instead of scanning
+    a grid.  Otherwise P and I are grids, and P is dropped after P.f, its
+    last use.  Each product is compared with its right-hand side once, by
     ``LawTally.check_blocks``, and is dropped before the next product is
     formed.  The report holds one entry per block, 3B + 2 of
     them: retract[i], row band i of P.I, which is (a) and (b) for block i;
@@ -188,21 +195,35 @@ def _check_block_types(dec: SpectralDecomposition) -> None:
 def _combined(cat: SemiadditiveCategory, first: SpectralDecomposition,
               second: SpectralDecomposition, op) -> SpectralDecomposition:
     """``first``'s blocks with local arrows ``op(local1, local2)``, and the
-    arrow ``op(first.arrow, second.arrow)`` when both are known."""
+    arrow ``op(first.arrow, second.arrow)`` when both are known.
+
+    Up to the first block whose spaces differ, each side's injections are
+    compared with the other side's by one ``cat._equal_each``, and so are
+    its projections; the first mismatch is reported, injection before
+    projection, as block-by-block checks would find it."""
     if first.carrier != second.carrier:
         raise DecompositionError(
             f"carriers differ: {first.carrier!r} vs {second.carrier!r}")
     if len(first.blocks) != len(second.blocks):
         raise DecompositionError("decompositions have different block counts")
-    for i, (b1, b2) in enumerate(zip(first.blocks, second.blocks), start=1):
-        if b1.space != b2.space:
-            raise DecompositionError(f"block {i}: spaces differ")
-        if not cat.equal(b1.inject, b2.inject):
-            raise DecompositionError(f"block {i}: eigeninjections differ")
-        if not cat.equal(b1.project, b2.project):
-            raise DecompositionError(f"block {i}: projections differ")
+    pairs = list(zip(first.blocks, second.blocks))
+    same = next((i for i, (b1, b2) in enumerate(pairs) if b1.space != b2.space),
+                len(pairs))
+    if same:
+        checked = pairs[:same]
+        injects = cat._equal_each([b1.inject for b1, _ in checked],
+                                  [b2.inject for _, b2 in checked], 1)
+        projects = cat._equal_each([b1.project for b1, _ in checked],
+                                   [b2.project for _, b2 in checked], 0)
+        for i, (inject, project) in enumerate(zip(injects, projects), start=1):
+            if not inject:
+                raise DecompositionError(f"block {i}: eigeninjections differ")
+            if not project:
+                raise DecompositionError(f"block {i}: projections differ")
+    if same < len(pairs):
+        raise DecompositionError(f"block {same + 1}: spaces differ")
     blocks = tuple(Block(b1.space, b1.project, b1.inject, op(b1.local, b2.local))
-                   for b1, b2 in zip(first.blocks, second.blocks))
+                   for b1, b2 in pairs)
     arrow = None
     if first.arrow is not None and second.arrow is not None:
         arrow = op(first.arrow, second.arrow)

@@ -41,7 +41,7 @@ from specat.core import (
 )
 from specat.formats import _read_text
 from specat.matrices import COMPLEX, _check_domains
-from specat.relations import _check_algebras, as_carrier, tagged_union
+from specat.relations import _check_algebras, _read_labels, as_carrier, tagged_union
 from specat.spectral import _component_cells, _support_graph
 
 
@@ -355,6 +355,13 @@ def canonical_json_slow(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def public_type(obj) -> type:
+    """``type(obj)``, or for an arrow that carries a selection form (see
+    ``core._GridCategory``) the public arrow class its private one derives
+    from: an arrow's public class, whatever it holds."""
+    return next(c for c in type(obj).__mro__ if not c.__name__.startswith("_"))
+
+
 def listed(payload):
     """``payload`` with every numpy array, inside dicts, lists and tuples at
     any depth, replaced by its ``tolist()``: what the stdlib encoder reads."""
@@ -372,6 +379,54 @@ def matrix_from_payload_slow(payload, complex_: bool) -> np.ndarray:
     parse = complex if complex_ else float
     return np.array([[parse(str(v)) for v in row] for row in payload],
                     dtype=np.complex128 if complex_ else np.float64)
+
+
+def read_matrix_payload_slow(payload, domain) -> np.ndarray:
+    """A JSON matrix block as the reader read it before text rows were read
+    in bulk: numbers and numeric arrays straight to the dtype, anything
+    else entry by entry through ``domain.parse(str(v))``."""
+    if isinstance(payload, np.ndarray) and payload.dtype.kind in "iuf":
+        return np.array(payload, dtype=domain.dtype)
+    if set(map(type, itertools.chain.from_iterable(payload))) <= {int, float}:
+        try:
+            return np.array(payload, dtype=domain.dtype)
+        except OverflowError as exc:
+            raise ParseError(f"{domain.name} entry out of range: {exc}") from exc
+    return np.array([[domain.parse(str(v)) for v in row] for row in payload],
+                    dtype=domain.dtype)
+
+
+def matrix_arrow_from_payload_slow(cat, payload, src: int, tgt: int) -> ScalarMatrix:
+    """``MatrixCategory.arrow_from_payload`` as it was before 0/1 grids
+    were read by their positions."""
+    arr = read_matrix_payload_slow(payload, cat.domain)
+    if arr.shape == (0,) and tgt == 0:
+        arr = arr.reshape(0, src)
+    if arr.ndim != 2 or arr.shape != (tgt, src):
+        raise ParseError(f"matrix block must be {tgt}x{src}, got {arr.shape}")
+    return ScalarMatrix(arr, cat.domain)
+
+
+def relation_arrow_from_payload_slow(cat, payload, src, tgt) -> LRelation:
+    """``RelationCategory.arrow_from_payload`` as it was before grids of
+    bottom and top labels were read by their positions."""
+    if not (isinstance(payload, list)
+            and all(isinstance(row, list) for row in payload)):
+        raise ParseError("relation grid must be a list of rows")
+    if len(payload) != len(tgt):
+        raise ParseError(
+            f"relation grid has {len(payload)} rows, expected {len(tgt)}")
+    try:
+        grid = _read_labels(cat.algebra._index, payload)
+    except KeyError as exc:
+        raise ParseError(f"unknown lattice element {exc.args[0]!r}") from exc
+    for i, row in enumerate(grid):
+        if len(row) != len(src):
+            raise ParseError(
+                f"relation grid row {i} has {len(row)} entries, "
+                f"expected {len(src)}")
+    values = np.array(grid, dtype=np.int16).reshape(len(tgt), len(src))
+    return LRelation._derived(cat.algebra, as_carrier(src), as_carrier(tgt), values)
 
 
 def load_matrix_csv_slow(path, domain) -> ScalarMatrix:
