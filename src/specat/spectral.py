@@ -209,17 +209,16 @@ def _combined(cat: SemiadditiveCategory, first: SpectralDecomposition,
     pairs = list(zip(first.blocks, second.blocks))
     same = next((i for i, (b1, b2) in enumerate(pairs) if b1.space != b2.space),
                 len(pairs))
-    if same:
-        checked = pairs[:same]
-        injects = cat._equal_each([b1.inject for b1, _ in checked],
-                                  [b2.inject for _, b2 in checked], 1)
-        projects = cat._equal_each([b1.project for b1, _ in checked],
-                                   [b2.project for _, b2 in checked], 0)
-        for i, (inject, project) in enumerate(zip(injects, projects), start=1):
-            if not inject:
-                raise DecompositionError(f"block {i}: eigeninjections differ")
-            if not project:
-                raise DecompositionError(f"block {i}: projections differ")
+    checked = pairs[:same]
+    injects = cat._equal_each([b1.inject for b1, _ in checked],
+                              [b2.inject for _, b2 in checked], 1)
+    projects = cat._equal_each([b1.project for b1, _ in checked],
+                               [b2.project for _, b2 in checked], 0)
+    for i, (inject, project) in enumerate(zip(injects, projects), start=1):
+        if not inject:
+            raise DecompositionError(f"block {i}: eigeninjections differ")
+        if not project:
+            raise DecompositionError(f"block {i}: projections differ")
     if same < len(pairs):
         raise DecompositionError(f"block {same + 1}: spaces differ")
     blocks = tuple(Block(b1.space, b1.project, b1.inject, op(b1.local, b2.local))
