@@ -297,12 +297,6 @@ class SemiadditiveCategory(ABC):
         shape = (len(targets), len(sources))
         return residuals.reshape(shape), passed.reshape(shape)
 
-    def _equal_each(self, fs: list, gs: list, axis: int) -> list[bool]:
-        """Whether ``fs[i]`` equals ``gs[i]``, as :meth:`equal` judges them
-        with its default tolerance; each side's arrows share their source
-        (``axis`` 0) or their target (``axis`` 1)."""
-        return [self.equal(f, g) for f, g in zip(fs, gs)]
-
     def _batches(self) -> "_ListBatches":
         """This instance's arrow algebra on batches, for the law checkers."""
         return _ListBatches(self)
@@ -936,8 +930,7 @@ class _GridCategory(SemiadditiveCategory):
         blank, blank against unit and blank against blank.  The cell hooks
         judge those four once, and each block takes the verdicts of the
         pairs it holds and the residuals of the cells that differ, one by
-        one.  A cell compared with an equal one has residual 0 in every
-        instance; if the hooks said otherwise, the grids are compared."""
+        one; a cell compared with an equal one has residual 0."""
         g, w = got.along(0), want.along(0)
         if g is None or w is None:
             return None
@@ -946,8 +939,6 @@ class _GridCategory(SemiadditiveCategory):
                          self._dtype)
         equal = np.asarray(self._cell_equal(cells[0], cells[1], tol), bool)
         residual = np.asarray(self._cell_residual(cells[0], cells[1]), float)
-        if residual[0] or residual[3]:
-            return None
         row_block = np.searchsorted(row_ends, np.arange(len(g)), side="right")
         width = len(col_ends)
         differ = g != w
@@ -983,24 +974,6 @@ class _GridCategory(SemiadditiveCategory):
 
     def _batches(self) -> _PaddedBatches:
         return _PaddedBatches(self)
-
-    def _equal_each(self, fs: list, gs: list, axis: int) -> list[bool]:
-        """The grid form of the default: when the pairs are parallel and
-        each side's grids fit side by side along ``axis``, all pairs are
-        compared by one :meth:`_compare` of the two sides laid out, without
-        stacking their objects."""
-        self._admit_all(fs)
-        self._admit_all(gs)
-        shapes = [_grid_shape(f) for f in fs]
-        if not (all(map(parallel, fs, gs))
-                and all(_grid_shape(g) == shape for g, shape in zip(gs, shapes))
-                and len({shape[1 - axis] for shape in shapes}) == 1):
-            return super()._equal_each(fs, gs, axis)
-        ends = list(accumulate(shape[axis] for shape in shapes))
-        whole = [shapes[0][1 - axis]]
-        cut = (ends, whole) if axis == 0 else (whole, ends)
-        return self._compare(self._laid(fs, axis), self._laid(gs, axis), *cut,
-                             None)[1].ravel().tolist()
 
     @staticmethod
     def _product(g, f, blank, unit,

@@ -195,34 +195,21 @@ def _check_block_types(dec: SpectralDecomposition) -> None:
 def _combined(cat: SemiadditiveCategory, first: SpectralDecomposition,
               second: SpectralDecomposition, op) -> SpectralDecomposition:
     """``first``'s blocks with local arrows ``op(local1, local2)``, and the
-    arrow ``op(first.arrow, second.arrow)`` when both are known.
-
-    Up to the first block whose spaces differ, each side's injections are
-    compared with the other side's by one ``cat._equal_each``, and so are
-    its projections; the first mismatch is reported, injection before
-    projection, as block-by-block checks would find it."""
+    arrow ``op(first.arrow, second.arrow)`` when both are known."""
     if first.carrier != second.carrier:
         raise DecompositionError(
             f"carriers differ: {first.carrier!r} vs {second.carrier!r}")
     if len(first.blocks) != len(second.blocks):
         raise DecompositionError("decompositions have different block counts")
-    pairs = list(zip(first.blocks, second.blocks))
-    same = next((i for i, (b1, b2) in enumerate(pairs) if b1.space != b2.space),
-                len(pairs))
-    checked = pairs[:same]
-    injects = cat._equal_each([b1.inject for b1, _ in checked],
-                              [b2.inject for _, b2 in checked], 1)
-    projects = cat._equal_each([b1.project for b1, _ in checked],
-                               [b2.project for _, b2 in checked], 0)
-    for i, (inject, project) in enumerate(zip(injects, projects), start=1):
-        if not inject:
+    for i, (b1, b2) in enumerate(zip(first.blocks, second.blocks), start=1):
+        if b1.space != b2.space:
+            raise DecompositionError(f"block {i}: spaces differ")
+        if not cat.equal(b1.inject, b2.inject):
             raise DecompositionError(f"block {i}: eigeninjections differ")
-        if not project:
+        if not cat.equal(b1.project, b2.project):
             raise DecompositionError(f"block {i}: projections differ")
-    if same < len(pairs):
-        raise DecompositionError(f"block {same + 1}: spaces differ")
     blocks = tuple(Block(b1.space, b1.project, b1.inject, op(b1.local, b2.local))
-                   for b1, b2 in pairs)
+                   for b1, b2 in zip(first.blocks, second.blocks))
     arrow = None
     if first.arrow is not None and second.arrow is not None:
         arrow = op(first.arrow, second.arrow)

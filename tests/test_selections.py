@@ -289,6 +289,11 @@ TEXT_ENTRIES = [
     "1+2j", "1-2j", "(1+2j)", "1++2j", "1+-2j", "1 + 2j", "-0-0j", "0j",
     "nanj", "inf+infj", "1e400j", "+1.5-2.5j", "j", "1+j", "True", "None",
 ]
+# NUL and the code points str.splitlines breaks at but "\n" does not: alone,
+# leading, trailing and inside a number
+TEXT_ENTRIES += [spelling.format(c)
+                 for c in "\x00\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+                 for spelling in ("{}", "{}1.5", "1.5{}", "1{}5", "1{}+2j", "-{}0.0")]
 
 
 @settings(max_examples=400, deadline=None)
@@ -300,6 +305,8 @@ TEXT_ENTRIES = [
        rectangular=st.booleans())
 @example(cat=MAT_C, cells=[["1+2j", "-0.5-0j"], ["(1+0j)", "0j"]], rectangular=True)
 @example(cat=MAT_R, cells=[["-0.0", "nan"], ["inf", "1e400"]], rectangular=True)
+@example(cat=MAT_C, cells=[["1\x0b5", "\u20281.5"], ["1.5\x85", "\x00"]],
+         rectangular=True)
 def test_text_entries_are_read_as_the_entry_loop_reads_them(cat, cells,
                                                             rectangular):
     """String entries read in bulk give the bits the per-entry parse gives,
