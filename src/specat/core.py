@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate
 from typing import Any, Callable, Protocol, runtime_checkable
 
@@ -234,7 +234,9 @@ class SemiadditiveCategory(ABC):
 
     def arrow_to_payload(self, f: Arrow) -> Any:
         """Entries of ``f`` that ``formats.canonical_json`` encodes, as
-        decoded by :meth:`arrow_from_payload`, also from their JSON text."""
+        decoded by :meth:`arrow_from_payload`, also from their JSON text:
+        lists, numpy arrays, or a grid instance's selection payload, each
+        written as its ``tolist()`` would be."""
         raise ParseError(f"cannot encode arrows for instance {self.name!r}")
 
     def arrow_from_payload(self, payload: Any, src: Any, tgt: Any) -> Arrow:
@@ -708,7 +710,11 @@ class _GridCategory(SemiadditiveCategory):
       floats, ``_cell_residual(a, b)``; ``_residual_ufunc``: the ufunc that
       reduces the residuals of cells to the residual of the grid that holds
       them.  Arrows are compared by :meth:`compare_blocks` (``equal`` and
-      ``residual`` are its one-block case), padded batches trial by trial.
+      ``residual`` are its one-block case), padded batches trial by trial;
+    - payloads: ``_grid_payload(values)``, the entries of the arrow holding
+      the grid ``values`` as ``formats.canonical_json`` encodes them, and
+      ``_grid_from_payload(payload, src, tgt)``, the arrow they spell (see
+      :meth:`arrow_to_payload`).
 
     **Selections.**  A grid is a row selection when each of its rows holds
     at most one non-blank cell and that cell is the unit; a column
@@ -803,6 +809,37 @@ class _GridCategory(SemiadditiveCategory):
         # numpy gathers columns into the transpose of a row-major grid
         return (space, self._selection_arrow(project, obj, space),
                 self._selection_arrow(project.transposed(), space, obj))
+
+    def arrow_to_payload(self, f: Arrow) -> Any:
+        """A row selection with a cell, as its form says, is a
+        :class:`_SelectionPayload` of its positions, written by
+        ``formats.canonical_json`` byte for byte as ``_grid_payload`` of
+        its grid; any other arrow is ``_grid_payload`` of its grid."""
+        form = f._form
+        lines = form.along(0) if form is not None and all(form.shape) else None
+        if lines is None:
+            return self._grid_payload(f.values)
+        return _SelectionPayload(lines, form.shape[1], *self._payload_cells)
+
+    @cached_property
+    def _payload_cells(self) -> tuple:
+        """The blank and the unit as ``_grid_payload`` spells them."""
+        cells = self._grid_payload(np.array([[self._blank, self._unit]], self._dtype))
+        (row,) = cells.tolist() if isinstance(cells, np.ndarray) else cells
+        return tuple(row)
+
+    def arrow_from_payload(self, payload: Any, src: Any, tgt: Any) -> Arrow:
+        """A :class:`_SelectionPayload` of this instance's cells and of the
+        arrow's shape is read back as a selection; any other as its
+        ``tolist()``, which ``_grid_from_payload`` reads or refuses."""
+        if type(payload) is _SelectionPayload:
+            shape = (len(payload.lines), payload.width)
+            if ((payload.blank, payload.unit) == self._payload_cells
+                    and shape == (self._size(tgt), self._size(src))):
+                return self._selection_arrow(_Selection(self, payload.lines, 0, shape),
+                                             self._object(src), self._object(tgt))
+            payload = payload.tolist()
+        return self._grid_from_payload(payload, src, tgt)
 
     # Block operations by concatenation.  Every arrow is admitted before its
     # grid is copied: numpy would cast a foreign arrow's cells silently.
@@ -1077,6 +1114,30 @@ class _Selection:
                 grid.flags.writeable = False
             self._grid = grid
         return self._grid
+
+
+class _SelectionPayload:
+    """The payload of a row selection's grid, held by its positions: row
+    ``i`` is ``width`` cells ``blank``, but ``unit`` at ``lines[i]`` unless
+    that is -1.  ``blank`` and ``unit`` are scalars of the instance's grid
+    payload; ``formats.canonical_json`` writes the rows from the positions,
+    as the text of :meth:`tolist`."""
+
+    __slots__ = ("lines", "width", "blank", "unit")
+
+    def __init__(self, lines: np.ndarray, width: int, blank, unit) -> None:
+        self.lines = lines.view()
+        self.lines.flags.writeable = False
+        self.width, self.blank, self.unit = width, blank, unit
+
+    def tolist(self) -> list:
+        rows = []
+        for at in self.lines.tolist():
+            row = [self.blank] * self.width
+            if at >= 0:
+                row[at] = self.unit
+            rows.append(row)
+        return rows
 
 
 def _inverted(lines: np.ndarray, size: int) -> np.ndarray | None:

@@ -15,7 +15,13 @@ from typing import Any
 
 import numpy as np
 
-from .core import _BAND_CELLS, ParseError, SemiadditiveCategory, _GridCategory
+from .core import (
+    _BAND_CELLS,
+    ParseError,
+    SemiadditiveCategory,
+    _GridCategory,
+    _SelectionPayload,
+)
 from .functors import LatticeHom
 from .matrices import ScalarDomain, ScalarMatrix, _read_rows, _spell_distinct
 from .relations import (
@@ -50,6 +56,12 @@ def canonical_json(payload: Any) -> str:
     other array goes through ``tolist()``, so a complex or object array
     raises json's own error.  Real and non-negative matrix payloads, and
     the equitable report's grids, arrive as such float arrays.
+
+    A row selection's payload (``core._SelectionPayload``, the ``project``
+    and ``inject`` grids of a split) is written from its positions: its
+    blank and unit are spelled once, and each row is cut from the text of
+    an all-blank row with the unit's text put in, so no cell becomes a
+    Python object.
     """
     out: list[str] = []
     try:
@@ -65,10 +77,11 @@ _INDENT = "  "
 
 
 class _Encoder(json.JSONEncoder):
-    """The stdlib encoder, reading a numpy array as its ``tolist()``."""
+    """The stdlib encoder, reading a numpy array or a selection payload
+    as its ``tolist()``."""
 
     def default(self, o):
-        if isinstance(o, np.ndarray):
+        if isinstance(o, (np.ndarray, _SelectionPayload)):
             return o.tolist()
         return super().default(o)
 
@@ -102,6 +115,8 @@ def _encode(obj, level: int, out: list) -> None:
         _encode_dict(obj, level, out)
     elif isinstance(obj, np.ndarray):
         _encode_array(obj, level, out)
+    elif type(obj) is _SelectionPayload:
+        _encode_selection(obj, level, out)
     else:
         out.append(_FALLBACK.encode(obj).replace("\n", "\n" + _INDENT * level))
 
@@ -119,21 +134,41 @@ def _encode_array(obj: np.ndarray, level: int, out: list) -> None:
         _encode(obj.tolist(), level, out)
         return
     band = max(1, _BAND_CELLS // obj.shape[1])
-    _layout_grid((_spell_distinct(obj[i:i + band], _spell_item)
+    cells = _cell_sep(level).join
+    _layout_grid((map(cells, _spell_distinct(obj[i:i + band], _spell_item))
                   for i in range(0, len(obj), band)), level, out)
+
+
+def _encode_selection(obj: _SelectionPayload, level: int, out: list) -> None:
+    """``obj.tolist()``'s text, a band of rows at a time: each row is the
+    all-blank row's text with the unit's put in at the row's position."""
+    blank, unit = _spell_item(obj.blank), _spell_item(obj.unit)
+    sep = _cell_sep(level)
+    blank_row = (blank + sep) * (obj.width - 1) + blank
+    stride, cut = len(blank) + len(sep), len(blank)
+    lines = obj.lines.tolist()
+    band = max(1, _BAND_CELLS // obj.width)
+    _layout_grid(([blank_row if at < 0 else
+                   blank_row[:at * stride] + unit + blank_row[at * stride + cut:]
+                   for at in lines[i:i + band]]
+                  for i in range(0, len(lines), band)), level, out)
+
+
+def _cell_sep(level: int) -> str:
+    """What stands between two cells of a grid row at ``level``."""
+    return ",\n" + _INDENT * (level + 2)
 
 
 def _layout_grid(bands, level: int, out: list) -> None:
     """A non-empty grid laid out as json's indent lays it out, from bands of
-    rows of spelled cells."""
+    its rows' texts, each row's cells joined by ``_cell_sep(level)``."""
     outer = "\n" + _INDENT * level
     inner = outer + _INDENT
     row = inner + _INDENT
-    cells = ("," + row).join
     between = inner + "]," + inner + "[" + row
     sep = "[" + inner + "[" + row
     for band in bands:
-        out += (sep, between.join(map(cells, band)))
+        out += (sep, between.join(band))
         sep = between
     out.append(inner + "]" + outer + "]")
 
@@ -166,7 +201,8 @@ def _encode_list(obj: list, level: int, out: list) -> None:
         leaves = set(map(type, itertools.chain.from_iterable(obj)))
         if leaves <= _SPELL.keys():
             # a rectangular grid of scalars
-            _layout_grid([_spell_rows(obj, leaves)], level, out)
+            _layout_grid([map(_cell_sep(level).join, _spell_rows(obj, leaves))],
+                         level, out)
             return
     sep = "[" + inner
     for item in obj:

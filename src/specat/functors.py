@@ -28,6 +28,7 @@ from .core import (
     SemiadditiveCategory,
     Tolerance,
     _chunk_checker,
+    _Selection,
     _trial_chunks,
     oplus,
 )
@@ -147,14 +148,25 @@ class SemiadditiveFunctor:
 
 
 def induced_functor(hom: LatticeHom) -> SemiadditiveFunctor:
-    """Entrywise application of a lattice homomorphism, identity on carriers."""
+    """Entrywise application of a lattice homomorphism, identity on carriers.
+
+    A map sending bottom to bottom and top to top sends a selection to the
+    selection with the same positions, so an arrow carrying a form (see
+    ``core._GridCategory``) keeps it and its grid is not built."""
     source_cat = RelationCategory(hom.source)
     target_cat = RelationCategory(hom.target)
     table = np.array(hom.mapping, dtype=np.int16)
+    keeps_forms = (table[source_cat._blank] == target_cat._blank
+                   and table[source_cat._unit] == target_cat._unit)
 
     def map_arrow(f: LRelation) -> LRelation:
         if f.algebra != hom.source:
             raise ArrowTypeError("arrow lives over a different algebra")
+        form = f._form
+        if form is not None and keeps_forms:
+            return target_cat._selection_arrow(
+                _Selection(target_cat, form.lines, form.axis, form.shape),
+                f.source, f.target)
         return LRelation._derived(hom.target, f.source, f.target,
                                   table[f.values])
 

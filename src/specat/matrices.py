@@ -56,6 +56,12 @@ class ScalarDomain:
         if self.nonnegative and values.size and values.min() < 0:
             raise ArrowTypeError("non-negative domain rejects negative entries")
 
+    def _matmul(self, g: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """``g @ f``, validated: finite entries can overflow."""
+        values = np.matmul(g, f)
+        self.validate(values)
+        return values
+
     def parse(self, token: str):
         """One entry written as text."""
         token = token.strip()
@@ -142,11 +148,14 @@ class ScalarMatrix:
             raise ArrowTypeError(
                 f"cannot compose: left has {self.cols} columns, "
                 f"right has {other.rows} rows")
+        # a gather copies cells that were validated: only the kernel's
+        # products are validated
         product = MatrixCategory._product(self, other, MatrixCategory._blank,
-                                          MatrixCategory._unit, np.matmul)
+                                          MatrixCategory._unit,
+                                          self.domain._matmul)
         if isinstance(product, _Selection):
             return _SelectionMatrix._of(product, self.domain)
-        return self._checked(product)
+        return ScalarMatrix._derived(product, self.domain)
 
     def __add__(self, other: "ScalarMatrix") -> "ScalarMatrix":
         _check_domains(self.domain, other.domain)
@@ -381,21 +390,23 @@ class MatrixCategory(_GridCategory):
     # bound in the class body, so a traced run times each instance's own
     equal = _GridCategory.equal
 
-    def arrow_to_payload(self, f: ScalarMatrix) -> np.ndarray | list:
+    def _grid_payload(self, values: np.ndarray) -> np.ndarray | list:
         """A fresh float64 copy of a real or non-negative grid, which
         ``formats.canonical_json`` spells from its bits with the bytes of its
-        ``tolist()``; a complex grid as rows of ``str`` of its entries.
+        ``tolist()``; a complex grid as rows of ``str`` of its entries.  A
+        row selection's payload (``arrow_to_payload``) holds these entries'
+        blank and unit: ``0.0`` and ``1.0``, or ``"0j"`` and ``"(1+0j)"``.
 
         Adding 0 turns -0.0 into 0.0 and leaves every other value alone:
         BLAS kernels differ in the sign they give an exact zero, and a
         report spells no signed zero.
         """
-        values = f.values + 0
+        values = values + 0
         if self.domain.is_complex or np.iscomplexobj(values):
             return _spell_distinct(values, str)
         return values
 
-    def arrow_from_payload(self, payload, src: int, tgt: int) -> ScalarMatrix:
+    def _grid_from_payload(self, payload, src: int, tgt: int) -> ScalarMatrix:
         """A grid of integer 0s and 1s with at most one 1 per row is read
         by its positions, as a selection (see ``core._GridCategory``):
         ``list.count`` and ``list.index`` find each row's 1 in C."""
@@ -465,7 +476,7 @@ class MatrixCategory(_GridCategory):
         return values
 
     def _compose_cells(self, g: np.ndarray, f: np.ndarray) -> np.ndarray:
-        return self._valid(np.matmul(g, f))
+        return self.domain._matmul(g, f)
 
     def _add_cells(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         return self._valid(f + g)

@@ -622,10 +622,12 @@ class RelationCategory(_GridCategory):
     # bound in the class body, so a traced run times each instance's own
     equal = _GridCategory.equal
 
-    def arrow_to_payload(self, f: LRelation) -> list:
-        return self.algebra.spell(f.values)
+    def _grid_payload(self, values: np.ndarray) -> list:
+        """The grid's labels, as nested lists.  A row selection's payload
+        (``arrow_to_payload``) holds the bottom and top labels."""
+        return self.algebra.spell(values)
 
-    def arrow_from_payload(self, payload, src, tgt) -> LRelation:
+    def _grid_from_payload(self, payload, src, tgt) -> LRelation:
         if not (isinstance(payload, list)
                 and all(isinstance(row, list) for row in payload)):
             raise ParseError("relation grid must be a list of rows")

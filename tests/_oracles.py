@@ -33,6 +33,7 @@ from specat.core import (
     DEFAULT_TOL_ABS,
     LawTally,
     _biproduct_cases,
+    _SelectionPayload,
     copair,
     fold_biproduct,
     oplus,
@@ -363,9 +364,10 @@ def public_type(obj) -> type:
 
 
 def listed(payload):
-    """``payload`` with every numpy array, inside dicts, lists and tuples at
-    any depth, replaced by its ``tolist()``: what the stdlib encoder reads."""
-    if isinstance(payload, np.ndarray):
+    """``payload`` with every numpy array and selection payload, inside
+    dicts, lists and tuples at any depth, replaced by its ``tolist()``: what
+    the stdlib encoder reads."""
+    if isinstance(payload, (np.ndarray, _SelectionPayload)):
         return payload.tolist()
     if isinstance(payload, dict):
         return {key: listed(value) for key, value in payload.items()}

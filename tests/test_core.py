@@ -58,7 +58,7 @@ class TestZeroObject:
 
     def test_report_names_the_identity_and_the_zero_arrow(self):
         cell = {"source": ["x"], "target": ["x"]}
-        assert check_zero_object(REL, ("x",)).to_dict() == {
+        assert listed(check_zero_object(REL, ("x",)).to_dict()) == {
             "passed": False,
             "checks": [{"law": "zero_object", "passed": False, "trials": 1,
                         "max_residual": 1.0, "counterexample": {

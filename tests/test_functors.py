@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -39,7 +40,9 @@ from ._oracles import (
     exhaustive_functor_check_slow,
     listed,
 )
+from .test_grid import obj
 from .test_properties import product_lattice
+from .test_selections import arrows
 from .test_spectral import brel, path3_decomposition, loops3_decomposition, C3
 
 B4 = b4()
@@ -290,6 +293,29 @@ def _induced_homs(algebra):
         except LatticeError:
             pass
     return homs
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), broken=st.booleans(), n=st.integers(0, 4),
+       m=st.integers(0, 4))
+def test_induced_functors_keep_selection_forms(data, broken, n, m):
+    """A form-carrying arrow maps to the selection with the same positions,
+    whose grid is the dense image's; a table that does not send bottom to
+    bottom maps it densely."""
+    algebra = data.draw(st.sampled_from(FUNCTOR_ALGEBRAS))
+    hom = data.draw(st.sampled_from(_induced_homs(algebra)))
+    if broken:  # a map no LatticeHom accepts
+        table = list(hom.mapping)
+        table[algebra.bottom] = hom.target.top
+        hom = SimpleNamespace(source=algebra, target=hom.target, mapping=table)
+    cat = RelationCategory(algebra)
+    f, twin = data.draw(arrows(cat, obj(cat, m, "x"), obj(cat, n, "y")))
+    functor = induced_functor(hom)
+    got, want = functor.apply_arrow(f), functor.apply_arrow(twin)
+    assert (got._form is not None) == (f._form is not None and not broken)
+    assert (got.source, got.target) == (want.source, want.target)
+    assert got.values.dtype == want.values.dtype
+    assert np.array_equal(got.values, want.values)
 
 
 @settings(max_examples=25, deadline=None)

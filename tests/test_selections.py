@@ -9,6 +9,7 @@ forms are held to the bodies they replaced (``_oracles``), and a loaded
 decomposition's verify must hold fewer n x n grids than it did.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -20,11 +21,14 @@ from specat import (
     MAT_C,
     MAT_NN,
     MAT_R,
+    ArrowTypeError,
     Block,
     DecompositionError,
+    HeytingTable,
     LRelation,
     ParseError,
     RelationCategory,
+    ScalarDomain,
     ScalarMatrix,
     SpectralDecomposition,
     Tolerance,
@@ -37,11 +41,18 @@ from specat import (
     sum_decompositions,
     verify_decomposition,
 )
-from specat.core import _Selection
-from specat.formats import decomposition_from_dict
+from specat.cli import main
+from specat.core import _Selection, _SelectionPayload
+from specat.formats import (
+    _FALLBACK,
+    canonical_json,
+    decomposition_from_dict,
+    decomposition_to_dict,
+)
 from specat.matrices import _matrix_from_payload
 
 from ._oracles import (
+    canonical_json_slow,
     listed,
     matrix_arrow_from_payload_slow,
     public_type,
@@ -431,3 +442,124 @@ def test_combining_reports_the_first_mismatch_as_block_by_block(cat, loaded):
     total = sum_decompositions(cat, dec, dec)
     assert all(got.project is want.project and got.inject is want.inject
                for got, want in zip(total.blocks, dec.blocks))
+
+
+# ---------------------------------------------------------------------------
+# payloads written from positions
+
+# chain(3) relabelled with labels that JSON escapes
+ESCAPES = HeytingTable(['"bot"\n', "mid\\é", "top \x00"],
+                       chain(3).meet, chain(3).join, name="escapes")
+PAYLOAD_CASES = CASES + (RelationCategory(ESCAPES),)
+
+
+def nested(payload, depth: int):
+    """``payload`` at ``depth`` levels of a report's dicts and lists."""
+    for _ in range(depth):
+        payload = {"blocks": [{"project": payload}]}
+    return payload
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), cat=st.sampled_from(PAYLOAD_CASES), n=st.integers(0, 5),
+       m=st.integers(0, 5), depth=st.integers(0, 2))
+@example(data=None, cat=MAT_R, n=3, m=1, depth=1)
+def test_selection_payloads_encode_as_their_dense_twins(data, cat, n, m, depth):
+    """A row selection's payload is its positions, and ``canonical_json``
+    writes it as the stdlib writes its dense twin's lists, at any depth:
+    blank rows, width 1, column forms, two units in one column or in one
+    row, and empty grids included."""
+    src, tgt = obj(cat, m, "x"), obj(cat, n, "y")
+    if data is None:  # every row's unit in the one column
+        form = _Selection(cat, np.zeros(n, np.intp), 0, (n, m))
+        f, twin = cat._selection_arrow(form, src, tgt), cat._arrow(form.grid(), src, tgt)
+    else:
+        f, twin = data.draw(arrows(cat, src, tgt))
+    payload, want = cat.arrow_to_payload(f), listed(cat.arrow_to_payload(twin))
+    by_positions = f._form is not None and n and m and f._form.along(0) is not None
+    assert (type(payload) is _SelectionPayload) == bool(by_positions)
+    assert listed(payload) == want
+    assert canonical_json(nested(payload, depth)) == canonical_json_slow(
+        nested(want, depth))
+    assert _FALLBACK.encode(nested(payload, depth)) + "\n" == canonical_json_slow(
+        nested(want, depth))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), cat=st.sampled_from(PAYLOAD_CASES),
+       other=st.sampled_from(PAYLOAD_CASES), n=st.integers(0, 4),
+       m=st.integers(0, 4), dn=st.integers(-1, 1), dm=st.integers(-1, 1))
+def test_selection_payloads_are_read_back_in_process(data, cat, other, n, m,
+                                                      dn, dm):
+    """A selection payload reads back as the selection it spells, as its
+    lists do; read with another shape or by another instance, it gives
+    what its lists give."""
+    src, tgt = obj(cat, m, "x"), obj(cat, n, "y")
+    f, _ = data.draw(arrows(cat, src, tgt))
+    payload = cat.arrow_to_payload(f)
+    if type(payload) is not _SelectionPayload:
+        return
+    back = cat.arrow_from_payload(payload, src, tgt)
+    assert_same_result(back, cat.arrow_from_payload(listed(payload), src, tgt))
+    assert back._form is not None
+    src2, tgt2 = obj(other, max(m + dm, 0), "x"), obj(other, max(n + dn, 0), "y")
+    got = read_outcome(lambda: other.arrow_from_payload(payload, src2, tgt2))
+    assert_same_outcome(got, read_outcome(
+        lambda: other.arrow_from_payload(listed(payload), src2, tgt2)))
+
+
+@pytest.mark.parametrize("cat", CASES, ids=lambda c: c.name)
+def test_split_decompositions_round_trip_in_process(cat):
+    f, payload = planted_payload(cat, 12, 4)
+    _, dec = separate_components(f) if cat.exact else detect_blocks(f)
+    written = decomposition_to_dict(dec, cat)
+    assert all(type(b[key]) is _SelectionPayload
+               for b in written["blocks"] for key in ("project", "inject"))
+    back = decomposition_from_dict(written, cat)
+    assert back.carrier == dec.carrier
+    for got, want in zip(back.blocks, dec.blocks):
+        assert got.space == want.space
+        for a, b in ((got.project, want.project), (got.inject, want.inject),
+                     (got.local, want.local)):
+            assert a._form is not None or b._form is None
+            assert a.values.tobytes() == b.values.tobytes()
+
+
+@pytest.mark.parametrize("instance", ["rel", "mat-r"])
+def test_writing_a_split_builds_none_of_its_selection_grids(monkeypatch, capsys,
+                                                            tmp_path, instance):
+    """``separate`` verifies and writes its blocks' P and I from their
+    positions: no selection's grid is built."""
+    cat = RelationCategory(bool_algebra()) if instance == "rel" else MAT_R
+    f, _ = planted_payload(cat, 12, 4)
+    path = tmp_path / "arrow"
+    if cat.exact:
+        path.write_text(canonical_json(RelationCategory(f.algebra).describe_arrow(f)))
+    else:
+        path.write_text("\n".join(",".join(map(repr, row))
+                                  for row in f.values.tolist()) + "\n")
+    built, grid = [], _Selection.grid
+    monkeypatch.setattr(_Selection, "grid", lambda self: built.append(self) or grid(self))
+    assert main(["separate", "--instance", instance, "--arrow", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["payload"]["decomposition"]["blocks"]) == 4
+    assert built == []
+
+
+def test_gathers_validate_nothing(monkeypatch):
+    """A gather copies cells that were validated when their arrow was
+    built, so ``ScalarDomain.validate`` runs only on kernel products."""
+    f = ScalarMatrix(np.arange(12.0).reshape(3, 4), MAT_NN.domain)
+    p = MAT_NN._selection_arrow(_Selection(MAT_NN, np.array([2, -1, 0]), 0, (3, 3)),
+                                3, 3)
+    i = MAT_NN._arrow(np.eye(4)[:, [3, 1]], 2, 4)
+    calls = []
+    monkeypatch.setattr(ScalarDomain, "validate",
+                        lambda self, values: calls.append(values.shape))
+    assert (p @ f).values.tolist() == [[8.0, 9.0, 10.0, 11.0], [0.0] * 4,
+                                       [0.0, 1.0, 2.0, 3.0]]
+    assert (f @ i).values.tolist() == [[3.0, 1.0], [7.0, 5.0], [11.0, 9.0]]
+    assert calls == []
+    f @ ScalarMatrix(np.full((4, 2), 2.0), MAT_NN.domain)  # a kernel product
+    assert calls == [(4, 2), (3, 2)]
+
