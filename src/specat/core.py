@@ -133,6 +133,10 @@ class LawReport:
         return LawReport(self.checks + other.checks)
 
     def to_dict(self) -> dict:
+        """The verdict and the checks.  A counterexample's arrow payloads may
+        be numpy arrays or selection payloads (a zero arrow, an identity, a
+        split block), which ``formats.canonical_json`` encodes and the
+        stdlib ``json`` does not."""
         return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
 
@@ -718,25 +722,27 @@ class _GridCategory(SemiadditiveCategory):
 
     **Selections.**  A grid is a row selection when each of its rows holds
     at most one non-blank cell and that cell is the unit; a column
-    selection likewise by columns.  A product with one is a gather
-    (:meth:`_product`): ``g.f`` is ``f``'s rows gathered by the row
-    selection ``g``, a blank row where ``g``'s row is blank, and ``g.f``
-    is ``g``'s columns gathered by the column selection ``f``.  The unit is
-    neutral and the blank absorbing, so the gather is the kernel's product
-    cell for cell (for matrices, up to the sign of a zero).
+    selection likewise by columns.  An arrow may carry its selection form
+    privately, in ``_form``: a :class:`_Selection`, the position of each
+    row's unit (or each column's), -1 for a blank line.  Every other arrow
+    reads ``_form`` as ``None``.  The form is set where the positions are
+    known, never found by scanning: by :meth:`zero` (every line blank),
+    :meth:`identity`, :meth:`canonical_biproduct`, :meth:`_selections`
+    (the blocks a split builds), the instances' payload readers and
+    ``spectral.reduced_transition_matrix``.  Forms are closed under the
+    operations the verifier forms: a stack of row selections is a row
+    selection (positions concatenated), a costack of column selections is
+    a column selection, and a composite of two row selections is one too
+    (index maps composed).  :meth:`compare_blocks` compares two row
+    selections by their positions.  Any other operation reads the grid.
 
-    An arrow may carry its selection form privately, in ``_form``: a
-    :class:`_Selection`, the position of each row's unit (or each
-    column's), -1 for a blank line.  Every other arrow reads ``_form`` as
-    ``None``.  The form is set where the positions are known, never found
-    by scanning: by :meth:`_selections` (the blocks a split builds),
-    :meth:`identity`, :meth:`canonical_biproduct` and the instances'
-    payload readers.  Forms are closed under the operations the verifier
-    forms: a stack of row selections is a row selection (positions
-    concatenated), a costack of column selections is a column selection,
-    and a composite of two row selections is one too (index maps
-    composed).  :meth:`compare_blocks` compares two row selections by their
-    positions.  Any other operation reads the grid.
+    A product with a form is a gather (:meth:`_product`): ``g.f`` is
+    ``f``'s rows gathered by the row selection ``g``, a blank row where
+    ``g``'s row is blank, and ``g.f`` is ``g``'s columns gathered by the
+    column selection ``f``.  The unit is neutral and the blank absorbing,
+    so the gather is the kernel's product cell for cell (for matrices, up
+    to the sign of a zero).  A selection held as a plain grid takes the
+    kernel.
 
     An arrow with a form is of a private subclass of the instance's arrow
     class whose ``values`` is built from the form on first read, once: the
@@ -761,8 +767,10 @@ class _GridCategory(SemiadditiveCategory):
 
     def zero(self, src: Any, tgt: Any) -> Arrow:
         src, tgt = self._object(src), self._object(tgt)
-        return self._arrow(self._blank_grid(self._size(tgt), self._size(src)),
-                           src, tgt)
+        rows = self._size(tgt)
+        return self._selection_arrow(
+            _Selection(self, np.full(rows, -1, np.intp), 0, (rows, self._size(src))),
+            src, tgt)
 
     def identity(self, obj: Any) -> Arrow:
         obj = self._object(obj)
@@ -1013,16 +1021,15 @@ class _GridCategory(SemiadditiveCategory):
         return _PaddedBatches(self)
 
     @staticmethod
-    def _product(g, f, blank, unit,
-                 kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-        """The grid of the arrow ``g`` after the arrow ``f``.
+    def _product(g, f, blank, kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+        """The grid of the arrow ``g`` after the arrow ``f``, read from their
+        forms only (see Selections above).
 
         Two forms that compose give a :class:`_Selection`.  Otherwise the
-        product is a gather when ``g`` is a row selection or ``f`` a column
-        selection, else ``kernel(g, f)``: a form says which it is, and the
-        grid of an arrow without one is scanned (:func:`_selected`).  A
-        gather is a fresh C-ordered grid of the operands' dtype, as the
-        kernels give; empty grids go to the kernel."""
+        product is a gather when ``g``'s form is a row selection or ``f``'s
+        a column selection, else ``kernel(g, f)``.  A gather is a fresh
+        C-ordered grid of the operands' dtype, as the kernels give; empty
+        grids go to the kernel."""
         g_form, f_form = g._form, f._form
         rows, mid = _grid_shape(g)
         if not (rows and mid and _grid_shape(f)[1]):
@@ -1031,10 +1038,10 @@ class _GridCategory(SemiadditiveCategory):
             product = g_form.compose(f_form)
             if product is not None:
                 return product
-        lines = _selected(g.values, blank, unit) if g_form is None else g_form.along(0)
+        lines = None if g_form is None else g_form.along(0)
         if lines is not None:
             return _gather(f.values, lines, 0, blank)
-        lines = _selected(f.values.T, blank, unit) if f_form is None else f_form.along(1)
+        lines = None if f_form is None else f_form.along(1)
         if lines is not None:
             return _gather(g.values, lines, 1, blank)
         return kernel(g.values, f.values)
@@ -1198,31 +1205,6 @@ def _unit_lines(grid: list, width: int, blank, unit) -> np.ndarray | None:
             except ValueError:
                 return None
     return np.array(lines, np.intp)
-
-
-def _selected(grid: np.ndarray, blank, unit) -> np.ndarray | None:
-    """Per row of ``grid``, the column of its one non-blank cell, or -1 for
-    a blank row; None unless every such cell is the unit.  The first row is
-    checked alone, then bands of about ``_BAND_CELLS`` cells, so a dense
-    grid is left after its first row and any other grid that is no
-    selection at the first band that shows it."""
-    first = np.flatnonzero(grid[0] != blank)
-    if len(first) > 1 or (len(first) and grid[0, first[0]] != unit):
-        return None
-    rows, cols = grid.shape
-    where = np.empty(rows, np.intp)
-    band = max(1, _BAND_CELLS // cols)
-    for r0 in range(0, rows, band):
-        part = grid[r0:r0 + band]
-        marked = part != blank
-        count = marked.sum(axis=1)
-        if count.max() > 1:
-            return None
-        at = marked.argmax(axis=1)
-        if not (part[np.arange(len(part)), at][count == 1] == unit).all():
-            return None
-        where[r0:r0 + band] = np.where(count == 1, at, -1)
-    return where
 
 
 def _gather(grid: np.ndarray, lines: np.ndarray, axis: int, blank) -> np.ndarray:

@@ -151,7 +151,6 @@ class ScalarMatrix:
         # a gather copies cells that were validated: only the kernel's
         # products are validated
         product = MatrixCategory._product(self, other, MatrixCategory._blank,
-                                          MatrixCategory._unit,
                                           self.domain._matmul)
         if isinstance(product, _Selection):
             return _SelectionMatrix._of(product, self.domain)
@@ -407,18 +406,26 @@ class MatrixCategory(_GridCategory):
         return values
 
     def _grid_from_payload(self, payload, src: int, tgt: int) -> ScalarMatrix:
-        """A grid of integer 0s and 1s with at most one 1 per row is read
-        by its positions, as a selection (see ``core._GridCategory``):
-        ``list.count`` and ``list.index`` find each row's 1 in C."""
-        kinds = None
+        """A grid of integer 0s and 1s, or of the writer's blank and unit
+        (``_payload_cells``), with at most one unit per row is read as a
+        selection (see ``core._GridCategory``): ``list.count`` and
+        ``list.index`` find each row's unit in C; a grid holding a bool is
+        none.  An integer grid is held by its positions alone; any other
+        keeps the grid it reads, so a ``-0.0`` keeps its bits."""
+        kinds = lines = None
         if type(payload) is list:
             kinds = _entry_kinds(payload)
-            if kinds == {int} and len(payload) == tgt:
-                lines = _unit_lines(payload, src, 0, 1)
-                if lines is not None:
+            if len(payload) == tgt and bool not in kinds:
+                cells = (0, 1) if kinds == {int} else self._payload_cells
+                lines = _unit_lines(payload, src, *cells)
+                if lines is not None and kinds == {int}:
                     return self._selection_arrow(
                         _Selection(self, lines, 0, (tgt, src)), src, tgt)
         arr = _matrix_from_payload(payload, self.domain, kinds)
+        if lines is not None:
+            arr.flags.writeable = False
+            return self._selection_arrow(
+                _Selection(self, lines, 0, (tgt, src), lambda: arr), src, tgt)
         if arr.shape == (0,) and tgt == 0:
             arr = arr.reshape(0, src)  # [] is how a matrix with no rows reads
         if arr.ndim != 2 or arr.shape != (tgt, src):

@@ -519,7 +519,7 @@ class LRelation:
                 f"cannot compose: middle carriers differ "
                 f"({self.source!r} vs {other.target!r})")
         algebra = self.algebra
-        product = _GridCategory._product(self, other, algebra.bottom, algebra.top,
+        product = _GridCategory._product(self, other, algebra.bottom,
                                          algebra._cuts.compose)
         if isinstance(product, _Selection):
             return _SelectionRelation._of(algebra, other.source, self.target,

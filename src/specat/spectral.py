@@ -28,6 +28,7 @@ from .core import (
     SpecatError,
     Tolerance,
     UnsupportedDomainError,
+    _Selection,
 )
 from .matrices import MAT_R, MatrixCategory, ScalarMatrix
 from .relations import LRelation, RelationCategory
@@ -632,14 +633,17 @@ def reduced_transition_matrix(adjacency, partition: Partition) -> EquitableQuoti
     if not np.array_equal(balance, balance.T):
         raise SpecatError("edge-count conservation violated between cells")
     reduced = ScalarMatrix(degrees / row_degrees[:, None])
-    average_vals = np.zeros((num, n))
-    average_vals[cell_of, np.arange(n)] = 1.0 / sizes[cell_of]
-    indicator_vals = np.zeros((n, num))
-    indicator_vals[np.arange(n), cell_of] = 1.0
+    # vertex v's indicator row has its 1 at cell_of[v]; when every cell is
+    # one vertex, averaging selects the members
+    indicator = MAT_R._selection_arrow(_Selection(MAT_R, cell_of, 0, (n, num)), num, n)
+    if num == n:
+        average = MAT_R._selection_arrow(_Selection(MAT_R, members, 0, (n, n)), n, n)
+    else:
+        average_vals = np.zeros((num, n))
+        average_vals[cell_of, np.arange(n)] = 1.0 / sizes[cell_of]
+        average = ScalarMatrix(average_vals)
     degrees.flags.writeable = False
-    return EquitableQuotient(partition, degrees, reduced,
-                             ScalarMatrix(average_vals),
-                             ScalarMatrix(indicator_vals))
+    return EquitableQuotient(partition, degrees, reduced, average, indicator)
 
 
 def _require_endo(name: str, f: ScalarMatrix, n: int) -> None:

@@ -409,6 +409,23 @@ def matrix_arrow_from_payload_slow(cat, payload, src: int, tgt: int) -> ScalarMa
     return ScalarMatrix(arr, cat.domain)
 
 
+def quotient_maps_slow(partition: Partition) -> tuple[ScalarMatrix, ScalarMatrix]:
+    """(average, indicator) of an equitable quotient on ``partition`` as
+    ``reduced_transition_matrix`` built them before they carried forms:
+    dense grids, ``1/size`` of its cell at each vertex and a 1 at each
+    vertex's cell."""
+    cells = partition.positions()
+    n, num = len(partition.carrier), len(cells)
+    sizes = np.array([len(cell) for cell in cells], dtype=np.int64)
+    cell_of = np.empty(n, dtype=np.int64)
+    cell_of[np.concatenate(cells)] = np.repeat(np.arange(num), sizes)
+    average_vals = np.zeros((num, n))
+    average_vals[cell_of, np.arange(n)] = 1.0 / sizes[cell_of]
+    indicator_vals = np.zeros((n, num))
+    indicator_vals[np.arange(n), cell_of] = 1.0
+    return ScalarMatrix(average_vals), ScalarMatrix(indicator_vals)
+
+
 def relation_arrow_from_payload_slow(cat, payload, src, tgt) -> LRelation:
     """``RelationCategory.arrow_from_payload`` as it was before grids of
     bottom and top labels were read by their positions."""

@@ -277,7 +277,8 @@ class TestLawTally:
         batched.check_batch("is_zero", residuals[2:], lambda i: {},
                             residuals[2:] == 0)
         batched.check("other", zero, zero, {})
-        assert batched.report().to_dict() == single.report().to_dict()
+        # the zero arrow's payload is a selection payload: compare its lists
+        assert listed(batched.report().to_dict()) == listed(single.report().to_dict())
         assert seen == [1]
         check = batched.report().checks[0]
         assert (check.trials, check.max_residual) == (4, 2.0)

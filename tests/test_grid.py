@@ -282,76 +282,9 @@ def test_generalized_relation_witness_composes_onto_the_canonical_one():
     assert w.pi2 == canonical.pi2
 
 
-# A product with a selection is a gather (``_GridCategory._product``); it
-# must give what the dense kernel gives, near-selections included, which
-# the kernel itself must take.
-FLAWS = ("none", "none", "two units", "other value", "negative zero", "dense")
-
-
-def dense_product(cat, g, f) -> np.ndarray:
-    if cat.exact:
-        return cat.algebra._cuts.compose(g.values, f.values)
-    return np.matmul(g.values, f.values)
-
-
 def other_value(cat):
     """A cell that is neither blank nor the unit, if the instance has one."""
     if cat.exact:
         others = set(range(len(cat.algebra.elements))) - {cat._blank, cat._unit}
         return min(others, default=None)
     return 2.0
-
-
-def selection_cells(cat, rng, rows: int, cols: int, flaw: str) -> np.ndarray:
-    """A row selection with some blank rows, then ``flaw``: a second unit in
-    a row, one cell of another value, a -0.0 cell (matrices) or every cell
-    drawn at random."""
-    if flaw == "dense":
-        return random_cells(cat, rng, (rows, cols))
-    values = cat._blank_grid(rows, cols)
-    for i in range(rows):
-        if cols and rng.random() < 0.8:
-            values[i, rng.integers(cols)] = cat._unit
-    if rows and cols:
-        i, j = rng.integers(rows), rng.integers(cols)
-        if flaw == "two units" and cols > 1:
-            values[i, :2] = cat._unit
-        elif flaw == "other value" and other_value(cat) is not None:
-            values[i, j] = other_value(cat)
-        elif flaw == "negative zero" and not cat.exact:
-            values[i, j] = -0.0
-    return values
-
-
-@settings(max_examples=400, deadline=None)
-@given(cat=st.sampled_from(CASES), n=st.integers(0, 5), mid=st.integers(0, 5),
-       m=st.integers(0, 5), g_flaw=st.sampled_from(FLAWS),
-       f_flaw=st.sampled_from(FLAWS), layouts=st.sampled_from(["CC", "CF", "FC", "FF"]),
-       band_cells=st.sampled_from([1, 7, core._BAND_CELLS]),
-       seed=st.integers(0, 2 ** 16))
-def test_products_with_selections_match_the_dense_kernel(
-        cat, n, mid, m, g_flaw, f_flaw, layouts, band_cells, seed):
-    """``g`` drawn as a row selection and ``f`` as a column selection, each
-    maybe flawed, in either memory layout: the product through ``@`` and
-    ``compose`` equals the dense kernel's in values, dtype, shape and
-    strides; matrix zeros are compared up to their sign."""
-    rng = np.random.default_rng(seed)
-    g_cells = selection_cells(cat, rng, n, mid, g_flaw)
-    f_cells = selection_cells(cat, rng, m, mid, f_flaw).T
-    g_cells, f_cells = (np.asfortranarray(v) if layout == "F" else np.ascontiguousarray(v)
-                        for v, layout in zip((g_cells, f_cells), layouts))
-    x, y, z = obj(cat, m, "x"), obj(cat, mid, "y"), obj(cat, n, "z")
-    g, f = cat._arrow(g_cells, y, z), cat._arrow(f_cells, x, y)
-    want = dense_product(cat, g, f)
-    with mock.patch.object(core, "_BAND_CELLS", band_cells):
-        products = (g @ f, cat.compose(g, f))
-    for got in products:
-        assert (got.source, got.target) == (x, z)
-        assert got.values.dtype == want.dtype
-        assert got.values.shape == want.shape
-        assert got.values.strides == want.strides
-        assert not got.values.flags.writeable
-        if cat.exact:
-            assert np.array_equal(got.values, want)
-        else:
-            assert np.array_equal(got.values + 0, want + 0)

@@ -48,6 +48,8 @@ from specat.formats import (
     canonical_json,
     decomposition_from_dict,
     decomposition_to_dict,
+    load_decomposition_json,
+    save_decomposition_json,
 )
 from specat.matrices import _matrix_from_payload
 
@@ -60,6 +62,7 @@ from ._oracles import (
     relation_arrow_from_payload_slow,
 )
 from .test_grid import obj
+from .test_stacked import count_dense_kernels
 
 CASES = (RelationCategory(bool_algebra()), RelationCategory(b4()),
          RelationCategory(chain(64)), MAT_R, MAT_C, MAT_NN)
@@ -84,14 +87,17 @@ def assert_same_result(got, want) -> None:
 def arrows(draw, cat, src, tgt):
     """(arrow, its twin) from ``src`` to ``tgt``: a form-carrying selection,
     maybe transposed, and the same grid held by a dense arrow; or a dense
-    grid twice, a selection or not."""
+    grid twice, a selection or not, row- or column-major."""
     rows, cols = cat._size(tgt), cat._size(src)
-    kind = draw(st.sampled_from(["rows", "cols", "transposed", "copied", "dense"]))
-    if kind == "dense":
+    kind = draw(st.sampled_from(["rows", "cols", "transposed", "copied", "dense",
+                                 "dense-F"]))
+    if kind.startswith("dense"):
         cells = draw(st.lists(st.sampled_from([cat._blank, cat._unit, cat._unit,
                                                cat._blank, other_cell(cat)]),
                               min_size=rows * cols, max_size=rows * cols))
         grid = np.array(cells, cat._dtype).reshape(rows, cols)
+        if kind == "dense-F":
+            grid = np.asfortranarray(grid)
         return cat._arrow(grid, src, tgt), cat._arrow(grid, src, tgt)
     axis = 1 if kind == "cols" else 0
     shape = (rows, cols)
@@ -257,19 +263,27 @@ MATRIX_FLAWS = [True, False, -0.0, 0.0, 1.0, 2, -1, 0.5, "1", None, 2 ** 70]
 @example(cat=MAT_R, case=([[-0.0, 1]], 2, 1))
 @example(cat=MAT_C, case=([[0.0, 1.0]], 2, 1))
 @example(cat=MAT_R, case=([], 3, 0))
+@example(cat=MAT_C, case=([["0j", "(1+0j)"], ["0j", "0j"]], 2, 2))
+@example(cat=MAT_C, case=([["-0j", "(1+0j)"]], 2, 1))
+@example(cat=MAT_R, case=([["0.0", "1.0"]], 2, 1))
+@example(cat=MAT_NN, case=([[1.0, -0.0], [0.0, 0]], 2, 2))
 def test_matrix_selections_are_read_as_the_old_reader_reads_them(cat, case):
-    """A 0/1 integer grid is read by its positions; every other grid, bools,
-    floats, signed zeros, other values, two units, ragged rows and wrong
-    row counts included, as before: the same bits and layout, or the same
-    error."""
+    """A grid of integer 0s and 1s, or of the writer's own blank and unit
+    (no bools), with at most one unit per row carries a form;
+    every grid, signed zeros, other values, two units, ragged rows and
+    wrong row counts included, reads as before: the same bits and layout,
+    or the same error."""
     payload, width, rows = case
     got = read_outcome(lambda: cat.arrow_from_payload(payload, width, rows))
     want = read_outcome(
         lambda: matrix_arrow_from_payload_slow(cat, payload, width, rows))
     assert_same_outcome(got, want)
+    kinds = {type(v) for row in payload for v in row}
+    blank, unit = (0, 1) if kinds == {int} else cat._payload_cells
     selection = (not isinstance(want, Exception) and payload and width
-                 and {type(v) for row in payload for v in row} == {int}
-                 and all(set(row) <= {0, 1} and row.count(1) <= 1 for row in payload))
+                 and bool not in kinds
+                 and all(all(v == blank or v == unit for v in row)
+                         and row.count(unit) <= 1 for row in payload))
     assert (getattr(got, "_form", None) is not None) == bool(selection)
 
 
@@ -525,6 +539,36 @@ def test_split_decompositions_round_trip_in_process(cat):
             assert a.values.tobytes() == b.values.tobytes()
 
 
+@pytest.mark.parametrize("cat", [MAT_R, MAT_NN, MAT_C], ids=lambda c: c.name)
+def test_saved_splits_load_as_forms_and_verify_by_gathers(monkeypatch, tmp_path, cat):
+    """A ``detect_blocks`` split saved and loaded: every P and I carries a
+    form whose grid is the old reader's, bit for bit (a ``-0.0`` written
+    by hand into a real P included), and the loaded split verifies with no
+    dense kernel."""
+    f, _ = planted_payload(cat, 12, 4)
+    _, dec = detect_blocks(f)
+    path = tmp_path / "decomposition.json"
+    save_decomposition_json(dec, cat, path)
+    if not cat.domain.is_complex:
+        payload = json.loads(path.read_text())
+        row = payload["blocks"][0]["project"][0]
+        row[row.index(0.0)] = -0.0
+        path.write_text(json.dumps(payload))
+    payload = json.loads(path.read_text())
+    loaded = load_decomposition_json(path, cat)
+    for got, raw in zip(loaded.blocks, payload["blocks"]):
+        for key, src, tgt in (("project", 12, got.space), ("inject", got.space, 12)):
+            arrow = getattr(got, key)
+            assert arrow._form is not None
+            assert_same_result(arrow,
+                               matrix_arrow_from_payload_slow(cat, raw[key], src, tgt))
+    if not cat.domain.is_complex:
+        assert np.signbit(loaded.blocks[0].project.values).sum() == 1
+    kernels = count_dense_kernels(monkeypatch)
+    assert verify_decomposition(cat, f, loaded).passed
+    assert kernels == []
+
+
 @pytest.mark.parametrize("instance", ["rel", "mat-r"])
 def test_writing_a_split_builds_none_of_its_selection_grids(monkeypatch, capsys,
                                                             tmp_path, instance):
@@ -552,7 +596,7 @@ def test_gathers_validate_nothing(monkeypatch):
     f = ScalarMatrix(np.arange(12.0).reshape(3, 4), MAT_NN.domain)
     p = MAT_NN._selection_arrow(_Selection(MAT_NN, np.array([2, -1, 0]), 0, (3, 3)),
                                 3, 3)
-    i = MAT_NN._arrow(np.eye(4)[:, [3, 1]], 2, 4)
+    i = MAT_NN._selection_arrow(_Selection(MAT_NN, np.array([3, 1]), 1, (4, 2)), 2, 4)
     calls = []
     monkeypatch.setattr(ScalarDomain, "validate",
                         lambda self, values: calls.append(values.shape))

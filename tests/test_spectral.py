@@ -46,6 +46,7 @@ from ._oracles import (
     coarsest_equitable_slow,
     is_equitable,
     adjacency_bitrows,
+    quotient_maps_slow,
     refines,
     relation_support_edges,
     set_partitions,
@@ -592,6 +593,56 @@ class TestReducedTransition:
         bad = Partition((0, 1, 2), ((0, 1), (2,)))
         with pytest.raises(PreconditionError, match="vertex"):
             reduced_transition_matrix(adj, bad)
+
+
+def random_graph(rng, n: int) -> np.ndarray:
+    """A connected graph on ``n`` vertices: a path through them in random
+    order, then random edges up to ``2n`` (fewer if the graph fills up)."""
+    adj = np.zeros((n, n), dtype=int)
+    order = rng.permutation(n)
+    adj[order[:-1], order[1:]] = adj[order[1:], order[:-1]] = 1
+    while adj.sum() < min(4 * n, n * (n - 1)):
+        a, b = rng.integers(n, size=2)
+        if a != b:
+            adj[a, b] = adj[b, a] = 1
+    return adj
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=st.sampled_from(["random", "cycle", "star", "path", "complete"]),
+       n=st.integers(2, 12), discrete=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_quotient_maps_carry_forms_with_the_dense_bits(family, n, discrete, seed):
+    """The indicator always carries its form, the averaging map exactly when
+    every cell is one vertex; both grids are the dense construction's bit
+    for bit, laid out alike."""
+    adj = {"random": lambda: random_graph(np.random.default_rng(seed), n),
+           "cycle": lambda: cycle(n), "star": lambda: star(n - 1),
+           "path": lambda: path(n), "complete": lambda: complete(n)}[family]()
+    partition = (Partition(tuple(range(n)), tuple((v,) for v in range(n)))
+                 if discrete else coarsest_equitable_partition(adj))
+    quotient = reduced_transition_matrix(adj, partition)
+    assert quotient.indicator._form is not None
+    singletons = all(len(cell) == 1 for cell in partition.cells)
+    assert (quotient.average._form is not None) == singletons
+    for got, want in zip((quotient.average, quotient.indicator),
+                         quotient_maps_slow(partition)):
+        assert_same_arrow(got, want, fresh=False)
+        assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_a_discrete_quotient_is_verified_by_gathers(monkeypatch):
+    """On a random graph of 180 vertices, whose coarsest equitable partition
+    is discrete, every averaging product of ``verify_quotient`` is a gather
+    or a composite of forms: no ``np.matmul`` runs."""
+    adj = random_graph(np.random.default_rng(180), 180)
+    quotient, walk, residual = TestVerifyQuotient.quotient_of(adj)
+    assert len(quotient.partition.cells) == 180
+    calls = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul",
+                        lambda *args, **kwargs: calls.append(1) or matmul(*args, **kwargs))
+    assert verify_quotient(quotient, walk, residual).passed
+    assert calls == []
 
 
 class TestPartition:

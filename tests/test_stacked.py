@@ -339,19 +339,22 @@ def test_verifying_a_split_decomposition_runs_no_dense_kernel(monkeypatch, kind,
 
 
 @pytest.mark.parametrize("kind, flaw", [
-    (kind, flaw) for kind in sorted(KINDS) for flaw in ("two units", "other value")
+    (kind, flaw) for kind in sorted(KINDS)
+    for flaw in ("none", "two units", "other value")
     if not (kind == "rel" and flaw == "other value")])
 def test_a_near_selection_takes_the_dense_kernel(monkeypatch, kind, flaw):
     """A projection with a second unit in a row, or a cell that is neither
     blank nor the unit (2.0 for matrices, ``a`` or another middle element
-    for relations), is no selection: its product runs the kernel once."""
+    for relations), is no selection: its product runs the kernel once.  So
+    does the exact selection held by a plain arrow: products read forms,
+    not cells."""
     cat = KINDS[kind]
     _, dec = block_case(cat, 2)
     project = dec.blocks[0].project
     values = project.values.copy()
     if flaw == "two units":
         values[0, :] = cat._unit
-    else:
+    elif flaw == "other value":
         values[values == cat._unit] = other_value(cat)
     near = cat._arrow(values, project.source, project.target)
     units = cat._arrow(np.full((4, 3), cat._unit, cat._dtype),
