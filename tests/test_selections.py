@@ -269,10 +269,10 @@ MATRIX_FLAWS = [True, False, -0.0, 0.0, 1.0, 2, -1, 0.5, "1", None, 2 ** 70]
 @example(cat=MAT_NN, case=([[1.0, -0.0], [0.0, 0]], 2, 2))
 def test_matrix_selections_are_read_as_the_old_reader_reads_them(cat, case):
     """A grid of integer 0s and 1s, or of the writer's own blank and unit
-    (no bools), with at most one unit per row carries a form;
-    every grid, signed zeros, other values, two units, ragged rows and
-    wrong row counts included, reads as before: the same bits and layout,
-    or the same error."""
+    (no bools), with at most one unit per row carries a form; every grid,
+    signed zeros, other values, two units, ragged rows and wrong row counts
+    included, reads as before: the same bits and layout, or the same
+    error."""
     payload, width, rows = case
     got = read_outcome(lambda: cat.arrow_from_payload(payload, width, rows))
     want = read_outcome(
