@@ -745,11 +745,12 @@ class _GridCategory(SemiadditiveCategory):
     kernel.
 
     An arrow with a form is of a private subclass of the instance's arrow
-    class whose ``values`` is built from the form on first read, once: the
-    grid a dense arrow would hold, with the same dtype, bits and read-only
-    flag, C-ordered (a split's injection and a canonical injection keep the
-    transposed layout they have always had).  Ordinary arrows keep
-    ``values`` as a plain slot.
+    class whose ``values`` is built from the positions alone on first read,
+    once: the grid a dense arrow would hold, with the same dtype and
+    read-only flag, C-ordered whatever the form's axis.  Each cell of a
+    product with a selection is one operand cell times the unit plus
+    blanks, so no product's bits depend on that layout.  Ordinary arrows
+    keep ``values`` as a plain slot.
     """
 
     def _blank_grid(self, *shape: int) -> np.ndarray:
@@ -784,13 +785,11 @@ class _GridCategory(SemiadditiveCategory):
         m, n = self._size(left), self._size(right)
         p1 = _Selection(self, np.arange(m), 0, (m, m + n))
         p2 = _Selection(self, np.arange(m, m + n), 0, (n, m + n))
-        # an injection is a copy of its projection's transpose, laid out as
-        # numpy copies it: the layout decides how BLAS rounds a product
         return BiproductWitness(
             left, right, carrier, self._selection_arrow(p1, carrier, left),
             self._selection_arrow(p2, carrier, right),
-            self._selection_arrow(p1.transposed(copy=True), left, carrier),
-            self._selection_arrow(p2.transposed(copy=True), right, carrier))
+            self._selection_arrow(p1.transposed(), left, carrier),
+            self._selection_arrow(p2.transposed(), right, carrier))
 
     def restrict(self, f: Arrow, rows, cols) -> Arrow:
         """The sub-arrow of ``f`` on these target rows and source columns;
@@ -808,13 +807,10 @@ class _GridCategory(SemiadditiveCategory):
     def _selections(self, obj: Any, positions: list[int]) -> tuple[Any, Arrow, Arrow]:
         """The object at ``positions`` of ``obj``, the projection onto it and
         the injection back: the rows and the columns of ``obj``'s identity at
-        ``positions``, laid out as :meth:`restrict` lays them out.  Both
-        carry the positions as their form and share one grid, if it is ever
-        built: the injection's is the projection's ``.T``."""
+        ``positions``, both held by the positions as their form."""
         space = self._sub_object(obj, positions)
         project = _Selection(self, np.array(positions, np.intp), 0,
                              (len(positions), self._size(obj)))
-        # numpy gathers columns into the transpose of a row-major grid
         return (space, self._selection_arrow(project, obj, space),
                 self._selection_arrow(project.transposed(), space, obj))
 
@@ -837,15 +833,9 @@ class _GridCategory(SemiadditiveCategory):
         return tuple(row)
 
     def arrow_from_payload(self, payload: Any, src: Any, tgt: Any) -> Arrow:
-        """A :class:`_SelectionPayload` of this instance's cells and of the
-        arrow's shape is read back as a selection; any other as its
-        ``tolist()``, which ``_grid_from_payload`` reads or refuses."""
+        """The arrow ``_grid_from_payload`` reads from ``payload``, or its
+        refusal; a :class:`_SelectionPayload` is read as its ``tolist()``."""
         if type(payload) is _SelectionPayload:
-            shape = (len(payload.lines), payload.width)
-            if ((payload.blank, payload.unit) == self._payload_cells
-                    and shape == (self._size(tgt), self._size(src))):
-                return self._selection_arrow(_Selection(self, payload.lines, 0, shape),
-                                             self._object(src), self._object(tgt))
             payload = payload.tolist()
         return self._grid_from_payload(payload, src, tgt)
 
@@ -1058,19 +1048,18 @@ class _Selection:
     the line is blank; ``shape`` is the grid's.  ``cat`` gives the cells'
     dtype, blank and unit.  :meth:`along` reads the positions along the
     other axis too, when the grid is a selection that way as well.  The
-    grid is built on first use and kept: by ``build()`` if given, else
-    C-ordered from the positions.
+    grid is a function of the positions alone, built C-ordered on first use
+    and kept.
     """
 
-    __slots__ = ("cat", "lines", "axis", "shape", "_build", "_grid", "_across")
+    __slots__ = ("cat", "lines", "axis", "shape", "_grid", "_across")
 
     def __init__(self, cat: _GridCategory, lines: np.ndarray, axis: int,
-                 shape: tuple[int, int], build: Callable | None = None) -> None:
+                 shape: tuple[int, int]) -> None:
         self.cat = cat
         self.lines = lines
         self.axis = axis
         self.shape = shape
-        self._build = build
         self._grid = None
         self._across = _UNKNOWN
 
@@ -1083,18 +1072,9 @@ class _Selection:
             self._across = _inverted(self.lines, self.shape[axis])
         return self._across
 
-    def transposed(self, copy: bool = False) -> "_Selection":
-        """The transposed selection, whose grid is a view of this one's
-        ``.T``, or the copy ``np.array`` makes of it."""
-        def build() -> np.ndarray:
-            grid = self.grid().T
-            if copy:
-                grid = np.array(grid)
-                grid.flags.writeable = False
-            return grid
-
-        return _Selection(self.cat, self.lines, 1 - self.axis, self.shape[::-1],
-                          build)
+    def transposed(self) -> "_Selection":
+        """The transposed selection: the same positions along the other axis."""
+        return _Selection(self.cat, self.lines, 1 - self.axis, self.shape[::-1])
 
     def compose(self, other: "_Selection") -> "_Selection | None":
         """This selection after ``other``, if both are row selections: row
@@ -1111,14 +1091,11 @@ class _Selection:
     def grid(self) -> np.ndarray:
         """The read-only grid, built once."""
         if self._grid is None:
-            if self._build is not None:
-                grid = self._build()
-            else:
-                grid = self.cat._blank_grid(*self.shape)
-                hit = np.flatnonzero(self.lines >= 0)
-                at = (hit, self.lines[hit]) if self.axis == 0 else (self.lines[hit], hit)
-                grid[at] = self.cat._unit
-                grid.flags.writeable = False
+            grid = self.cat._blank_grid(*self.shape)
+            hit = np.flatnonzero(self.lines >= 0)
+            at = (hit, self.lines[hit]) if self.axis == 0 else (self.lines[hit], hit)
+            grid[at] = self.cat._unit
+            grid.flags.writeable = False
             self._grid = grid
         return self._grid
 

@@ -43,11 +43,12 @@ def canonical_json(payload: Any) -> str:
     With an indent the stdlib encodes in pure Python, one generator step per
     value.  Here lists and dicts with ``str`` keys are laid out directly, and
     a flat list of scalars or a rectangular grid of them is spelled in bulk:
-    if its leaves are all ``float``, all ``int`` or all ``str``, each
-    distinct value is spelled once by json's rules and rows are assembled
-    with ``str.join``.  Anything else (tuples, subclasses, other key types,
-    unknown objects) goes to the stdlib encoder at the same depth, so its
-    text and its exceptions are json's own.
+    if its leaves are all ``int`` or all ``str``, each distinct value is
+    spelled once by json's rules and rows are assembled with ``str.join``;
+    other scalars are spelled one by one.  Anything else (tuples,
+    subclasses, other key types, unknown objects) goes to the stdlib
+    encoder at the same depth, so its text and its exceptions are json's
+    own.
 
     A numpy array may stand anywhere in ``payload``, and is written as its
     ``tolist()`` would be.  A non-empty 2-d ``ndarray`` of bools, integers
@@ -102,7 +103,7 @@ _SPELL = {
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
-_BULK = ({float}, {int}, {str})
+_BULK = ({int}, {str})
 
 
 def _encode(obj, level: int, out: list) -> None:
@@ -175,13 +176,10 @@ def _layout_grid(bands, level: int, out: list) -> None:
 
 def _spell_rows(rows: list, kinds: set) -> list:
     """Each row's scalars as json text.  With leaves of one bulk kind, each
-    distinct value is spelled once: floats are keyed by bit pattern, so
-    -0.0 and 0.0 stay apart and every NaN reads ``NaN``."""
+    distinct value is spelled once."""
     if kinds not in _BULK:
         return [[_spell_item(v) for v in row] for row in rows]
     (kind,) = kinds
-    if kind is float:
-        return _spell_distinct(np.array(rows, dtype=np.float64), _floatstr)
     table = dict.fromkeys(itertools.chain.from_iterable(rows))
     spell = _SPELL[kind]
     for value in table:

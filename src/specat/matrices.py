@@ -408,24 +408,21 @@ class MatrixCategory(_GridCategory):
     def _grid_from_payload(self, payload, src: int, tgt: int) -> ScalarMatrix:
         """A grid of integer 0s and 1s, or of the writer's blank and unit
         (``_payload_cells``), with at most one unit per row is read as a
-        selection (see ``core._GridCategory``): ``list.count`` and
-        ``list.index`` find each row's unit in C; a grid holding a bool is
-        none.  An integer grid is held by its positions alone; any other
-        keeps the grid it reads, so a ``-0.0`` keeps its bits."""
-        kinds = lines = None
+        selection (see ``core._GridCategory``) and held by its positions
+        alone: ``list.count`` and ``list.index`` find each row's unit in C;
+        a grid holding a bool is none.  A selection's products are exact,
+        so its grid is built from the positions, C-ordered, and a ``-0.0``
+        among its blanks reads as ``0.0``."""
+        kinds = None
         if type(payload) is list:
             kinds = _entry_kinds(payload)
             if len(payload) == tgt and bool not in kinds:
                 cells = (0, 1) if kinds == {int} else self._payload_cells
                 lines = _unit_lines(payload, src, *cells)
-                if lines is not None and kinds == {int}:
+                if lines is not None:
                     return self._selection_arrow(
                         _Selection(self, lines, 0, (tgt, src)), src, tgt)
         arr = _matrix_from_payload(payload, self.domain, kinds)
-        if lines is not None:
-            arr.flags.writeable = False
-            return self._selection_arrow(
-                _Selection(self, lines, 0, (tgt, src), lambda: arr), src, tgt)
         if arr.shape == (0,) and tgt == 0:
             arr = arr.reshape(0, src)  # [] is how a matrix with no rows reads
         if arr.ndim != 2 or arr.shape != (tgt, src):

@@ -135,7 +135,8 @@ class TestCanonicalBiproduct:
 def test_built_arrows_match_validated_construction(cat):
     """Zeros, identities, witnesses, products and sums equal what the
     validating constructor made of the same numpy expressions: values,
-    dtype and memory layout, which decides how BLAS is called."""
+    dtype and memory layout, which decides how BLAS is called.  Canonical
+    injections are selections, built C-ordered from their positions."""
     def validated(values):
         return np.array(values, dtype=cat.domain.dtype)
 
@@ -143,17 +144,18 @@ def test_built_arrows_match_validated_construction(cat):
         w = cat.canonical_biproduct(left, right)
         pi1 = validated(np.hstack([np.eye(left), np.zeros((left, right))]))
         pi2 = validated(np.hstack([np.zeros((right, left)), np.eye(right)]))
+        iota1, iota2 = (validated(np.array(p.T, order="C")) for p in (pi1, pi2))
         pairs = [
             (cat.zero(left, right), validated(np.zeros((right, left)))),
             (cat.identity(right), validated(np.eye(right))),
             (w.pi1, pi1), (w.pi2, pi2),
-            (w.iota1, validated(pi1.T)), (w.iota2, validated(pi2.T)),
+            (w.iota1, iota1), (w.iota2, iota2),
         ]
         first = w.iota1 @ w.pi1
         total = first + w.iota2 @ w.pi2
         pairs += [
-            (first, validated(validated(pi1.T) @ pi1)),
-            (total, validated(first.values + validated(pi2.T) @ pi2)),
+            (first, validated(iota1 @ pi1)),
+            (total, validated(first.values + iota2 @ pi2)),
         ]
         for got, want in pairs:
             assert got.values.dtype == want.dtype

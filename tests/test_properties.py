@@ -526,8 +526,10 @@ def assert_split_matches(cat, f, got, want):
             assert g.values.dtype == w.values.dtype
             assert g.values.tobytes() == w.values.tobytes()
             if isinstance(g, ScalarMatrix):
-                # BLAS rounds alike only on the same memory layout
-                assert g.values.flags.c_contiguous == w.values.flags.c_contiguous
+                # a local keeps the oracle's layout; P and I are forms,
+                # whose grids are built C-ordered from their positions
+                assert g.values.flags.c_contiguous == (
+                    name != "local" or w.values.flags.c_contiguous)
     assert (listed(verify_decomposition(cat, f, got_dec).to_dict())
             == listed(verify_decomposition(cat, f, want_dec).to_dict()))
 
