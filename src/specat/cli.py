@@ -352,7 +352,7 @@ def main(argv=None) -> int:
             "schema": SCHEMA,
             "job": _job_echo(args),
             "passed": law_report.passed,
-            "checks": law_report.to_dict()["checks"],
+            "checks": [check.to_dict() for check in law_report.checks],
             "payload": payload,
             "timing_seconds": elapsed if args.timing else None,
         }

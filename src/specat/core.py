@@ -133,11 +133,22 @@ class LawReport:
         return LawReport(self.checks + other.checks)
 
     def to_dict(self) -> dict:
-        """The verdict and the checks.  A counterexample's arrow payloads may
-        be numpy arrays or selection payloads (a zero arrow, an identity, a
-        split block), which ``formats.canonical_json`` encodes and the
-        stdlib ``json`` does not."""
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
+        """The verdict and the checks, as plain data that the stdlib ``json``
+        encodes: each array or selection payload in a counterexample is its
+        ``tolist()``.  ``LawCheck.to_dict`` keeps them, and
+        ``formats.canonical_json`` writes either form as the same text."""
+        return {"passed": self.passed,
+                "checks": [_plain(c.to_dict()) for c in self.checks]}
+
+
+def _plain(obj):
+    """``obj`` with every numpy array and selection payload among the values
+    of its nested dicts replaced by its ``tolist()``."""
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (np.ndarray, _SelectionPayload)):
+        return obj.tolist()
+    return obj
 
 
 @dataclass(frozen=True)
@@ -701,12 +712,10 @@ class _GridCategory(SemiadditiveCategory):
       if it is no object; ``_size(obj)``: its number of grid positions;
     - ``_carrier(left, right)``: the biproduct carrier, ``left``'s positions
       first; ``_sub_object(obj, positions)``: the object at those positions;
-    - ``_arrow(values, src, tgt)``: the arrow holding the grid ``values``,
-      read-only, and written by nothing, unchecked;
-      ``_selection_arrow(selection, src, tgt)``: the arrow holding a
-      :class:`_Selection` instead (see below); ``_admit(f)``: the
-      per-arrow operations' ArrowTypeError unless ``f`` is an arrow of this
-      instance;
+    - ``_arrow(values, src, tgt)``: the arrow holding ``values``, unchecked:
+      a grid, read-only and written by nothing, or a :class:`_Selection`
+      (see below); ``_admit(f)``: the per-arrow operations' ArrowTypeError
+      unless ``f`` is an arrow of this instance;
     - cell kernels on grids with the same leading batch axes, if any:
       ``_compose_cells(g, f)`` and ``_add_cells(f, g)``;
     - comparison cell by cell, on arrays that broadcast: whether cells are
@@ -728,13 +737,15 @@ class _GridCategory(SemiadditiveCategory):
     reads ``_form`` as ``None``.  The form is set where the positions are
     known, never found by scanning: by :meth:`zero` (every line blank),
     :meth:`identity`, :meth:`canonical_biproduct`, :meth:`_selections`
-    (the blocks a split builds), the instances' payload readers and
-    ``spectral.reduced_transition_matrix``.  Forms are closed under the
-    operations the verifier forms: a stack of row selections is a row
-    selection (positions concatenated), a costack of column selections is
-    a column selection, and a composite of two row selections is one too
-    (index maps composed).  :meth:`compare_blocks` compares two row
-    selections by their positions.  Any other operation reads the grid.
+    (the blocks a split builds), the instances' payload readers,
+    ``spectral.reduced_transition_matrix`` and ``functors.induced_functor``,
+    each handing the form to the arrow constructor as it would a grid.
+    Forms are closed under the operations the verifier forms: a stack of
+    row selections is a row selection (positions concatenated), a costack
+    of column selections is a column selection, and a composite of two row
+    selections is one too (index maps composed).  :meth:`compare_blocks`
+    compares two row selections by their positions.  Any other operation
+    reads the grid.
 
     A product with a form is a gather (:meth:`_product`): ``g.f`` is
     ``f``'s rows gathered by the row selection ``g``, a blank row where
@@ -745,12 +756,14 @@ class _GridCategory(SemiadditiveCategory):
     kernel.
 
     An arrow with a form is of a private subclass of the instance's arrow
-    class whose ``values`` is built from the positions alone on first read,
-    once: the grid a dense arrow would hold, with the same dtype and
-    read-only flag, C-ordered whatever the form's axis.  Each cell of a
-    product with a selection is one operand cell times the unit plus
-    blanks, so no product's bits depend on that layout.  Ordinary arrows
-    keep ``values`` as a plain slot.
+    class, which the arrow class's ``_derived`` constructor picks when it is
+    given a form.  Its ``values`` is built from the positions alone on
+    first read, once: the grid a dense arrow would hold, with the same
+    dtype and read-only flag, C-ordered whatever the form's axis.  Each
+    cell of a product with a selection is one operand cell times the unit
+    plus blanks, so no product's bits depend on that layout.  Ordinary
+    arrows keep ``values`` as a plain slot: a ``values`` property, or an
+    attribute fallback, on the public classes would slow every read.
     """
 
     def _blank_grid(self, *shape: int) -> np.ndarray:
@@ -760,24 +773,17 @@ class _GridCategory(SemiadditiveCategory):
             values.fill(self._blank)
         return values
 
-    def _made(self, grid, src: Any, tgt: Any) -> Arrow:
-        """The arrow holding ``grid``, a :class:`_Selection` or a grid."""
-        if isinstance(grid, _Selection):
-            return self._selection_arrow(grid, src, tgt)
-        return self._arrow(grid, src, tgt)
-
     def zero(self, src: Any, tgt: Any) -> Arrow:
         src, tgt = self._object(src), self._object(tgt)
         rows = self._size(tgt)
-        return self._selection_arrow(
+        return self._arrow(
             _Selection(self, np.full(rows, -1, np.intp), 0, (rows, self._size(src))),
             src, tgt)
 
     def identity(self, obj: Any) -> Arrow:
         obj = self._object(obj)
         n = self._size(obj)
-        return self._selection_arrow(_Selection(self, np.arange(n), 0, (n, n)),
-                                     obj, obj)
+        return self._arrow(_Selection(self, np.arange(n), 0, (n, n)), obj, obj)
 
     def canonical_biproduct(self, left: Any, right: Any) -> BiproductWitness:
         left, right = self._object(left), self._object(right)
@@ -786,10 +792,10 @@ class _GridCategory(SemiadditiveCategory):
         p1 = _Selection(self, np.arange(m), 0, (m, m + n))
         p2 = _Selection(self, np.arange(m, m + n), 0, (n, m + n))
         return BiproductWitness(
-            left, right, carrier, self._selection_arrow(p1, carrier, left),
-            self._selection_arrow(p2, carrier, right),
-            self._selection_arrow(p1.transposed(), left, carrier),
-            self._selection_arrow(p2.transposed(), right, carrier))
+            left, right, carrier, self._arrow(p1, carrier, left),
+            self._arrow(p2, carrier, right),
+            self._arrow(p1.transposed(), left, carrier),
+            self._arrow(p2.transposed(), right, carrier))
 
     def restrict(self, f: Arrow, rows, cols) -> Arrow:
         """The sub-arrow of ``f`` on these target rows and source columns;
@@ -811,8 +817,8 @@ class _GridCategory(SemiadditiveCategory):
         space = self._sub_object(obj, positions)
         project = _Selection(self, np.array(positions, np.intp), 0,
                              (len(positions), self._size(obj)))
-        return (space, self._selection_arrow(project, obj, space),
-                self._selection_arrow(project.transposed(), space, obj))
+        return (space, self._arrow(project, obj, space),
+                self._arrow(project.transposed(), space, obj))
 
     def arrow_to_payload(self, f: Arrow) -> Any:
         """A row selection with a cell, as its form says, is a
@@ -878,8 +884,8 @@ class _GridCategory(SemiadditiveCategory):
         source = arrows[0].source
         _require(all(f.source == source for f in arrows),
                  "stack: arrows must share their source")
-        return self._made(self._laid(arrows, 0), source,
-                          self._stacked([f.target for f in arrows]))
+        return self._arrow(self._laid(arrows, 0), source,
+                           self._stacked([f.target for f in arrows]))
 
     def costack(self, arrows) -> Arrow:
         arrows = _family(arrows, "costack", "arrows")
@@ -887,8 +893,8 @@ class _GridCategory(SemiadditiveCategory):
         target = arrows[0].target
         _require(all(f.target == target for f in arrows),
                  "costack: arrows must share their target")
-        return self._made(self._laid(arrows, 1),
-                          self._stacked([f.source for f in arrows]), target)
+        return self._arrow(self._laid(arrows, 1),
+                           self._stacked([f.source for f in arrows]), target)
 
     def block_sum(self, arrows) -> Arrow:
         arrows = _family(arrows, "block_sum", "arrows")

@@ -269,7 +269,8 @@ def load_matrix_csv(path, domain: ScalarDomain) -> ScalarMatrix:
     values = _read_rows([line for _, line in numbered], domain)
     if values is None:
         values = _parse_rows(path, numbered, domain)
-    return ScalarMatrix(values, domain)
+    domain.validate(values)
+    return ScalarMatrix._derived(values, domain)
 
 
 def _parse_rows(path, numbered: list, domain: ScalarDomain) -> np.ndarray:

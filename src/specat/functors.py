@@ -163,12 +163,9 @@ def induced_functor(hom: LatticeHom) -> SemiadditiveFunctor:
         if f.algebra != hom.source:
             raise ArrowTypeError("arrow lives over a different algebra")
         form = f._form
-        if form is not None and keeps_forms:
-            return target_cat._selection_arrow(
-                _Selection(target_cat, form.lines, form.axis, form.shape),
-                f.source, f.target)
-        return LRelation._derived(hom.target, f.source, f.target,
-                                  table[f.values])
+        values = (_Selection(target_cat, form.lines, form.axis, form.shape)
+                  if form is not None and keeps_forms else table[f.values])
+        return LRelation._derived(hom.target, f.source, f.target, values)
 
     return SemiadditiveFunctor(
         kind="lattice-hom-induced",

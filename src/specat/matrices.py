@@ -118,17 +118,22 @@ class ScalarMatrix:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def _derived(cls, values: np.ndarray, domain: ScalarDomain) -> "ScalarMatrix":
+    def _derived(cls, values, domain: ScalarDomain) -> "ScalarMatrix":
         """A matrix built by the package itself, skipping the copy and checks.
 
-        ``values`` must be a 2-d array of the domain's dtype, read-only, and
-        written by nothing (it may be a view another arrow holds), whose
-        entries the domain accepts; callers that combine entries arithmetically
-        run ``domain.validate`` first, since finite entries can overflow.
+        ``values`` is a ``core._Selection``, held as a ``_SelectionMatrix``,
+        or a 2-d array of the domain's dtype, read-only, and written by
+        nothing (it may be a view another arrow holds), whose entries the
+        domain accepts; callers that combine entries arithmetically run
+        ``domain.validate`` first, since finite entries can overflow.
         """
-        mat = cls.__new__(cls)
-        values.flags.writeable = False
-        mat.values = values
+        if type(values) is _Selection:
+            mat = _SelectionMatrix.__new__(_SelectionMatrix)
+            mat._form = values
+        else:
+            mat = cls.__new__(cls)
+            values.flags.writeable = False
+            mat.values = values
         mat.domain = domain
         return mat
 
@@ -150,11 +155,9 @@ class ScalarMatrix:
                 f"right has {other.rows} rows")
         # a gather copies cells that were validated: only the kernel's
         # products are validated
-        product = MatrixCategory._product(self, other, MatrixCategory._blank,
-                                          self.domain._matmul)
-        if isinstance(product, _Selection):
-            return _SelectionMatrix._of(product, self.domain)
-        return ScalarMatrix._derived(product, self.domain)
+        return ScalarMatrix._derived(
+            MatrixCategory._product(self, other, MatrixCategory._blank,
+                                    self.domain._matmul), self.domain)
 
     def __add__(self, other: "ScalarMatrix") -> "ScalarMatrix":
         _check_domains(self.domain, other.domain)
@@ -200,13 +203,6 @@ class _SelectionMatrix(_SelectionArrow, ScalarMatrix):
     """A matrix held by its selection form (see ``core._GridCategory``)."""
 
     __slots__ = ("_form",)
-
-    @classmethod
-    def _of(cls, form: _Selection, domain: ScalarDomain) -> "_SelectionMatrix":
-        mat = cls.__new__(cls)
-        mat._form = form
-        mat.domain = domain
-        return mat
 
     @property
     def rows(self) -> int:
@@ -420,15 +416,16 @@ class MatrixCategory(_GridCategory):
                 cells = (0, 1) if kinds == {int} else self._payload_cells
                 lines = _unit_lines(payload, src, *cells)
                 if lines is not None:
-                    return self._selection_arrow(
-                        _Selection(self, lines, 0, (tgt, src)), src, tgt)
+                    return self._arrow(_Selection(self, lines, 0, (tgt, src)),
+                                       src, tgt)
         arr = _matrix_from_payload(payload, self.domain, kinds)
         if arr.shape == (0,) and tgt == 0:
-            arr = arr.reshape(0, src)  # [] is how a matrix with no rows reads
+            arr = np.empty((0, src), arr.dtype)  # [] is how a matrix with no rows reads
         if arr.ndim != 2 or arr.shape != (tgt, src):
             raise ParseError(
                 f"matrix block must be {tgt}x{src}, got {arr.shape}")
-        return ScalarMatrix(arr, self.domain)
+        self.domain.validate(arr)
+        return self._arrow(arr, src, tgt)  # a fresh array: no copy needed
 
     def describe_arrow(self, f: ScalarMatrix) -> dict:
         """Shape and entries; the entries are :meth:`arrow_to_payload`'s."""
@@ -466,11 +463,8 @@ class MatrixCategory(_GridCategory):
     def _sub_object(self, obj: int, positions) -> int:
         return len(positions)
 
-    def _arrow(self, values: np.ndarray, src: int, tgt: int) -> ScalarMatrix:
+    def _arrow(self, values, src: int, tgt: int) -> ScalarMatrix:
         return ScalarMatrix._derived(values, self.domain)
-
-    def _selection_arrow(self, form: _Selection, src: int, tgt: int) -> ScalarMatrix:
-        return _SelectionMatrix._of(form, self.domain)
 
     def _admit(self, f: ScalarMatrix) -> None:
         _check_domains(self.domain, f.domain)

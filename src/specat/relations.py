@@ -460,17 +460,22 @@ class LRelation:
 
     @classmethod
     def _derived(cls, algebra: HeytingTable, source: Carrier, target: Carrier,
-                 values: np.ndarray) -> "LRelation":
+                 values) -> "LRelation":
         """A relation built by the package itself, skipping the checks.
 
-        The carriers must already be checked and ``values`` must be an int16
+        The carriers must already be checked.  ``values`` is a
+        ``core._Selection``, held as a ``_SelectionRelation``, or an int16
         grid of in-range elements, read-only, and written by nothing (it may
         be a view another arrow holds).
         """
-        rel = cls.__new__(cls)
+        if type(values) is _Selection:
+            rel = _SelectionRelation.__new__(_SelectionRelation)
+            rel._form = values
+        else:
+            rel = cls.__new__(cls)
+            values.flags.writeable = False
+            rel.values = values
         rel.algebra, rel.source, rel.target = algebra, source, target
-        values.flags.writeable = False
-        rel.values = values
         return rel
 
     @classmethod
@@ -519,12 +524,10 @@ class LRelation:
                 f"cannot compose: middle carriers differ "
                 f"({self.source!r} vs {other.target!r})")
         algebra = self.algebra
-        product = _GridCategory._product(self, other, algebra.bottom,
-                                         algebra._cuts.compose)
-        if isinstance(product, _Selection):
-            return _SelectionRelation._of(algebra, other.source, self.target,
-                                          product)
-        return LRelation._derived(algebra, other.source, self.target, product)
+        return LRelation._derived(
+            algebra, other.source, self.target,
+            _GridCategory._product(self, other, algebra.bottom,
+                                   algebra._cuts.compose))
 
     def __or__(self, other: "LRelation") -> "LRelation":
         """Pointwise join of parallel relations."""
@@ -559,14 +562,6 @@ class _SelectionRelation(_SelectionArrow, LRelation):
     """A relation held by its selection form (see ``core._GridCategory``)."""
 
     __slots__ = ("_form",)
-
-    @classmethod
-    def _of(cls, algebra: HeytingTable, source: Carrier, target: Carrier,
-            form: _Selection) -> "_SelectionRelation":
-        rel = cls.__new__(cls)
-        rel.algebra, rel.source, rel.target = algebra, source, target
-        rel._form = form
-        return rel
 
 
 def tagged_union(left: Carrier, right: Carrier) -> Carrier:
@@ -640,9 +635,8 @@ class RelationCategory(_GridCategory):
         lines = _unit_lines(payload, len(src), labels[self._blank],
                             labels[self._unit])
         if lines is not None:
-            return self._selection_arrow(
-                _Selection(self, lines, 0, (len(tgt), len(src))),
-                as_carrier(src), as_carrier(tgt))
+            return self._arrow(_Selection(self, lines, 0, (len(tgt), len(src))),
+                               as_carrier(src), as_carrier(tgt))
         try:
             grid = _read_labels(self.algebra._index, payload)
         except KeyError as exc:
@@ -686,12 +680,8 @@ class RelationCategory(_GridCategory):
     def _sub_object(self, obj: Carrier, positions) -> Carrier:
         return as_carrier(obj[j] for j in positions)
 
-    def _arrow(self, values: np.ndarray, src: Carrier, tgt: Carrier) -> LRelation:
+    def _arrow(self, values, src: Carrier, tgt: Carrier) -> LRelation:
         return LRelation._derived(self.algebra, src, tgt, values)
-
-    def _selection_arrow(self, form: _Selection, src: Carrier,
-                         tgt: Carrier) -> LRelation:
-        return _SelectionRelation._of(self.algebra, src, tgt, form)
 
     def _admit(self, f: LRelation) -> None:
         _check_algebras(self.algebra, f.algebra)

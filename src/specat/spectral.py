@@ -30,7 +30,7 @@ from .core import (
     UnsupportedDomainError,
     _Selection,
 )
-from .matrices import MAT_R, MatrixCategory, ScalarMatrix
+from .matrices import MAT_R, REAL, MatrixCategory, ScalarMatrix
 from .relations import LRelation, RelationCategory
 
 
@@ -146,7 +146,9 @@ def verify_decomposition(cat: SemiadditiveCategory, f: Arrow,
     a grid.  Otherwise P and I are grids, and P is dropped after P.f, its
     last use.  Each product is compared with its right-hand side once, by
     ``LawTally.check_blocks``, and is dropped before the next product is
-    formed.  The report holds one entry per block, 3B + 2 of
+    formed.  I.L is stacked before f.I is formed, so its pieces are gone
+    by then: with I held as positions, the last check holds two n x n
+    grids, f.I and I.L.  The report holds one entry per block, 3B + 2 of
     them: retract[i], row band i of P.I, which is (a) and (b) for block i;
     c; d; then intertwine_project[i], row band i of P.f, and
     intertwine_inject[i], column band i of f.I.
@@ -176,10 +178,9 @@ def verify_decomposition(cat: SemiadditiveCategory, f: Arrow,
     tally.check_blocks([f"intertwine_project[{i}]" for i in numbers],
                        cat.compose(project, f), local_project, spaces, whole)
     del project, local_project
+    inject_local = cat.costack([cat.compose(b.inject, b.local) for b in blocks])
     tally.check_blocks([f"intertwine_inject[{i}]" for i in numbers],
-                       cat.compose(f, inject),
-                       cat.costack([cat.compose(b.inject, b.local) for b in blocks]),
-                       whole, spaces)
+                       cat.compose(f, inject), inject_local, whole, spaces)
     return tally.report()
 
 
@@ -579,7 +580,8 @@ def walk_matrix(adjacency) -> ScalarMatrix:
     rows = graph.rows()
     walk = np.zeros((graph.n, graph.n))
     walk[rows, graph.indices] = 1.0 / degrees[rows]
-    return ScalarMatrix(walk)
+    REAL.validate(walk)
+    return ScalarMatrix._derived(walk, REAL)
 
 
 def reduced_transition_matrix(adjacency, partition: Partition) -> EquitableQuotient:
@@ -635,9 +637,9 @@ def reduced_transition_matrix(adjacency, partition: Partition) -> EquitableQuoti
     reduced = ScalarMatrix(degrees / row_degrees[:, None])
     # vertex v's indicator row has its 1 at cell_of[v]; when every cell is
     # one vertex, averaging selects the members
-    indicator = MAT_R._selection_arrow(_Selection(MAT_R, cell_of, 0, (n, num)), num, n)
+    indicator = MAT_R._arrow(_Selection(MAT_R, cell_of, 0, (n, num)), num, n)
     if num == n:
-        average = MAT_R._selection_arrow(_Selection(MAT_R, members, 0, (n, n)), n, n)
+        average = MAT_R._arrow(_Selection(MAT_R, members, 0, (n, n)), n, n)
     else:
         average_vals = np.zeros((num, n))
         average_vals[cell_of, np.arange(n)] = 1.0 / sizes[cell_of]
@@ -683,12 +685,16 @@ def residual_part(f: ScalarMatrix, quotient: EquitableQuotient) -> ScalarMatrix:
     Returns ``f - indicator . reduced . average``; adding the removed
     composite back recovers ``f``, and the averaging map annihilates the
     result.  Needs a scalar domain with negation.
+
+    The composite is formed as arrows, so the indicator's form, and a
+    discrete partition's averaging form, gather instead of multiplying;
+    the arrays are subtracted, so a complex ``f`` meets the real composite.
     """
     if not f.domain.has_negation:
         raise UnsupportedDomainError(
             "residual needs subtraction; the non-negative domain has none")
     _require_endo("arrow", f, len(quotient.partition.carrier))
-    removed = (quotient.indicator.values
-               @ quotient.reduced.values
-               @ quotient.average.values)
-    return ScalarMatrix(f.values - removed, f.domain)
+    removed = quotient.indicator @ quotient.reduced @ quotient.average
+    values = np.asarray(f.values - removed.values, f.domain.dtype)
+    f.domain.validate(values)
+    return ScalarMatrix._derived(values, f.domain)

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specat.core import LawTally
+from specat.formats import canonical_json
 from specat.matrices import MatrixSampler
 from specat.relations import RelationSampler
 from specat import (
@@ -31,10 +34,12 @@ from specat import (
     pair,
     run_law_suite,
     sum_via_biproduct,
+    verify_decomposition,
 )
 
 from ._oracles import listed
 from .test_grid import CASES, TOLERANCES, moved_cells, obj, oracle_for, random_cells
+from .test_stacked import KINDS, block_case, failing_projections
 
 B4 = b4()
 BOOL = bool_algebra()
@@ -87,6 +92,34 @@ class TestBiproductAxioms:
                           MAT_R.identity(3), w.iota2)
         with pytest.raises(ArrowTypeError, match="iota1"):
             check_biproduct_axioms(MAT_R, bad)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_report_dicts_are_plain_data_spelled_as_the_report_spells_them(kind):
+    """A failing report's counterexamples can hold arrays and selection
+    payloads (zero arrows, identities, matrix products), which the stdlib
+    ``json`` refuses; ``LawReport.to_dict()`` holds their lists, which it
+    encodes to the text ``canonical_json`` gives the checks' own dicts."""
+    cat = KINDS[kind]
+    x = obj(cat, 2, "x")
+    w = cat.canonical_biproduct(x, obj(cat, 1, "y"))
+    zero_pi1 = w.__class__(w.left, w.right, w.carrier, cat.zero(w.carrier, w.left),
+                           w.pi2, w.iota1, w.iota2)
+    f, dec = block_case(cat, 2)
+    refused = 0
+    for report in (check_zero_object(cat, x), check_biproduct_axioms(cat, zero_pi1),
+                   verify_decomposition(cat, f, failing_projections(cat, dec))):
+        assert not report.passed
+        checks = [c.to_dict() for c in report.checks]
+        try:
+            json.dumps(checks)
+        except TypeError:
+            refused += 1
+        plain = report.to_dict()
+        assert json.loads(json.dumps(plain)) == listed(plain)
+        assert (json.dumps(plain["checks"], sort_keys=True, indent=2) + "\n"
+                == canonical_json(checks))
+    assert refused
 
 
 class TestPairCopair:

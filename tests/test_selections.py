@@ -112,7 +112,7 @@ def arrows(draw, cat, src, tgt):
     form = _Selection(cat, np.array(lines, np.intp), axis, shape)
     if kind == "transposed":
         form = form.transposed()
-    return (cat._selection_arrow(form, src, tgt),
+    return (cat._arrow(form, src, tgt),
             cat._arrow(form.grid(), src, tgt))
 
 
@@ -540,7 +540,7 @@ def test_selection_payloads_encode_as_their_dense_twins(data, cat, n, m, depth):
     src, tgt = obj(cat, m, "x"), obj(cat, n, "y")
     if data is None:  # every row's unit in the one column
         form = _Selection(cat, np.zeros(n, np.intp), 0, (n, m))
-        f, twin = cat._selection_arrow(form, src, tgt), cat._arrow(form.grid(), src, tgt)
+        f, twin = cat._arrow(form, src, tgt), cat._arrow(form.grid(), src, tgt)
     else:
         f, twin = data.draw(arrows(cat, src, tgt))
     payload, want = cat.arrow_to_payload(f), listed(cat.arrow_to_payload(twin))
@@ -648,9 +648,8 @@ def test_gathers_validate_nothing(monkeypatch):
     """A gather copies cells that were validated when their arrow was
     built, so ``ScalarDomain.validate`` runs only on kernel products."""
     f = ScalarMatrix(np.arange(12.0).reshape(3, 4), MAT_NN.domain)
-    p = MAT_NN._selection_arrow(_Selection(MAT_NN, np.array([2, -1, 0]), 0, (3, 3)),
-                                3, 3)
-    i = MAT_NN._selection_arrow(_Selection(MAT_NN, np.array([3, 1]), 1, (4, 2)), 2, 4)
+    p = MAT_NN._arrow(_Selection(MAT_NN, np.array([2, -1, 0]), 0, (3, 3)), 3, 3)
+    i = MAT_NN._arrow(_Selection(MAT_NN, np.array([3, 1]), 1, (4, 2)), 2, 4)
     calls = []
     monkeypatch.setattr(ScalarDomain, "validate",
                         lambda self, values: calls.append(values.shape))

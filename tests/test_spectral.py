@@ -631,6 +631,32 @@ def test_quotient_maps_carry_forms_with_the_dense_bits(family, n, discrete, seed
         assert got.values.tobytes() == want.values.tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(["random", "path"]), n=st.integers(2, 14),
+       discrete=st.booleans(), kind=st.sampled_from(["walk", "real", "complex"]),
+       seed=st.integers(0, 2 ** 16))
+def test_residual_is_the_dense_composite_subtracted_bit_for_bit(family, n, discrete,
+                                                                 kind, seed):
+    """``residual_part`` forms ``indicator . reduced . average`` as arrows,
+    gathering by the forms; it gives ``f`` minus the product of the dense
+    grids, bit for bit and laid out alike, for a complex ``f`` against the
+    real quotient too."""
+    rng = np.random.default_rng(seed)
+    adj = random_graph(rng, n) if family == "random" else path(n)
+    partition = (Partition(tuple(range(n)), tuple((v,) for v in range(n)))
+                 if discrete else coarsest_equitable_partition(adj))
+    quotient = reduced_transition_matrix(adj, partition)
+    walk = walk_matrix(adj)
+    cells = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.75)
+    f = {"walk": walk, "real": ScalarMatrix(cells),
+         "complex": ScalarMatrix(cells + 1j * rng.normal(size=(n, n)), COMPLEX)}[kind]
+    average, indicator = quotient_maps_slow(partition)
+    removed = indicator.values @ quotient.reduced.values @ average.values
+    got, want = residual_part(f, quotient), ScalarMatrix(f.values - removed, f.domain)
+    assert_same_arrow(got, want, fresh=False)
+    assert got.values.tobytes() == want.values.tobytes()
+
+
 def test_a_discrete_quotient_is_verified_by_gathers(monkeypatch):
     """On a random graph of 180 vertices, whose coarsest equitable partition
     is discrete, every averaging product of ``verify_quotient`` is a gather

@@ -447,7 +447,8 @@ def test_verifier_drops_every_product_before_forming_the_last(monkeypatch,
     composed, whether blocks pass or fail (zero projections fail a, c and
     d; zero locals fail d and the intertwining): a failing block is
     described when its product is compared, not kept for later.  Of the
-    stacked grids, P, I and L.P, only I is still alive then."""
+    stacked grids, P, I, L.P and I.L, only I and I.L are still alive then:
+    I.L is stacked before f.I is formed."""
     cat = KINDS[kind]
     cls = type(cat)
     compose, stack, costack = cls.compose, cls.stack, cls.costack
@@ -486,7 +487,7 @@ def test_verifier_drops_every_product_before_forming_the_last(monkeypatch,
         report = verify_decomposition(cat, f, case)
         monkeypatch.undo()
         assert report.passed is (case is dec)
-        assert at_last == [(5, 0, [True])] and len(stacked) == 4
+        assert at_last == [(5, 0, [True, False])] and len(stacked) == 4
 
 
 # ---------------------------------------------------------------------------
