@@ -367,7 +367,7 @@ def main(argv=None) -> int:
             text = formats.canonical_json(report)
         sys.stdout.write(text)
         if args.out:
-            with open(args.out, "w") as handle:
+            with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
         return EXIT_PASS if report["passed"] else EXIT_FAIL
     except ParseError as exc:

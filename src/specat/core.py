@@ -838,10 +838,28 @@ class _GridCategory(SemiadditiveCategory):
         (row,) = cells.tolist() if isinstance(cells, np.ndarray) else cells
         return tuple(row)
 
+    # whether a selection payload of the arrow's shape, of integer 0 and 1
+    # cells or of the _payload_cells, may be held by its positions as it
+    # stands: _grid_from_payload reads such a grid as that row selection,
+    # and _arrow takes the endpoints as they are given
+    _payload_selections = False
+
     def arrow_from_payload(self, payload: Any, src: Any, tgt: Any) -> Arrow:
         """The arrow ``_grid_from_payload`` reads from ``payload``, or its
-        refusal; a :class:`_SelectionPayload` is read as its ``tolist()``."""
+        refusal; a :class:`_SelectionPayload` is read as its ``tolist()``.
+        Where that list would be read as a selection
+        (``_payload_selections``: integer 0 and 1 cells, as ``formats``
+        scans them from matrix JSON, or the writer's, compared with their
+        types), the payload's positions are held straight away."""
         if type(payload) is _SelectionPayload:
+            shape = (len(payload.lines), payload.width)
+            cells = [(type(c), c) for c in (payload.blank, payload.unit)]
+            if (self._payload_selections and all(shape)
+                    and shape == (self._size(tgt), self._size(src))
+                    and cells in ([(int, 0), (int, 1)],
+                                  [(type(c), c) for c in self._payload_cells])):
+                return self._arrow(_Selection(self, payload.lines, 0, shape),
+                                   src, tgt)
             payload = payload.tolist()
         return self._grid_from_payload(payload, src, tgt)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
@@ -23,7 +24,13 @@ from .core import (
     _SelectionPayload,
 )
 from .functors import LatticeHom
-from .matrices import ScalarDomain, ScalarMatrix, _read_rows, _spell_distinct
+from .matrices import (
+    MatrixCategory,
+    ScalarDomain,
+    ScalarMatrix,
+    _read_rows,
+    _spell_distinct,
+)
 from .relations import (
     HeytingTable,
     LRelation,
@@ -223,13 +230,18 @@ def _encode_dict(obj: dict, level: int, out: list) -> None:
 
 def _read_text(path) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: invalid UTF-8 byte at offset {exc.start}") from exc
 
 
 def _read_json(path) -> Any:
-    text = _read_text(path)
+    return _decoded(path, _read_text(path))
+
+
+def _decoded(path, text: str) -> Any:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -297,7 +309,7 @@ def _format_scalar(value) -> str:
 
 def save_matrix_csv(matrix: ScalarMatrix, path) -> None:
     rows = _spell_distinct(matrix.values, _format_scalar)
-    Path(path).write_text("\n".join(map(",".join, rows)) + "\n")
+    Path(path).write_text("\n".join(map(",".join, rows)) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +392,7 @@ def load_relation_json(path, algebra: HeytingTable) -> LRelation:
 
 
 def save_relation_json(rel: LRelation, path) -> None:
-    Path(path).write_text(canonical_json(relation_to_dict(rel)))
+    Path(path).write_text(canonical_json(relation_to_dict(rel)), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +430,13 @@ def _require_carrier_width(cat: SemiadditiveCategory, carrier, project) -> None:
     1's projection as read from JSON, is not as wide as the carrier: reading
     the block would blame the block's shape, and a huge carrier would be
     spelled out in it."""
-    if (isinstance(cat, _GridCategory) and isinstance(project, list) and project
-            and isinstance(project[0], list)
-            and len(project[0]) != cat._size(carrier)):
+    if type(project) is _SelectionPayload and len(project.lines):
+        width = project.width
+    elif isinstance(project, list) and project and isinstance(project[0], list):
         width = len(project[0])
+    else:
+        return
+    if isinstance(cat, _GridCategory) and width != cat._size(carrier):
         raise ParseError(f"decomposition carrier: block 1's project has {width} "
                          f"columns, so the carrier must have {width} positions")
 
@@ -443,12 +458,120 @@ def decomposition_to_dict(dec: SpectralDecomposition,
 
 
 def load_decomposition_json(path, cat: SemiadditiveCategory) -> SpectralDecomposition:
-    return decomposition_from_dict(_read_json(path), cat)
+    """The decomposition that ``decomposition_from_dict`` reads from the
+    JSON text at ``path``.
+
+    For a matrix instance the ``project`` and ``inject`` grids of the
+    blocks are read in bulk (:func:`_scanned_decomposition`): a grid of the
+    tokens ``0`` and ``1``, or of ``0.0`` and ``1.0`` as the writer spells
+    a real selection, rectangular, with at most one unit per row, is
+    checked byte by byte and held by its positions, so no Python number is
+    made for its cells and no pass looks for its units.  Every other grid
+    is decoded by ``json.loads``; the whole text is, when it holds a
+    backslash or a ``#``, when it does not decode, or when a scanned grid
+    is not a block's ``project`` or ``inject`` (nested elsewhere, or
+    dropped by a later duplicate key).  The result, or the error and its
+    message, is always that of ``json.loads`` and
+    :func:`decomposition_from_dict`.
+    """
+    text = _read_text(path)
+    payload = _scanned_decomposition(text) if isinstance(cat, MatrixCategory) else None
+    return decomposition_from_dict(
+        _decoded(path, text) if payload is None else payload, cat)
+
+
+# a key naming a grid, up to the grid's first bracket; the end of a grid
+_GRID_KEY = re.compile(r'"(?:project|inject)"[ \t\n\r]*:[ \t\n\r]*\[')
+_GRID_END = re.compile(r"\][ \t\n\r]*\]")
+
+
+def _scanned_decomposition(text: str) -> dict | None:
+    """``json.loads(text)`` with its blocks' ``project`` and ``inject``
+    grids that :func:`_scanned_grid` takes held as
+    :class:`core._SelectionPayload` objects, or None where the plain path
+    must read ``text``.
+
+    Each grid taken is replaced by a placeholder string before decoding,
+    ``#`` and a number.  A text holding a ``#`` or a backslash is not
+    scanned.  Without escapes every decoded string is a raw substring of
+    the text, so no string of the input can equal a placeholder; and no
+    string can hold a quote, so a key matched is no part of a string.  A
+    grid taken is a whole JSON value after a key's colon and holds no
+    quote, so the rewritten text decodes exactly when ``text`` does, to
+    the same values but the grids.  Each placeholder must then be found as
+    a block's ``project`` or ``inject``, else the plain path reads the text
+    again.
+    """
+    if "\\" in text or "#" in text:
+        return None
+    pieces, grids = [], {}
+    kept = 0
+    for key in _GRID_KEY.finditer(text):
+        start = key.end() - 1
+        # a grid holds no quote: the search stops at the next one
+        stop = text.find('"', start)
+        close = _GRID_END.search(text, start, len(text) if stop < 0 else stop)
+        grid = close and _scanned_grid(text[start:close.end()])
+        if grid is not None:
+            placeholder = f"#{len(grids)}"
+            pieces += (text[kept:start], '"', placeholder, '"')
+            grids[placeholder] = grid
+            kept = close.end()
+    if not grids:
+        return None
+    pieces.append(text[kept:])
+    try:
+        payload = json.loads("".join(pieces))
+    except (json.JSONDecodeError, RecursionError):
+        return None
+    blocks = payload.get("blocks") if type(payload) is dict else None
+    found = 0
+    for block in blocks if type(blocks) is list else ():
+        for key in ("project", "inject") if type(block) is dict else ():
+            value = block.get(key)
+            if type(value) is str and value in grids:
+                block[key] = grids[value]
+                found += 1
+    return payload if found == len(grids) else None
+
+
+def _scanned_grid(span: str) -> _SelectionPayload | None:
+    """The grid ``span`` spells, if it is a non-empty list of rows of as
+    many tokens each, at least one, every token ``0`` and ``1``, or every
+    one ``0.0`` and ``1.0``, and no row holds two units; else None.
+
+    With whitespace dropped and a comma put after the last row, a grid of
+    ``width`` tokens of ``size - 1`` bytes is a run of rows of
+    ``size * width + 2`` bytes, read as one fixed-stride array: each row
+    must equal ``[1,1,...,1],`` (or ``[1.0,...,1.0],``) once the first
+    byte of each of its tokens is read with its low bit set.
+    """
+    dense = span.encode().translate(None, b" \t\n\r")
+    size = 4 if dense[3:4] == b"." else 2
+    token = b"1.0"[:size - 1]
+    width = (dense.find(b"]") - 1) // size
+    stride = size * width + 2
+    if width < 1 or (len(dense) - 1) % stride:
+        return None
+    rows = np.frombuffer(dense[1:-1] + b",", np.uint8).reshape(-1, stride)
+    template = b"[" + (token + b",") * (width - 1) + token + b"],"
+    first = np.zeros(stride, np.uint8)
+    first[1:size * width:size] = 1
+    if not ((rows | first) == np.frombuffer(template, np.uint8)).all():
+        return None
+    units = np.flatnonzero(rows[:, 1:size * width:size] == ord("1"))
+    at, column = np.divmod(units, width)
+    if np.any(at[1:] == at[:-1]):
+        return None  # two units in a row
+    lines = np.full(len(rows), -1, np.intp)
+    lines[at] = column
+    return _SelectionPayload(lines, width, *((0, 1) if size == 2 else (0.0, 1.0)))
 
 
 def save_decomposition_json(dec: SpectralDecomposition,
                             cat: SemiadditiveCategory, path) -> None:
-    Path(path).write_text(canonical_json(decomposition_to_dict(dec, cat)))
+    Path(path).write_text(canonical_json(decomposition_to_dict(dec, cat)),
+                          encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

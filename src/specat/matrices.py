@@ -401,6 +401,8 @@ class MatrixCategory(_GridCategory):
             return _spell_distinct(values, str)
         return values
 
+    _payload_selections = True
+
     def _grid_from_payload(self, payload, src: int, tgt: int) -> ScalarMatrix:
         """A grid of integer 0s and 1s, or of the writer's blank and unit
         (``_payload_cells``), with at most one unit per row is read as a

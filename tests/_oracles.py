@@ -40,7 +40,7 @@ from specat.core import (
     pair,
     sum_via_biproduct,
 )
-from specat.formats import _read_text
+from specat.formats import _read_text, decomposition_from_dict
 from specat.matrices import COMPLEX, _check_domains
 from specat.relations import _check_algebras, _read_labels, as_carrier, tagged_union
 from specat.spectral import _component_cells, _support_graph
@@ -467,6 +467,20 @@ def load_matrix_csv_slow(path, domain) -> ScalarMatrix:
     if not rows:
         raise ParseError(f"{path}: no matrix rows found")
     return ScalarMatrix(np.array(rows, dtype=domain.dtype), domain)
+
+
+def load_decomposition_json_slow(path, cat) -> SpectralDecomposition:
+    """The decomposition loader without the bulk grid scan: ``json.loads``
+    of the whole text, then ``decomposition_from_dict`` on its lists."""
+    text = _read_text(path)
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, "
+                         f"column {exc.colno}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
+    return decomposition_from_dict(payload, cat)
 
 
 def complex_payload_slow(values: np.ndarray) -> list[list[str]]:

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from specat.cli import main
 
 from ._oracles import canonical_json_slow, listed
 from .conftest import FIXTURES
+from .test_golden import COMMANDS, ROOT, _expected_codes
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -883,3 +885,25 @@ def test_a_parser_built_once_prints_what_fresh_parsers_print(capsys):
     assert shared == fresh
     assert [code for code, _, _ in fresh] == [0, 0, ("exit", 2), 0, ("exit", 0), 0]
     assert "invalid choice: 'nope'" in fresh[2][2]
+
+
+# the input files of the golden commands that read all of them (exit 0 or 1)
+_INPUTS = sorted((name, at) for name, argv in COMMANDS.items()
+                 if name.endswith(".json") and _expected_codes()[name] < 2
+                 for at, arg in enumerate(argv) if arg.startswith("fixtures/"))
+
+
+@pytest.mark.parametrize("name, at", _INPUTS)
+def test_a_byte_that_is_not_utf8_exits_2_naming_the_file(capsys, tmp_path, name, at):
+    """Every kind of input file (CSV, relation, decomposition, lattice, hom,
+    edge list) with a byte that is not UTF-8 in its middle is refused with
+    one line naming the file and the byte's offset."""
+    argv = [str(ROOT / arg) if arg.startswith("fixtures/") else arg
+            for arg in COMMANDS[name]]
+    data = Path(argv[at]).read_bytes()
+    cut = len(data) // 2
+    path = tmp_path / Path(argv[at]).name
+    path.write_bytes(data[:cut] + b"\xff" + data[cut:])
+    argv[at] = str(path)
+    assert (main(argv), *capsys.readouterr()) == (
+        2, "", f"error: {path}: invalid UTF-8 byte at offset {cut}\n")

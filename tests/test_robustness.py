@@ -3,12 +3,15 @@ code; a report is written to stdout alone, and a refused input gets one
 ``error:`` line on stderr and nothing on stdout.
 
 Each case is a golden command (``tests/test_golden.py``) with one of its
-input files replaced by a mutated copy: a JSON value replaced by null, a
-bool, a huge or negative integer, NaN, a string or nested lists, a key
-deleted or a list item duplicated; or a text line replaced, duplicated or
-deleted.  All cases run in one child process that pins BLAS to one thread
-and limits its own address space to 2 GiB, so an input that asks for too
-much memory must be refused, not served.
+input files replaced by a mutated copy.  The first test mutates values: a
+JSON value replaced by null, a bool, a huge or negative integer, NaN, a
+string or nested lists, a key deleted or a list item duplicated; or a text
+line replaced, duplicated or deleted.  The second mutates bytes: a byte
+that is not UTF-8 put in, a byte of a decomposition's ``project`` or
+``inject`` grid replaced, or the file cut short.  The cases of each test
+run in one child process that pins BLAS to one thread and limits its own
+address space to 2 GiB, so an input that asks for too much memory must be
+refused, not served.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +30,8 @@ from .test_golden import COMMANDS, ROOT
 
 SEED = 20261020
 CASES = 1000
+BYTES_SEED = 20261021
+BYTES_CASES = 300
 
 # cases as JSON on stdin, [exit code or traceback, stdout, stderr] per case
 # as JSON on stdout
@@ -92,28 +98,52 @@ def _mutate_text(text: str, rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cases(tmp_path: Path) -> list[list[str]]:
-    """``CASES`` golden commands, each with one input file mutated."""
-    rng = random.Random(SEED)
+# a grid of a decomposition, up to its closing brackets
+_GRID = re.compile(rb'"(?:project|inject)"\s*:\s*\[[^"]*?\]\s*\]')
+
+
+def _mutate_bytes(data: bytes, rng: random.Random) -> bytes:
+    action = rng.choice(["utf-8", "grid", "grid", "cut"])
+    grids = list(_GRID.finditer(data))
+    if action == "grid" and grids:
+        grid = rng.choice(grids)
+        at = rng.randrange(grid.start(), grid.end())
+        return data[:at] + bytes([rng.choice(b'0123456789[],. \n"-e')]) + data[at + 1:]
+    if action == "cut":
+        return data[:rng.randrange(len(data))]
+    at = rng.randrange(len(data) + 1)
+    # a byte that starts no UTF-8 sequence, a lone continuation byte, or
+    # the first byte of a sequence cut short
+    return data[:at] + rng.choice([b"\xff", b"\x80", b"\xc3", b"\xe2\x82"]) + data[at:]
+
+
+def _cases(tmp_path: Path, seed: int, count: int, mutate) -> list[list[str]]:
+    """``count`` golden commands, each with one input file mutated by
+    ``mutate(path, rng)``, which gives the mutated bytes."""
+    rng = random.Random(seed)
     commands = [argv for _, argv in sorted(COMMANDS.items())
                 if any(arg.startswith("fixtures/") for arg in argv)]
     cases = []
-    for i in range(CASES):
+    for i in range(count):
         argv = list(rng.choice(commands))
         at = rng.choice([j for j, arg in enumerate(argv)
                          if arg.startswith("fixtures/")])
-        text = (ROOT / argv[at]).read_text()
-        mutate = _mutate_json if argv[at].endswith(".json") else _mutate_text
         path = tmp_path / f"{i}-{Path(argv[at]).name}"
-        path.write_text(mutate(text, rng))
+        path.write_bytes(mutate(ROOT / argv[at], rng))
         argv[at] = str(path)
         cases.append(argv)
     return cases
 
 
-def test_mutated_inputs_exit_with_a_code_and_a_message(tmp_path):
+def _mutated_values(path: Path, rng: random.Random) -> bytes:
+    mutate = _mutate_json if path.suffix == ".json" else _mutate_text
+    return mutate(path.read_text(encoding="utf-8"), rng).encode()
+
+
+def _run_cases(cases: list[list[str]]) -> list[int]:
+    """Run the cases through ``cli.main`` in one child process, check each
+    outcome and give the exit codes."""
     pytest.importorskip("resource")
-    cases = _cases(tmp_path)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
                    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
@@ -129,4 +159,15 @@ def test_mutated_inputs_exit_with_a_code_and_a_message(tmp_path):
         else:
             assert out and err == "", (argv, err)
         codes.append(code)
+    return codes
+
+
+def test_mutated_inputs_exit_with_a_code_and_a_message(tmp_path):
+    codes = _run_cases(_cases(tmp_path, SEED, CASES, _mutated_values))
     assert set(codes) == {0, 1, 2, 3}  # the mutations reach every outcome
+
+
+def test_mutated_bytes_exit_with_a_code_and_a_message(tmp_path):
+    codes = _run_cases(_cases(tmp_path, BYTES_SEED, BYTES_CASES,
+                              lambda path, rng: _mutate_bytes(path.read_bytes(), rng)))
+    assert {0, 1, 2} <= set(codes)
